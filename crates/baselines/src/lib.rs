@@ -26,14 +26,19 @@
 //!   relies on (lock-free updates, read-only cost growing with the read-set
 //!   size); see `DESIGN.md` for the fidelity notes.
 
-pub mod adapters;
+//!
+//! What the three share — configuration, boot and teardown, counters, the
+//! client session with its phase tracing — is written once in [`cluster`],
+//! generic over the [`Protocol`] each module implements.
+
+pub mod cluster;
 pub mod rococo;
 pub mod twopc;
 pub mod walter;
 
-pub use adapters::{RococoEngine, TwoPcEngine, WalterEngine};
-pub use rococo::{RococoCluster, RococoConfig, RococoSession};
-pub use twopc::{TwoPcCluster, TwoPcConfig, TwoPcSession};
-pub use walter::{WalterCluster, WalterConfig, WalterSession};
+pub use cluster::{BaselineCluster, BaselineConfig, BaselineSession, Observed, Protocol};
+pub use rococo::{Rococo, RococoCluster};
+pub use twopc::{TwoPc, TwoPcCluster};
+pub use walter::{Walter, WalterCluster};
 
 pub use sss_storage::{Key, TxnId, Value};

@@ -22,126 +22,53 @@
 //! performance profile the paper's comparison relies on rather than a
 //! complete re-implementation of ROCOCO's reordering proof.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use sss_net::{
-    reply_channel, ChannelTransport, Envelope, FaultInterposer, NodeRuntime, NodeService,
-    PauseControl, Priority, ReplySender, Transport, TransportConfig,
+    reply_channel, Envelope, NodeService, Priority, ReplyReceiver, ReplySender, Transport,
 };
-use sss_obs::{ObsHub, Phase, TxnTrace};
-use sss_storage::{Key, RecentSet, ReplicaMap, SvStore, TxnId, Value};
-use sss_vclock::runtime::SchedulerHandle;
+use sss_obs::{Phase, TxnTrace};
+use sss_storage::{Key, RecentSet, ReplicaMap, StorageStats, SvStore, TxnId, Value};
 use sss_vclock::NodeId;
 
-/// Human-readable labels of the ROCOCO message kinds, in
-/// `RococoMessage::kind_index` order — the per-kind mailbox counters
-/// (`MailboxStats::per_kind`) attribute traffic against this table.
-pub const MESSAGE_KIND_LABELS: [&str; 3] = ["Dispatch", "Commit", "SnapshotRead"];
+use crate::cluster::{
+    BaselineCluster, BaselineConfig, BaselineSession, Observed, Protocol, RPC_TIMEOUT,
+};
 
-/// Configuration of a [`RococoCluster`].
-#[derive(Debug, Clone)]
-pub struct RococoConfig {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Worker threads per node.
-    pub workers_per_node: usize,
-    /// Timeout for individual RPCs.
-    pub rpc_timeout: Duration,
-    /// Maximum snapshot-validation rounds a read-only transaction attempts
-    /// before aborting.
-    pub read_only_max_rounds: usize,
-    /// Pause between read-only validation rounds while waiting for
-    /// conflicting update transactions to drain.
-    pub read_only_backoff: Duration,
-    /// Shard arity of every node's single-version store. Rounded up to a
-    /// power of two.
-    pub storage_shards: usize,
-    /// Messages a node worker drains from its mailbox per wakeup (clamped
-    /// to at least 1).
-    pub delivery_batch: usize,
-    /// Optional observability hub: sessions trace the dispatch / execute /
-    /// read phases into it. When `None` — the default — every
-    /// instrumentation site is one branch.
-    pub observability: Option<Arc<ObsHub>>,
-    /// Optional deterministic-simulation scheduler (see `sss-sim`): when
-    /// set, the cluster's transport and workers run in virtual time.
-    pub scheduler: Option<SchedulerHandle>,
-}
+/// Maximum snapshot-validation rounds a read-only transaction attempts
+/// before aborting.
+const READ_ONLY_MAX_ROUNDS: usize = 8;
 
-impl RococoConfig {
-    /// Defaults matching the paper's comparison setup (no replication).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
-        RococoConfig {
-            nodes,
-            workers_per_node: 4,
-            rpc_timeout: Duration::from_secs(1),
-            read_only_max_rounds: 8,
-            read_only_backoff: Duration::from_micros(100),
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
-            observability: None,
-            scheduler: None,
-        }
-    }
-
-    /// Runs the cluster under a deterministic-simulation scheduler.
-    pub fn scheduler(mut self, scheduler: SchedulerHandle) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
-    /// Sets the shard arity of every node's single-version store.
-    pub fn storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Attaches an observability hub (see [`sss_obs::ObsHub`]).
-    pub fn observability(mut self, hub: Arc<ObsHub>) -> Self {
-        self.observability = Some(hub);
-        self
-    }
-
-    /// Sets the per-wakeup mailbox delivery batch size of every node's
-    /// workers (clamped to at least 1).
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = batch;
-        self
-    }
-}
+/// Pause between read-only validation rounds while waiting for conflicting
+/// update transactions to drain.
+const READ_ONLY_BACKOFF: Duration = Duration::from_micros(100);
 
 #[derive(Debug, Clone)]
-struct DispatchReply {
+pub struct DispatchReply {
     /// Transactions already pending on the key (the collected dependencies).
     deps: Vec<TxnId>,
 }
 
 #[derive(Debug, Clone)]
 #[allow(dead_code)] // carries protocol metadata useful for tracing
-struct ExecuteReply {
+pub struct ExecuteReply {
     from: NodeId,
     txn: TxnId,
 }
 
 #[derive(Debug, Clone)]
-struct SnapshotReply {
+pub struct SnapshotReply {
     value: Option<Value>,
     version: u64,
     /// Number of dispatched-but-not-yet-executed pieces on the key.
     pending: usize,
 }
 
+/// The ROCOCO wire protocol.
 #[derive(Debug, Clone)]
-enum RococoMessage {
+pub enum RococoMessage {
     /// Round 1 of an update transaction: buffer the piece, return deps.
     Dispatch {
         txn: TxnId,
@@ -163,8 +90,6 @@ enum RococoMessage {
 }
 
 impl RococoMessage {
-    /// Dense per-kind index into [`MESSAGE_KIND_LABELS`], for the
-    /// transport's per-kind mailbox counters.
     fn kind_index(&self) -> usize {
         match self {
             RococoMessage::Dispatch { .. } => 0,
@@ -202,7 +127,8 @@ impl RococoNodeState {
     }
 }
 
-struct RococoNode {
+/// The server side of one ROCOCO node.
+pub struct RococoNode {
     id: NodeId,
     state: Mutex<RococoNodeState>,
 }
@@ -299,225 +225,76 @@ impl NodeService<RococoMessage> for RococoNode {
     }
 }
 
+/// The ROCOCO-style protocol (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct Rococo;
+
 /// A running ROCOCO-style cluster (replication disabled, as in the paper's
 /// comparison).
-pub struct RococoCluster {
-    config: RococoConfig,
-    transport: Arc<ChannelTransport<RococoMessage>>,
-    nodes: Vec<Arc<RococoNode>>,
-    runtimes: Mutex<Vec<NodeRuntime>>,
-    placement: ReplicaMap,
-    next_txn: AtomicU64,
-}
+pub type RococoCluster = BaselineCluster<Rococo>;
 
-impl RococoCluster {
-    /// Boots the cluster.
-    pub fn start(config: RococoConfig) -> Self {
-        Self::start_with_interposer(config, None)
+impl Protocol for Rococo {
+    const NAME: &'static str = "ROCOCO";
+    const MESSAGE_KIND_LABELS: &'static [&'static str] = &["Dispatch", "Commit", "SnapshotRead"];
+    type Message = RococoMessage;
+    type Node = RococoNode;
+
+    fn kind_index(message: &RococoMessage) -> usize {
+        message.kind_index()
     }
 
-    /// Boots the cluster with an optional fault interposer on its
-    /// transport (the baselines run on the same `sss-net` substrate as
-    /// SSS, so injected faults hit them identically).
-    pub fn start_with_interposer(
-        config: RococoConfig,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-    ) -> Self {
-        let mut transport_config = TransportConfig::new(config.nodes);
-        if let Some(interposer) = interposer {
-            transport_config = transport_config.interposer(interposer);
-        }
-        if let Some(scheduler) = &config.scheduler {
-            transport_config = transport_config.scheduler(Arc::clone(scheduler));
-        }
-        let transport = Arc::new(ChannelTransport::new(transport_config));
-        // Per-kind message accounting, mirroring the SSS transport: every
-        // send is attributed to its protocol message type.
-        transport.set_message_classifier(|message: &RococoMessage| message.kind_index());
-        let nodes: Vec<Arc<RococoNode>> = (0..config.nodes)
-            .map(|i| {
-                Arc::new(RococoNode {
-                    id: NodeId(i),
-                    state: Mutex::new(RococoNodeState::with_shards(config.storage_shards)),
-                })
-            })
-            .collect();
-        // Self-addressed messages (a client dispatching to the local key
-        // owner) skip the mailbox via the local fast path.
-        for node in &nodes {
-            let handler = Arc::clone(node);
-            transport
-                .set_local_dispatch(node.id, Arc::new(move |envelope| handler.handle(envelope)));
-        }
-        let runtimes = nodes
-            .iter()
-            .map(|node| {
-                NodeRuntime::spawn_batched(
-                    node.id,
-                    transport.mailbox(node.id),
-                    Arc::clone(node),
-                    config.workers_per_node,
-                    config.delivery_batch,
-                )
-            })
-            .collect();
-        let placement = ReplicaMap::new(config.nodes, 1);
-        RococoCluster {
-            config,
-            transport,
-            nodes,
-            runtimes: Mutex::new(runtimes),
-            placement,
-            next_txn: AtomicU64::new(0),
+    fn placement(config: &BaselineConfig) -> ReplicaMap {
+        ReplicaMap::new(config.nodes, 1)
+    }
+
+    fn node(id: NodeId, config: &BaselineConfig, _placement: &ReplicaMap) -> RococoNode {
+        RococoNode {
+            id,
+            state: Mutex::new(RococoNodeState::with_shards(config.storage_shards)),
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Per-node pause gates of the cluster transport, for fault injectors.
-    pub fn pause_controls(&self) -> Vec<Arc<PauseControl>> {
-        (0..self.nodes.len())
-            .map(|i| self.transport.mailbox(NodeId(i)).pause_control())
-            .collect()
-    }
-
-    /// The observability hub the cluster was started with, if any (see
-    /// [`RococoConfig::observability`]).
-    pub fn observability(&self) -> Option<Arc<ObsHub>> {
-        self.config.observability.clone()
-    }
-
-    /// Aggregated storage-layer counters (single-version store, with the
-    /// per-shard breakdown) summed over every node. ROCOCO runs no lock
-    /// table — update pieces are lock-free by design.
-    pub fn storage_stats(&self) -> sss_storage::StorageStats {
-        let mut total = sss_storage::StorageStats::default();
-        for node in &self.nodes {
-            total.merge(&sss_storage::StorageStats {
-                mv: None,
-                sv: Some(node.state.lock().store.stats()),
-                locks: None,
-            });
-        }
-        total
-    }
-
-    /// Aggregated mailbox traffic counters summed over every node.
-    pub fn mailbox_totals(&self) -> sss_net::MailboxStats {
-        let mut total = sss_net::MailboxStats::default();
-        for i in 0..self.nodes.len() {
-            total.merge(&self.transport.mailbox_stats(NodeId(i)));
-        }
-        total
-    }
-
-    /// Opens a session colocated with `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn session(&self, node: usize) -> RococoSession<'_> {
-        assert!(node < self.nodes.len(), "node index out of range");
-        RococoSession {
-            cluster: self,
-            node: NodeId(node),
+    /// ROCOCO runs no lock table — update pieces are lock-free by design.
+    fn storage_stats(node: &RococoNode) -> StorageStats {
+        StorageStats {
+            mv: None,
+            sv: Some(node.state.lock().store.stats()),
+            locks: None,
         }
     }
 
-    /// Shuts the cluster down. Idempotent.
-    pub fn shutdown(&self) {
-        self.transport.shutdown();
-        for runtime in std::mem::take(&mut *self.runtimes.lock()) {
-            runtime.join();
-        }
-    }
-}
-
-impl Drop for RococoCluster {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for RococoCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RococoCluster")
-            .field("nodes", &self.nodes.len())
-            .finish()
-    }
-}
-
-/// Outcome of a ROCOCO read-only transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RococoReadOutcome {
-    /// A consistent snapshot was obtained.
-    Committed,
-    /// The snapshot could not be validated within the configured number of
-    /// rounds.
-    Aborted,
-}
-
-/// A client session colocated with one node.
-#[derive(Debug, Clone, Copy)]
-pub struct RococoSession<'c> {
-    cluster: &'c RococoCluster,
-    node: NodeId,
-}
-
-impl<'c> RococoSession<'c> {
-    /// Executes an update transaction writing `writes` (one deferrable piece
-    /// per key). Update transactions never abort.
-    ///
-    /// Returns `false` only if the cluster is shutting down.
-    pub fn update(&self, writes: &[(Key, Value)]) -> bool {
-        self.update_traced(writes, None)
-    }
-
-    /// [`RococoSession::update`] carrying an optional phase trace: one
-    /// `dispatch` span over round 1 and one `execute` span over round 2.
-    /// The caller finishes the trace with the final outcome.
-    pub fn update_traced(&self, writes: &[(Key, Value)], mut trace: Option<&mut TxnTrace>) -> bool {
+    /// Writes `writes`, one deferrable piece per key: one `dispatch` span
+    /// over round 1 and one `execute` span over round 2. Update pieces never
+    /// read (the observations are all unattributed) and never abort: `None`
+    /// only if the cluster is shutting down.
+    fn update(
+        session: &BaselineSession<Rococo>,
+        _read_keys: &[Key],
+        writes: &[(Key, Value)],
+        mut trace: Option<&mut TxnTrace>,
+    ) -> Option<Observed> {
         if writes.is_empty() {
-            return true;
+            return Some(Observed::new());
         }
         if let Some(trace) = trace.as_deref_mut() {
             trace.enter(Phase::Dispatch);
         }
-        let txn = TxnId::new(
-            self.node,
-            self.cluster.next_txn.fetch_add(1, Ordering::Relaxed),
-        );
+        let txn = session.next_txn();
         // Round 1: dispatch every piece and collect dependencies.
         let (dispatch_reply, dispatch_rx) = reply_channel(writes.len());
         for (key, value) in writes {
-            let owner = self.cluster.placement.primary(key);
             let msg = RococoMessage::Dispatch {
                 txn,
                 key: key.clone(),
                 value: value.clone(),
                 reply: dispatch_reply.clone(),
             };
-            if self
-                .cluster
-                .transport
-                .send(self.node, owner, msg, Priority::Normal)
-                .is_err()
-            {
-                return false;
-            }
+            send_to_owner(session, key, msg, Priority::Normal)?;
         }
-        let deadline = sss_vclock::runtime::now() + self.cluster.config.rpc_timeout;
-        let mut _deps: Vec<TxnId> = Vec::new();
-        for _ in 0..writes.len() {
-            let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-            match dispatch_rx.recv_timeout(remaining) {
-                Some(reply) => _deps.extend(reply.deps),
-                None => return false,
-            }
-        }
+        let _deps: Vec<TxnId> = recv_all(&dispatch_rx, writes.len())?
+            .into_iter()
+            .flat_map(|reply| reply.deps)
+            .collect();
 
         // Round 2: commit every piece; the servers execute them in dispatch
         // order, which realizes the aggregated dependency order for
@@ -527,116 +304,59 @@ impl<'c> RococoSession<'c> {
         }
         let (exec_reply, exec_rx) = reply_channel(writes.len());
         for (key, _) in writes {
-            let owner = self.cluster.placement.primary(key);
             let msg = RococoMessage::Commit {
                 txn,
                 key: key.clone(),
                 reply: exec_reply.clone(),
             };
-            if self
-                .cluster
-                .transport
-                .send(self.node, owner, msg, Priority::High)
-                .is_err()
-            {
-                return false;
-            }
+            send_to_owner(session, key, msg, Priority::High)?;
         }
-        let deadline = sss_vclock::runtime::now() + self.cluster.config.rpc_timeout;
-        for _ in 0..writes.len() {
-            let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-            if exec_rx.recv_timeout(remaining).is_none() {
-                return false;
-            }
-        }
-        true
+        recv_all(&exec_rx, writes.len())?;
+        Some(Observed::new())
     }
 
-    fn snapshot_round(&self, keys: &[Key]) -> Option<Vec<SnapshotReply>> {
-        let (reply, rx) = reply_channel(keys.len());
-        for key in keys {
-            let owner = self.cluster.placement.primary(key);
-            let msg = RococoMessage::SnapshotRead {
-                key: key.clone(),
-                reply: reply.clone(),
-            };
-            if self
-                .cluster
-                .transport
-                .send(self.node, owner, msg, Priority::Normal)
-                .is_err()
-            {
-                return None;
-            }
-        }
-        // Replies arrive in arbitrary order; for validation we only need the
-        // per-key versions, so re-read them keyed by index in a second pass.
-        let mut replies = Vec::with_capacity(keys.len());
-        let deadline = sss_vclock::runtime::now() + self.cluster.config.rpc_timeout;
-        for _ in 0..keys.len() {
-            let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-            replies.push(rx.recv_timeout(remaining)?);
-        }
-        Some(replies)
-    }
-
-    /// Executes a read-only transaction: repeated rounds of per-key reads
+    /// Repeated rounds of per-key reads (one `read` span over all of them)
     /// until a round observes no pending conflicting pieces and the same
-    /// versions as the previous round.
-    pub fn read_only(
-        &self,
-        keys: &[Key],
-    ) -> (RococoReadOutcome, Option<BTreeMap<Key, Option<Value>>>) {
-        self.read_only_traced(keys, None)
-    }
-
-    /// [`RococoSession::read_only`] carrying an optional phase trace (one
-    /// `read` span over every validation round; the caller finishes the
-    /// trace with the final outcome).
-    pub fn read_only_traced(
-        &self,
+    /// versions as the previous round; `None` if the snapshot could not be
+    /// validated within `READ_ONLY_MAX_ROUNDS`.
+    fn read_only(
+        session: &BaselineSession<Rococo>,
         keys: &[Key],
         trace: Option<&mut TxnTrace>,
-    ) -> (RococoReadOutcome, Option<BTreeMap<Key, Option<Value>>>) {
+    ) -> Option<Observed> {
         if !keys.is_empty() {
             if let Some(trace) = trace {
                 trace.enter(Phase::Read);
             }
         }
-        // The per-round replies do not identify their key (the reply channel
-        // interleaves them), so issue the reads key by key: this also
+        // The replies do not identify their key (a shared reply channel
+        // would interleave them), so issue the reads key by key: this also
         // mirrors ROCOCO's per-piece read-only rounds.
         let mut previous_versions: Option<Vec<u64>> = None;
-        for _round in 0..self.cluster.config.read_only_max_rounds {
-            let mut values = BTreeMap::new();
+        for _round in 0..READ_ONLY_MAX_ROUNDS {
+            let mut values = Observed::new();
             let mut versions = Vec::with_capacity(keys.len());
             let mut pending_conflicts = false;
-            let mut failed = false;
             for key in keys {
-                match self.snapshot_round(std::slice::from_ref(key)) {
-                    Some(mut replies) => {
-                        let reply = replies.pop().expect("one reply per key");
-                        pending_conflicts |= reply.pending > 0;
-                        versions.push(reply.version);
-                        values.insert(key.clone(), reply.value);
-                    }
-                    None => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                return (RococoReadOutcome::Aborted, None);
+                let (reply, rx) = reply_channel(1);
+                let msg = RococoMessage::SnapshotRead {
+                    key: key.clone(),
+                    reply,
+                };
+                send_to_owner(session, key, msg, Priority::Normal)?;
+                let reply = rx.recv_timeout(RPC_TIMEOUT)?;
+                pending_conflicts |= reply.pending > 0;
+                versions.push(reply.version);
+                values.insert(key.clone(), reply.value);
             }
             if !pending_conflicts {
                 if let Some(prev) = &previous_versions {
                     if *prev == versions {
-                        return (RococoReadOutcome::Committed, Some(values));
+                        return Some(values);
                     }
                 } else if keys.len() <= 1 {
                     // A single-key read is trivially consistent.
-                    return (RococoReadOutcome::Committed, Some(values));
+                    return Some(values);
                 }
             }
             previous_versions = Some(versions);
@@ -647,76 +367,95 @@ impl<'c> RococoSession<'c> {
             // themselves, which is what bounds livelock under sustained
             // write pressure.
             if pending_conflicts {
-                sss_vclock::runtime::sleep(self.cluster.config.read_only_backoff);
+                sss_vclock::runtime::sleep(READ_ONLY_BACKOFF);
             }
         }
-        (RococoReadOutcome::Aborted, None)
+        None
     }
+}
+
+/// Sends `msg` to the node owning `key`; `None` if the cluster is shutting
+/// down.
+fn send_to_owner(
+    session: &BaselineSession<Rococo>,
+    key: &Key,
+    msg: RococoMessage,
+    priority: Priority,
+) -> Option<()> {
+    let owner = session.placement().primary(key);
+    session
+        .transport()
+        .send(session.node(), owner, msg, priority)
+        .ok()
+}
+
+/// Waits for `count` replies (one per piece; several may come from the same
+/// node) within one [`RPC_TIMEOUT`].
+fn recv_all<T>(rx: &ReplyReceiver<T>, count: usize) -> Option<Vec<T>> {
+    let deadline = sss_vclock::runtime::now() + RPC_TIMEOUT;
+    (0..count)
+        .map(|_| rx.recv_timeout(deadline.saturating_duration_since(sss_vclock::runtime::now())))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn updates_never_abort_and_become_visible() {
-        let cluster = RococoCluster::start(RococoConfig::new(3));
-        let session = cluster.session(0);
+        let cluster = RococoCluster::start(BaselineConfig::new(3));
+        let mut session = cluster.session(0);
         let k = Key::new("x");
-        assert!(session.update(&[(k.clone(), Value::from_u64(9))]));
-        let (outcome, values) = session.read_only(std::slice::from_ref(&k));
-        assert_eq!(outcome, RococoReadOutcome::Committed);
-        assert_eq!(
-            values.unwrap().get(&k).cloned().flatten(),
-            Some(Value::from_u64(9))
-        );
+        assert!(session
+            .update(&[], &[(k.clone(), Value::from_u64(9))])
+            .is_some());
+        let values = session.read_only(std::slice::from_ref(&k)).unwrap();
+        assert_eq!(values[&k], Some(Value::from_u64(9)));
         cluster.shutdown();
     }
 
     #[test]
     fn multi_key_read_only_requires_stable_versions() {
-        let cluster = RococoCluster::start(RococoConfig::new(2));
-        let session = cluster.session(0);
+        let cluster = RococoCluster::start(BaselineConfig::new(2));
+        let mut session = cluster.session(0);
         let a = Key::new("a");
         let b = Key::new("b");
-        assert!(session.update(&[
+        let writes = [
             (a.clone(), Value::from_u64(1)),
-            (b.clone(), Value::from_u64(1))
-        ]));
-        let (outcome, values) = session.read_only(&[a.clone(), b.clone()]);
-        assert_eq!(outcome, RococoReadOutcome::Committed);
-        let values = values.unwrap();
-        assert_eq!(values.get(&a).cloned().flatten(), Some(Value::from_u64(1)));
-        assert_eq!(values.get(&b).cloned().flatten(), Some(Value::from_u64(1)));
+            (b.clone(), Value::from_u64(1)),
+        ];
+        assert!(session.update(&[], &writes).is_some());
+        let values = session.read_only(&[a.clone(), b.clone()]).unwrap();
+        assert_eq!(values[&a], Some(Value::from_u64(1)));
+        assert_eq!(values[&b], Some(Value::from_u64(1)));
         cluster.shutdown();
     }
 
     #[test]
     fn concurrent_writers_are_serialized_per_key() {
-        let cluster = Arc::new(RococoCluster::start(RococoConfig::new(2)));
+        let cluster = Arc::new(RococoCluster::start(BaselineConfig::new(2)));
         let k = Key::new("hot");
-        let handles: Vec<_> =
-            (0..4)
-                .map(|i| {
-                    let cluster = Arc::clone(&cluster);
-                    let k = k.clone();
-                    std::thread::spawn(move || {
-                        let session = cluster.session(i % 2);
-                        for j in 0..10 {
-                            assert!(
-                                session.update(&[(k.clone(), Value::from_u64(i as u64 * 100 + j))])
-                            );
-                        }
-                    })
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                let cluster = Arc::clone(&cluster);
+                let k = k.clone();
+                std::thread::spawn(move || {
+                    let mut session = cluster.session(i % 2);
+                    for j in 0..10 {
+                        let value = Value::from_u64(i as u64 * 100 + j);
+                        assert!(session.update(&[], &[(k.clone(), value)]).is_some());
+                    }
                 })
-                .collect();
+            })
+            .collect();
         for h in handles {
             h.join().unwrap();
         }
-        let session = cluster.session(0);
-        let (outcome, values) = session.read_only(std::slice::from_ref(&k));
-        assert_eq!(outcome, RococoReadOutcome::Committed);
-        assert!(values.unwrap().get(&k).cloned().flatten().is_some());
+        let mut session = cluster.session(0);
+        let values = session.read_only(std::slice::from_ref(&k)).unwrap();
+        assert!(values[&k].is_some());
         cluster.shutdown();
     }
 }

@@ -16,124 +16,39 @@
 //!   client-response delay, which is exactly why Walter outperforms SSS
 //!   while offering weaker guarantees (long forks are possible).
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use sss_net::{
-    reply_channel, ChannelTransport, Envelope, FaultInterposer, NodeRuntime, NodeService,
-    PauseControl, Priority, ReplySender, TransportConfig, TransportExt,
-};
+use sss_net::{reply_channel, Envelope, Gather, NodeService, Priority, ReplySender, TransportExt};
 use sss_obs::{ObsHub, Phase, TxnTrace};
-use sss_storage::{Key, LockKind, LockTable, MvStore, RecentTxnSet, ReplicaMap, TxnId, Value};
-use sss_vclock::runtime::SchedulerHandle;
+use sss_storage::{
+    Key, LockKind, LockTable, MvStore, RecentTxnSet, ReplicaMap, StorageStats, TxnId, Value,
+};
 use sss_vclock::{NodeId, VectorClock};
 
-/// Human-readable labels of the Walter message kinds, in
-/// `WalterMessage::kind_index` order — the per-kind mailbox counters
-/// (`MailboxStats::per_kind`) attribute traffic against this table.
-pub const MESSAGE_KIND_LABELS: [&str; 3] = ["Read", "Prepare", "Decide"];
-
-/// Configuration of a [`WalterCluster`].
-#[derive(Debug, Clone)]
-pub struct WalterConfig {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Replication degree.
-    pub replication: usize,
-    /// Worker threads per node.
-    pub workers_per_node: usize,
-    /// Lock-acquisition timeout for write-write conflict detection.
-    pub lock_timeout: Duration,
-    /// Timeout for reads and votes.
-    pub rpc_timeout: Duration,
-    /// Shard arity of every node's storage structures (multi-version store
-    /// and lock table). Rounded up to a power of two.
-    pub storage_shards: usize,
-    /// Messages a node worker drains from its mailbox per wakeup (clamped
-    /// to at least 1).
-    pub delivery_batch: usize,
-    /// Optional observability hub: sessions trace protocol phases and the
-    /// nodes record server-side lock-acquisition spans into it. When `None`
-    /// — the default — every instrumentation site is one branch.
-    pub observability: Option<Arc<ObsHub>>,
-    /// Optional deterministic-simulation scheduler (see `sss-sim`): when
-    /// set, the cluster's transport and workers run in virtual time.
-    pub scheduler: Option<SchedulerHandle>,
-}
-
-impl WalterConfig {
-    /// Defaults matching the paper's setup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
-        WalterConfig {
-            nodes,
-            replication: 2.min(nodes),
-            workers_per_node: 4,
-            lock_timeout: Duration::from_millis(1),
-            rpc_timeout: Duration::from_secs(1),
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
-            observability: None,
-            scheduler: None,
-        }
-    }
-
-    /// Runs the cluster under a deterministic-simulation scheduler.
-    pub fn scheduler(mut self, scheduler: SchedulerHandle) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
-    /// Sets the replication degree.
-    pub fn replication(mut self, degree: usize) -> Self {
-        self.replication = degree;
-        self
-    }
-
-    /// Attaches an observability hub (see [`sss_obs::ObsHub`]).
-    pub fn observability(mut self, hub: Arc<ObsHub>) -> Self {
-        self.observability = Some(hub);
-        self
-    }
-
-    /// Sets the shard arity of every node's storage structures.
-    pub fn storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Sets the per-wakeup mailbox delivery batch size of every node's
-    /// workers (clamped to at least 1).
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = batch;
-        self
-    }
-}
+use crate::cluster::{
+    BaselineCluster, BaselineConfig, BaselineSession, Observed, Protocol, LOCK_TIMEOUT, RPC_TIMEOUT,
+};
 
 #[derive(Debug, Clone)]
 #[allow(dead_code)] // version_vc is kept for symmetry with the protocol message
-struct ReadReply {
+pub struct ReadReply {
     value: Option<Value>,
     version_vc: Option<std::sync::Arc<VectorClock>>,
 }
 
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // carries protocol metadata useful for tracing
-struct VoteReply {
+pub struct VoteReply {
     from: NodeId,
     ok: bool,
     proposed: VectorClock,
 }
 
+/// The Walter wire protocol.
 #[derive(Debug, Clone)]
-enum WalterMessage {
+pub enum WalterMessage {
     Read {
         key: Key,
         snapshot: VectorClock,
@@ -153,8 +68,6 @@ enum WalterMessage {
 }
 
 impl WalterMessage {
-    /// Dense per-kind index into [`MESSAGE_KIND_LABELS`], for the
-    /// transport's per-kind mailbox counters.
     fn kind_index(&self) -> usize {
         match self {
             WalterMessage::Read { .. } => 0,
@@ -169,7 +82,8 @@ struct PreparedTxn {
     local_writes: Vec<(Key, Value)>,
 }
 
-struct WalterNode {
+/// The server side of one Walter node.
+pub struct WalterNode {
     id: NodeId,
     replicas: ReplicaMap,
     lock_timeout: Duration,
@@ -375,274 +289,65 @@ impl NodeService<WalterMessage> for WalterNode {
     }
 }
 
-/// A running Walter-style PSI cluster.
-pub struct WalterCluster {
-    config: WalterConfig,
-    transport: Arc<ChannelTransport<WalterMessage>>,
-    nodes: Vec<Arc<WalterNode>>,
-    runtimes: Mutex<Vec<NodeRuntime>>,
-    next_txn: AtomicU64,
-}
-
-impl WalterCluster {
-    /// Boots the cluster.
-    pub fn start(config: WalterConfig) -> Self {
-        Self::start_with_interposer(config, None)
-    }
-
-    /// Boots the cluster with an optional fault interposer on its
-    /// transport (the baselines run on the same `sss-net` substrate as
-    /// SSS, so injected faults hit them identically).
-    pub fn start_with_interposer(
-        config: WalterConfig,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-    ) -> Self {
-        let mut transport_config = TransportConfig::new(config.nodes);
-        if let Some(interposer) = interposer {
-            transport_config = transport_config.interposer(interposer);
-        }
-        if let Some(scheduler) = &config.scheduler {
-            transport_config = transport_config.scheduler(Arc::clone(scheduler));
-        }
-        let transport = Arc::new(ChannelTransport::new(transport_config));
-        // Per-kind message accounting, mirroring the SSS transport: every
-        // send is attributed to its protocol message type.
-        transport.set_message_classifier(|message: &WalterMessage| message.kind_index());
-        let replicas = ReplicaMap::new(config.nodes, config.replication);
-        let nodes: Vec<Arc<WalterNode>> = (0..config.nodes)
-            .map(|i| {
-                Arc::new(WalterNode {
-                    id: NodeId(i),
-                    replicas: replicas.clone(),
-                    lock_timeout: config.lock_timeout,
-                    state: Mutex::new(WalterNodeState {
-                        node_vc: VectorClock::new(config.nodes),
-                        prepared: HashMap::new(),
-                        decided: RecentTxnSet::new(1 << 16),
-                    }),
-                    store: MvStore::with_shards(config.storage_shards),
-                    locks: LockTable::with_shards(config.storage_shards),
-                    obs: config.observability.clone(),
-                })
-            })
-            .collect();
-        // Self-addressed messages skip the mailbox via the local fast path.
-        for node in &nodes {
-            let handler = Arc::clone(node);
-            transport
-                .set_local_dispatch(node.id, Arc::new(move |envelope| handler.handle(envelope)));
-        }
-        let runtimes = nodes
-            .iter()
-            .map(|node| {
-                NodeRuntime::spawn_batched(
-                    node.id,
-                    transport.mailbox(node.id),
-                    Arc::clone(node),
-                    config.workers_per_node,
-                    config.delivery_batch,
-                )
-            })
-            .collect();
-        WalterCluster {
-            config,
-            transport,
-            nodes,
-            runtimes: Mutex::new(runtimes),
-            next_txn: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Per-node pause gates of the cluster transport, for fault injectors.
-    pub fn pause_controls(&self) -> Vec<Arc<PauseControl>> {
-        (0..self.nodes.len())
-            .map(|i| self.transport.mailbox(NodeId(i)).pause_control())
-            .collect()
-    }
-
-    /// The observability hub the cluster was started with, if any (see
-    /// [`WalterConfig::observability`]).
-    pub fn observability(&self) -> Option<Arc<ObsHub>> {
-        self.config.observability.clone()
-    }
-
-    /// Aggregated storage-layer counters (multi-version store and lock
-    /// table, with per-shard contention breakdowns) summed over every node.
-    pub fn storage_stats(&self) -> sss_storage::StorageStats {
-        let mut total = sss_storage::StorageStats::default();
-        for node in &self.nodes {
-            total.merge(&sss_storage::StorageStats {
-                mv: Some(node.store.stats()),
-                sv: None,
-                locks: Some(node.locks.stats()),
-            });
-        }
-        total
-    }
-
-    /// Aggregated mailbox traffic counters summed over every node.
-    pub fn mailbox_totals(&self) -> sss_net::MailboxStats {
-        let mut total = sss_net::MailboxStats::default();
-        for i in 0..self.nodes.len() {
-            total.merge(&self.transport.mailbox_stats(NodeId(i)));
-        }
-        total
-    }
-
-    /// Opens a session colocated with `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn session(&self, node: usize) -> WalterSession<'_> {
-        assert!(node < self.nodes.len(), "node index out of range");
-        WalterSession {
-            cluster: self,
-            node: NodeId(node),
-        }
-    }
-
-    /// Shuts the cluster down. Idempotent.
-    pub fn shutdown(&self) {
-        self.transport.shutdown();
-        for runtime in std::mem::take(&mut *self.runtimes.lock()) {
-            runtime.join();
-        }
-    }
-
-    fn replicas(&self) -> ReplicaMap {
-        ReplicaMap::new(self.config.nodes, self.config.replication)
-    }
-}
-
-impl Drop for WalterCluster {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for WalterCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalterCluster")
-            .field("nodes", &self.nodes.len())
-            .finish()
-    }
-}
-
-/// Outcome of a Walter transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalterOutcome {
-    /// The transaction committed.
-    Committed,
-    /// A write-write conflict aborted the transaction.
-    Aborted,
-}
-
-/// A client session colocated with one node.
+/// The Walter-style PSI protocol (see the module docs).
 #[derive(Debug, Clone, Copy)]
-pub struct WalterSession<'c> {
-    cluster: &'c WalterCluster,
-    node: NodeId,
-}
+pub struct Walter;
 
-impl<'c> WalterSession<'c> {
-    fn start_snapshot(&self) -> VectorClock {
-        self.cluster.nodes[self.node.index()].snapshot()
+/// A running Walter-style PSI cluster.
+pub type WalterCluster = BaselineCluster<Walter>;
+
+impl Protocol for Walter {
+    const NAME: &'static str = "Walter";
+    const MESSAGE_KIND_LABELS: &'static [&'static str] = &["Read", "Prepare", "Decide"];
+    type Message = WalterMessage;
+    type Node = WalterNode;
+
+    fn kind_index(message: &WalterMessage) -> usize {
+        message.kind_index()
     }
 
-    fn read_at(&self, key: &Key, snapshot: &VectorClock) -> Option<Option<Value>> {
-        let replicas = self.cluster.replicas().replicas(key);
-        let (reply, rx) = reply_channel(replicas.len());
-        let msg = WalterMessage::Read {
-            key: key.clone(),
-            snapshot: snapshot.clone(),
-            reply,
-        };
-        let _ = self
-            .cluster
-            .transport
-            .multicast(self.node, replicas, msg, Priority::Normal);
-        rx.recv_timeout(self.cluster.config.rpc_timeout)
-            .map(|r| r.value)
-    }
-
-    /// Executes a read-only transaction over `read_keys`. Never aborts.
-    ///
-    /// Returns `None` only if the cluster is shutting down (a read timed
-    /// out).
-    pub fn read_only(&self, read_keys: &[Key]) -> Option<BTreeMap<Key, Option<Value>>> {
-        self.read_only_traced(read_keys, None)
-    }
-
-    /// [`WalterSession::read_only`] carrying an optional phase trace (one
-    /// `read` span over the snapshot reads; the caller finishes the trace).
-    pub fn read_only_traced(
-        &self,
-        read_keys: &[Key],
-        trace: Option<&mut TxnTrace>,
-    ) -> Option<BTreeMap<Key, Option<Value>>> {
-        let snapshot = self.start_snapshot();
-        let mut out = BTreeMap::new();
-        if !read_keys.is_empty() {
-            if let Some(trace) = trace {
-                trace.enter(Phase::Read);
-            }
+    fn node(id: NodeId, config: &BaselineConfig, placement: &ReplicaMap) -> WalterNode {
+        WalterNode {
+            id,
+            replicas: placement.clone(),
+            lock_timeout: LOCK_TIMEOUT,
+            state: Mutex::new(WalterNodeState {
+                node_vc: VectorClock::new(config.nodes),
+                prepared: HashMap::new(),
+                decided: RecentTxnSet::new(1 << 16),
+            }),
+            store: MvStore::with_shards(config.storage_shards),
+            locks: LockTable::with_shards(config.storage_shards),
+            obs: config.observability.clone(),
         }
-        for key in read_keys {
-            out.insert(key.clone(), self.read_at(key, &snapshot)?);
+    }
+
+    fn storage_stats(node: &WalterNode) -> StorageStats {
+        StorageStats {
+            mv: Some(node.store.stats()),
+            sv: None,
+            locks: Some(node.locks.stats()),
         }
-        Some(out)
     }
 
-    /// Executes an update transaction: reads `read_keys` from the start
-    /// snapshot, then commits `writes` if no write-write conflict occurred.
-    pub fn update(
-        &self,
-        read_keys: &[Key],
-        writes: &[(Key, Value)],
-    ) -> (WalterOutcome, Option<BTreeMap<Key, Option<Value>>>) {
-        self.update_traced(read_keys, writes, None)
-    }
-
-    /// [`WalterSession::update`] carrying an optional phase trace: spans
-    /// open at the read / prepare / decide boundaries. The caller finishes
-    /// the trace with the final outcome.
-    pub fn update_traced(
-        &self,
+    /// Reads `read_keys` from the start snapshot, then commits `writes` if
+    /// no write-write conflict occurred. Phase spans open at the read /
+    /// prepare / decide boundaries.
+    fn update(
+        session: &BaselineSession<Walter>,
         read_keys: &[Key],
         writes: &[(Key, Value)],
         mut trace: Option<&mut TxnTrace>,
-    ) -> (WalterOutcome, Option<BTreeMap<Key, Option<Value>>>) {
-        let snapshot = self.start_snapshot();
-        let mut observed = BTreeMap::new();
-        if !read_keys.is_empty() {
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.enter(Phase::Read);
-            }
-        }
-        for key in read_keys {
-            match self.read_at(key, &snapshot) {
-                Some(value) => {
-                    observed.insert(key.clone(), value);
-                }
-                None => return (WalterOutcome::Aborted, None),
-            }
-        }
+    ) -> Option<Observed> {
+        let snapshot = session.local().snapshot();
+        let observed = read_all(session, read_keys, &snapshot, trace.as_deref_mut())?;
         if writes.is_empty() {
-            return (WalterOutcome::Committed, Some(observed));
+            return Some(observed);
         }
-        let txn = TxnId::new(
-            self.node,
-            self.cluster.next_txn.fetch_add(1, Ordering::Relaxed),
-        );
-        let replica_map = self.cluster.replicas();
-        let write_keys: Vec<Key> = writes.iter().map(|(k, _)| k.clone()).collect();
-        let participants = replica_map.replicas_of_all(write_keys.iter());
+        let txn = session.next_txn();
+        let participants = session
+            .placement()
+            .replicas_of_all(writes.iter().map(|(k, _)| k));
         let (reply, rx) = reply_channel(participants.len());
         if let Some(trace) = trace.as_deref_mut() {
             trace.enter(Phase::Prepare);
@@ -653,61 +358,87 @@ impl<'c> WalterSession<'c> {
             write_set: writes.to_vec(),
             reply,
         };
-        let _ = self.cluster.transport.multicast(
-            self.node,
+        let _ = session.transport().multicast(
+            session.node(),
             participants.iter().copied(),
             prepare,
             Priority::Normal,
         );
-        let deadline = sss_vclock::runtime::now() + self.cluster.config.rpc_timeout;
         let mut commit_vc = snapshot;
-        let mut ok = true;
-        let mut votes = 0;
-        while votes < participants.len() {
-            let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-            match rx.recv_timeout(remaining) {
-                Some(vote) => {
-                    votes += 1;
-                    if vote.ok {
-                        commit_vc.merge(&vote.proposed);
-                    } else {
-                        ok = false;
-                        break;
-                    }
+        let votes = rx.gather(
+            participants.len(),
+            RPC_TIMEOUT,
+            |vote| Some(vote.from),
+            |vote| {
+                if vote.ok {
+                    commit_vc.merge(&vote.proposed);
                 }
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
+                vote.ok
+            },
+        );
+        let ok = votes == Gather::Complete;
         if let Some(trace) = trace {
             trace.enter(Phase::Decide);
         }
         let decide = WalterMessage::Decide {
             txn,
-            commit_vc,
+            commit_vc: commit_vc.clone(),
             outcome: ok,
         };
-        let commit_vc_for_client = match &decide {
-            WalterMessage::Decide { commit_vc, .. } => commit_vc.clone(),
-            _ => unreachable!("decide constructed above"),
-        };
-        let _ = self.cluster.transport.multicast(
-            self.node,
+        let _ = session.transport().multicast(
+            session.node(),
             participants.iter().copied(),
             decide,
             Priority::High,
         );
-        if ok {
-            // The client observed its own commit: make it visible to the
-            // snapshots of later transactions started on this node.
-            self.cluster.nodes[self.node.index()].observe(&commit_vc_for_client);
-            (WalterOutcome::Committed, Some(observed))
-        } else {
-            (WalterOutcome::Aborted, None)
+        if !ok {
+            return None;
+        }
+        // The client observed its own commit: make it visible to the
+        // snapshots of later transactions started on this node.
+        session.local().observe(&commit_vc);
+        Some(observed)
+    }
+
+    /// Served from the start snapshot: never validates, never waits, never
+    /// aborts (`None` only if the cluster is shutting down and a read timed
+    /// out).
+    fn read_only(
+        session: &BaselineSession<Walter>,
+        read_keys: &[Key],
+        trace: Option<&mut TxnTrace>,
+    ) -> Option<Observed> {
+        read_all(session, read_keys, &session.local().snapshot(), trace)
+    }
+}
+
+/// Reads every key at `snapshot` (one `read` span over all of them).
+fn read_all(
+    session: &BaselineSession<Walter>,
+    read_keys: &[Key],
+    snapshot: &VectorClock,
+    trace: Option<&mut TxnTrace>,
+) -> Option<Observed> {
+    if !read_keys.is_empty() {
+        if let Some(trace) = trace {
+            trace.enter(Phase::Read);
         }
     }
+    let mut observed = Observed::new();
+    for key in read_keys {
+        let replicas = session.placement().replicas(key);
+        let (reply, rx) = reply_channel(replicas.len());
+        let msg = WalterMessage::Read {
+            key: key.clone(),
+            snapshot: snapshot.clone(),
+            reply,
+        };
+        let _ = session
+            .transport()
+            .multicast(session.node(), replicas, msg, Priority::Normal);
+        observed.insert(key.clone(), rx.recv_timeout(RPC_TIMEOUT)?.value);
+    }
+    Some(observed)
 }
 
 #[cfg(test)]
@@ -717,24 +448,22 @@ mod tests {
 
     #[test]
     fn committed_writes_become_visible() {
-        let cluster = WalterCluster::start(WalterConfig::new(3));
-        let session = cluster.session(0);
+        let cluster = WalterCluster::start(BaselineConfig::new(3));
+        let mut session = cluster.session(0);
         let k = Key::new("x");
-        let (outcome, _) = session.update(&[], &[(k.clone(), Value::from_u64(5))]);
-        assert_eq!(outcome, WalterOutcome::Committed);
+        assert!(session
+            .update(&[], &[(k.clone(), Value::from_u64(5))])
+            .is_some());
         // A later snapshot (taken on the coordinating node) sees the write.
         let observed = session.read_only(std::slice::from_ref(&k)).unwrap();
-        assert_eq!(
-            observed.get(&k).cloned().flatten(),
-            Some(Value::from_u64(5))
-        );
+        assert_eq!(observed[&k], Some(Value::from_u64(5)));
         cluster.shutdown();
     }
 
     #[test]
     fn read_only_transactions_never_abort() {
-        let cluster = WalterCluster::start(WalterConfig::new(2));
-        let session = cluster.session(1);
+        let cluster = WalterCluster::start(BaselineConfig::new(2));
+        let mut session = cluster.session(1);
         for _ in 0..10 {
             assert!(session.read_only(&[Key::new("a"), Key::new("b")]).is_some());
         }
@@ -743,21 +472,23 @@ mod tests {
 
     #[test]
     fn write_write_conflicts_use_first_committer_wins() {
-        let cluster = WalterCluster::start(WalterConfig::new(2));
-        let session = cluster.session(0);
+        let cluster = WalterCluster::start(BaselineConfig::new(2));
+        let mut session = cluster.session(0);
         let k = Key::new("contended");
         // Install an initial version.
-        let (outcome, _) = session.update(&[], &[(k.clone(), Value::from_u64(1))]);
-        assert_eq!(outcome, WalterOutcome::Committed);
+        assert!(session
+            .update(&[], &[(k.clone(), Value::from_u64(1))])
+            .is_some());
 
         // A writer whose start snapshot predates a concurrent committed
         // write must abort. Simulate by capturing the snapshot, committing
         // another write, then preparing against the stale snapshot.
-        let stale_snapshot = cluster.nodes[0].snapshot();
-        let (outcome, _) = session.update(&[], &[(k.clone(), Value::from_u64(2))]);
-        assert_eq!(outcome, WalterOutcome::Committed);
+        let stale_snapshot = cluster.shared.nodes[0].snapshot();
+        assert!(session
+            .update(&[], &[(k.clone(), Value::from_u64(2))])
+            .is_some());
 
-        let replicas = cluster.replicas().replicas(&k);
+        let replicas = cluster.shared.placement.replicas(&k);
         let (reply, rx) = reply_channel(replicas.len());
         let prepare = WalterMessage::Prepare {
             txn: TxnId::new(NodeId(0), 999),
@@ -767,7 +498,9 @@ mod tests {
         };
         for target in &replicas {
             cluster
-                .transport
+                .shared
+                .host
+                .transport()
                 .send(NodeId(0), *target, prepare.clone(), Priority::Normal)
                 .unwrap();
         }

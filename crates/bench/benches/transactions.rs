@@ -1,9 +1,9 @@
 //! Criterion benchmarks of end-to-end transactions on every engine, built
 //! through the `sss-engine` registry.
 //!
-//! The evaluation figures themselves are regenerated by the `fig3`…`fig8`
-//! binaries (see `src/bin/`); keeping them out of `cargo bench` keeps the
-//! bench run short while the binaries remain the tool for producing the
+//! The evaluation figures themselves are regenerated by the `figures`
+//! binary (see `src/bin/`); keeping them out of `cargo bench` keeps the
+//! bench run short while the binary remains the tool for producing the
 //! numbers recorded in `EXPERIMENTS.md`.
 
 use std::time::Duration;

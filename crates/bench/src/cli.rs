@@ -1,11 +1,9 @@
 //! Shared command-line plumbing for the benchmark binaries.
 //!
-//! Every binary in `src/bin/` — the per-figure reproductions (`fig3` …
-//! `fig8`), `all_figures`, and the chaos-scenario runner `scenarios` —
-//! parses its arguments and renders its output through this module, so
-//! adding a binary means choosing a [`FigureSelection`] (or calling
-//! [`parse_flag`]/[`parse_u64`] directly) rather than hand-rolling an
-//! eighth copy of the argument loop.
+//! Every binary in `src/bin/` — the figure reproductions (`figures`), the
+//! chaos-scenario runner `scenarios`, the throughput harness — parses its
+//! arguments through this module rather than hand-rolling another copy of
+//! the argument loop.
 
 use crate::figures::{
     fig3_throughput, fig4a_max_throughput, fig4b_latency, fig5_breakdown, fig6_rococo,
@@ -40,7 +38,7 @@ pub fn parse_u64(args: &[String], key: &str) -> Option<u64> {
     )
 }
 
-/// Which figure(s) of the evaluation a binary reproduces.
+/// One figure of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FigureSelection {
     /// Figure 3 (throughput vs node count, three read-only mixes).
@@ -57,12 +55,56 @@ pub enum FigureSelection {
     Fig7,
     /// Figure 8 (read-only transaction size).
     Fig8,
-    /// Every figure in sequence.
-    All,
 }
 
 impl FigureSelection {
-    /// The tables this selection renders at `scale`, in presentation order.
+    /// Every figure, in presentation order.
+    pub const ALL: [FigureSelection; 7] = [
+        FigureSelection::Fig3,
+        FigureSelection::Fig4a,
+        FigureSelection::Fig4b,
+        FigureSelection::Fig5,
+        FigureSelection::Fig6,
+        FigureSelection::Fig7,
+        FigureSelection::Fig8,
+    ];
+
+    /// The name `--only` selects this figure by.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FigureSelection::Fig3 => "fig3",
+            FigureSelection::Fig4a => "fig4a",
+            FigureSelection::Fig4b => "fig4b",
+            FigureSelection::Fig5 => "fig5",
+            FigureSelection::Fig6 => "fig6",
+            FigureSelection::Fig7 => "fig7",
+            FigureSelection::Fig8 => "fig8",
+        }
+    }
+
+    /// The figures `--only NAME` selects: all of them when the option is
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name yields a message listing the valid ones.
+    pub fn select(only: Option<&str>) -> Result<Vec<FigureSelection>, String> {
+        let Some(name) = only else {
+            return Ok(Self::ALL.to_vec());
+        };
+        match Self::ALL.iter().find(|figure| figure.name() == name) {
+            Some(figure) => Ok(vec![*figure]),
+            None => {
+                let valid: Vec<&str> = Self::ALL.iter().map(Self::name).collect();
+                Err(format!(
+                    "unknown figure {name:?} (expected one of: {})",
+                    valid.join(", ")
+                ))
+            }
+        }
+    }
+
+    /// The tables this figure renders at `scale`, in presentation order.
     pub fn tables(&self, scale: BenchScale) -> Vec<FigureTable> {
         match self {
             FigureSelection::Fig3 => [20u8, 50, 80]
@@ -78,31 +120,23 @@ impl FigureSelection {
                 .collect(),
             FigureSelection::Fig7 => vec![fig7_locality(scale)],
             FigureSelection::Fig8 => vec![fig8_read_only_size(scale)],
-            FigureSelection::All => {
-                let mut tables = Vec::new();
-                for selection in [
-                    FigureSelection::Fig3,
-                    FigureSelection::Fig4a,
-                    FigureSelection::Fig4b,
-                    FigureSelection::Fig5,
-                    FigureSelection::Fig6,
-                    FigureSelection::Fig7,
-                    FigureSelection::Fig8,
-                ] {
-                    tables.extend(selection.tables(scale));
-                }
-                tables
-            }
         }
     }
 }
 
-/// The whole body of a per-figure binary: parse the scale from the process
-/// arguments, run the selected sweeps, print the tables.
-pub fn figure_main(selection: FigureSelection) {
+/// The whole body of the `figures` binary: parse `--only NAME` and the scale
+/// from the process arguments, run the selected sweeps, print the tables.
+/// Exits with status 2 on an unknown figure name.
+pub fn figure_main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = BenchScale::from_args(&args);
-    for table in selection.tables(scale) {
+    let figures = FigureSelection::select(parse_value(&args, "--only").as_deref()).unwrap_or_else(
+        |message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        },
+    );
+    for table in figures.iter().flat_map(|figure| figure.tables(scale)) {
         println!("{}", table.render());
     }
 }
@@ -122,6 +156,20 @@ mod tests {
         assert!(!parse_flag(&a, "--paper-scale"));
         assert_eq!(parse_u64(&a, "--seed"), Some(99));
         assert_eq!(parse_u64(&a, "--missing"), None);
+    }
+
+    #[test]
+    fn only_selects_one_figure_and_rejects_unknown_names() {
+        assert_eq!(
+            FigureSelection::select(None),
+            Ok(FigureSelection::ALL.to_vec())
+        );
+        assert_eq!(
+            FigureSelection::select(Some("fig4b")),
+            Ok(vec![FigureSelection::Fig4b])
+        );
+        let message = FigureSelection::select(Some("fig9")).unwrap_err();
+        assert!(message.contains("fig9") && message.contains("fig3, fig4a, fig4b"));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   adapters of its own; those live with the engines (`sss-core`,
 //!   `sss-baselines`) behind the `sss-engine` trait surface.
 //! * [`figures`] encodes each figure of the evaluation section as a
-//!   parameter sweep returning printable rows. The `fig3` … `fig8` binaries
-//!   are thin wrappers around these functions; `cargo bench` runs
+//!   parameter sweep returning printable rows. The `figures` binary is a
+//!   thin wrapper around these functions; `cargo bench` runs
 //!   reduced-scale versions of the same sweeps (component micro-benchmarks
 //!   live in the crates owning the components).
 //!
@@ -45,7 +45,7 @@ pub mod throughput;
 
 pub use harness::{run_engine, run_engine_with_profile};
 pub use sim_sweep::{run_sim_sweep, SimSweepConfig, SweepReport};
-pub use sss_engine::{EngineKind, EngineTuning, NetProfile};
+pub use sss_engine::{EngineKind, NetProfile};
 pub use throughput::{run_throughput, ThroughputConfig, ThroughputReport};
 
 pub use cli::{figure_main, FigureSelection};

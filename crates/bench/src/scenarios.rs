@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use sss_engine::{EngineKind, EngineTuning, FaultInjector, TraceSpan, TransactionEngine};
+use sss_engine::{EngineKind, FaultInjector, TraceSpan, TransactionEngine};
 use sss_workload::scenario::{
     run_scenario, run_scenario_on, ChaosScenario, ScenarioExpectations, ScenarioOutcome,
 };
@@ -411,13 +411,10 @@ fn run_entry(
     let scenario = &run.scenario;
     scenario.spec.validate()?;
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = run.engine.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        scenario.profile,
-        EngineTuning::default().observability(true),
-        Some(&injector),
-    );
+    let engine = scenario
+        .engine(run.engine, &injector)
+        .observability(true)
+        .build();
     let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
     injector.disarm();
     let spans = engine.observability().map(|hub| hub.drain_spans());

@@ -11,9 +11,7 @@ fn key(i: u64) -> String {
 }
 
 fn main() {
-    let mut cfg = SssConfig::new(4).replication(2);
-    cfg.ack_timeout = Duration::from_secs(2);
-    let cluster = Arc::new(SssCluster::start(cfg).unwrap());
+    let cluster = Arc::new(SssCluster::start(SssConfig::new(4).replication(2)).unwrap());
     let setup = cluster.session(0);
     let mut f = setup.begin_update();
     for i in 0..32 {

@@ -1,14 +1,15 @@
-//! Cluster bootstrap: spins up the nodes, their worker pools and the
-//! transport, and hands out client sessions.
+//! Cluster bootstrap: boots the nodes on the shared `sss-net` chassis
+//! ([`NodeHost`]), adds what only SSS has (crash-stop recovery, reliable
+//! delivery derived from the fault plan) and hands out client sessions.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sss_faults::{FaultInjector, FaultInterposer};
-use sss_net::{ChannelTransport, NodeRuntime, NodeService, ReliabilityConfig, TransportConfig};
+use sss_net::{NodeHost, ReliabilityConfig, TransportConfig};
 use sss_vclock::NodeId;
 
-use crate::config::SssConfig;
+use crate::config::{SssConfig, LATENCY_SEED, WORKERS_PER_NODE};
 use crate::error::SssError;
 use crate::messages::SssMessage;
 use crate::node::SssNode;
@@ -41,10 +42,8 @@ use crate::stats::{ClusterStats, NodeStats};
 /// ```
 pub struct SssCluster {
     config: SssConfig,
-    transport: Arc<ChannelTransport<SssMessage>>,
+    host: NodeHost<SssMessage>,
     nodes: Vec<Arc<SssNode>>,
-    runtimes: Mutex<Vec<NodeRuntime>>,
-    injector: Option<Arc<FaultInjector>>,
     /// Recovery tasks spawned by the restart hook (threaded runtime only;
     /// under the simulator recovery runs as a non-daemon sim task whose
     /// completion quiescence already waits for). Joined at shutdown.
@@ -62,16 +61,16 @@ impl SssCluster {
         let injector = config.fault_injector.clone();
         let mut transport_config = TransportConfig::new(config.nodes)
             .latency(config.latency)
-            .seed(config.seed);
-        // The reliable-delivery layer is enabled on explicit request or
-        // automatically whenever the fault plan can actually lose messages
-        // (link loss, or crash windows that purge mailboxes) — running such
-        // a plan on the bare transport would wedge the protocol by design.
-        let needs_reliable = config.reliable_delivery
-            || injector
-                .as_ref()
-                .is_some_and(|i| i.fault_plan().needs_reliable_delivery());
-        if needs_reliable {
+            .seed(LATENCY_SEED);
+        // The reliable-delivery layer is on exactly when the fault plan can
+        // lose messages (link loss, or crash windows that purge mailboxes):
+        // running such a plan on the bare transport would wedge the
+        // protocol by design, and every other plan keeps exercising the
+        // handlers' own idempotency guards.
+        if injector
+            .as_ref()
+            .is_some_and(|i| i.fault_plan().needs_reliable_delivery())
+        {
             transport_config = transport_config.reliable(ReliabilityConfig::default());
         }
         if let Some(injector) = &injector {
@@ -80,50 +79,14 @@ impl SssCluster {
         }
         if let Some(scheduler) = &config.scheduler {
             transport_config = transport_config.scheduler(Arc::clone(scheduler));
-            if let Some(injector) = &injector {
-                injector.set_scheduler(Arc::clone(scheduler));
-            }
         }
-        let transport = Arc::new(ChannelTransport::new(transport_config));
-        // Per-kind message accounting: every send is attributed to its
-        // protocol message type, so harnesses can attribute round-reduction
-        // wins per kind.
-        transport.set_message_classifier(|message: &SssMessage| message.kind_index());
-        if let Some(injector) = &injector {
-            injector.attach_pause_controls(
-                (0..config.nodes)
-                    .map(|i| transport.mailbox(NodeId(i)).pause_control())
-                    .collect(),
-            );
-        }
-        let nodes: Vec<Arc<SssNode>> = (0..config.nodes)
-            .map(|i| {
-                Arc::new(SssNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    Arc::clone(&transport),
-                ))
-            })
-            .collect();
-        // Self-addressed messages (the coordinator is its own participant,
-        // confirmation rounds cover every node) skip the mailbox and run
-        // the handler on the sending thread via the transport's local
-        // fast path — registered before the workers start so the path is
-        // available from the first send.
-        // The closure captures a `Weak` handle: the node itself holds the
-        // transport, so a strong capture would form an `Arc` cycle and leak
-        // every node (and its stores) when the cluster is dropped.
-        for node in &nodes {
-            let handler = Arc::downgrade(node);
-            transport.set_local_dispatch(
-                node.id(),
-                Arc::new(move |envelope| {
-                    if let Some(node) = handler.upgrade() {
-                        node.handle(envelope);
-                    }
-                }),
-            );
-        }
+        let (host, nodes) = NodeHost::boot(
+            transport_config,
+            WORKERS_PER_NODE,
+            config.delivery_batch,
+            SssMessage::kind_index,
+            |id, transport| Arc::new(SssNode::new(id, config.clone(), Arc::clone(transport))),
+        );
         let recovery_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
         if let Some(injector) = &injector {
@@ -140,7 +103,7 @@ impl SssCluster {
             // cluster.
             let hook_nodes: Vec<std::sync::Weak<SssNode>> =
                 nodes.iter().map(Arc::downgrade).collect();
-            let hook_transport = Arc::downgrade(&transport);
+            let hook_transport = Arc::downgrade(host.transport());
             let hook_scheduler = config.scheduler.clone();
             let hook_recovery = Arc::clone(&recovery_threads);
             injector.attach_crash_hook(Arc::new(move |index, down| {
@@ -177,24 +140,10 @@ impl SssCluster {
                 }
             }));
         }
-        let runtimes = nodes
-            .iter()
-            .map(|node| {
-                NodeRuntime::spawn_batched(
-                    node.id(),
-                    transport.mailbox(node.id()),
-                    Arc::clone(node),
-                    config.workers_per_node,
-                    config.delivery_batch,
-                )
-            })
-            .collect();
         Ok(SssCluster {
             config,
-            transport,
+            host,
             nodes,
-            runtimes: Mutex::new(runtimes),
-            injector,
             recovery_threads,
         })
     }
@@ -243,11 +192,7 @@ impl SssCluster {
     /// Aggregated mailbox traffic counters summed over every node, for
     /// per-window message accounting by benchmark harnesses.
     pub fn mailbox_totals(&self) -> sss_net::MailboxStats {
-        let mut total = sss_net::MailboxStats::default();
-        for node in &self.nodes {
-            total.merge(&self.transport.mailbox_stats(node.id()));
-        }
-        total
+        self.host.mailbox_totals()
     }
 
     /// Total number of snapshot-queue entries across the cluster
@@ -284,7 +229,7 @@ impl SssCluster {
     /// once the key space is populated so that the plan's scheduled windows
     /// cover the measured phase.
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
+        self.config.fault_injector.as_ref()
     }
 
     /// Per-node liveness classification for stuck-run reports: `Crashed`
@@ -299,13 +244,13 @@ impl SssCluster {
             .map(|(index, node)| {
                 let crashed = !node.is_available()
                     || self
-                        .injector
-                        .as_ref()
+                        .fault_injector()
                         .is_some_and(|i| i.is_node_crashed(index));
                 if crashed {
                     sss_obs::NodeLiveness::Crashed
                 } else if self
-                    .transport
+                    .host
+                    .transport()
                     .mailbox(NodeId(index))
                     .pause_control()
                     .is_paused()
@@ -327,7 +272,7 @@ impl SssCluster {
         let mut out = String::new();
         for node in &self.nodes {
             let id = node.id();
-            let mailbox = self.transport.mailbox(id);
+            let mailbox = self.host.transport().mailbox(id);
             let stats = mailbox.stats();
             let _ = writeln!(
                 out,
@@ -350,14 +295,10 @@ impl SssCluster {
     /// Shuts the cluster down: disarms any fault injector, closes the
     /// transport and joins every worker. Idempotent.
     pub fn shutdown(&self) {
-        if let Some(injector) = &self.injector {
+        if let Some(injector) = self.fault_injector() {
             injector.disarm();
         }
-        self.transport.shutdown();
-        let runtimes = std::mem::take(&mut *self.runtimes.lock());
-        for runtime in runtimes {
-            runtime.join();
-        }
+        self.host.shutdown();
         // Joined after the transport shutdown: a recovery round still
         // waiting for peer replies unblocks as soon as its channels die.
         let recoveries = std::mem::take(&mut *self.recovery_threads.lock());

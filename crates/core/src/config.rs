@@ -13,65 +13,117 @@ use sss_vclock::runtime::SchedulerHandle;
 /// this many update transactions share one `ConfirmExternal` round.
 pub const DEFAULT_CONFIRM_EPOCH: usize = 32;
 
-/// Default leader linger between consecutive grouped confirmation rounds of
-/// one burst (see [`SssConfig::confirm_linger`]).
-pub const DEFAULT_CONFIRM_LINGER: Duration = Duration::from_micros(800);
+/// How long a round leader waits between consecutive grouped confirmation
+/// rounds of one burst before launching the next (under-full) round, letting
+/// more committers join and giving piggybacked releases a carrier. Applied
+/// only *after* the leader's first round — a lone committer on an idle
+/// coordinator still confirms immediately, so uncontended latency is
+/// unchanged. Only meaningful when `confirm_epoch_max > 1`.
+pub const CONFIRM_LINGER: Duration = Duration::from_micros(800);
 
-/// Configuration of an [`SssCluster`](crate::SssCluster).
+/// Worker threads per node draining the priority mailbox.
+pub const WORKERS_PER_NODE: usize = 4;
+
+/// Lock-acquisition timeout used during the 2PC prepare phase (1ms in the
+/// paper's evaluation, §V).
+pub const LOCK_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// How long a coordinator waits for 2PC votes before aborting.
+pub const VOTE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a read operation waits for the fastest replica.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a coordinator waits for external-commit acknowledgements. This
+/// covers the snapshot-queue wait of the Pre-Commit phase, so it is
+/// deliberately generous.
+pub const ACK_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Seed of the transport's latency sampler.
+pub const LATENCY_SEED: u64 = 0;
+
+/// Number of internal-commit records each node retains for the `VisibleSet`
+/// computation.
+pub const NLOG_CAPACITY: usize = 4096;
+
+/// Versions retained per key before garbage collection trims the chain.
+pub const VERSIONS_PER_KEY: usize = 64;
+
+/// Starvation admission control (paper §III-E): a read-only read that would
+/// serialize before an update transaction which has already been waiting in
+/// a snapshot-queue for this long is briefly delayed.
+pub const ADMISSION_THRESHOLD: Duration = Duration::from_millis(2);
+
+/// Base delay of the exponential back-off applied by the admission control;
+/// doubled on every retry.
+pub const ADMISSION_BACKOFF: Duration = Duration::from_micros(250);
+
+/// Maximum number of admission back-off rounds before the read proceeds
+/// anyway.
+pub const ADMISSION_MAX_RETRIES: u32 = 5;
+
+/// Upper bound on the Pre-Commit hold: an update transaction held in a
+/// snapshot-queue by slower read-only transactions externally commits
+/// anyway once it has waited this long. Bounding the hold cannot break
+/// strict serializability — a reader whose entry blocks a writer has a
+/// pinned snapshot that can never cover that writer, so it will not observe
+/// it later — but it breaks wait cycles between writers held by parked
+/// readers and readers parked on unconfirmed writers.
+// TODO(protocol): replace the bound with proper wait-cycle avoidance
+// (e.g. client-side exclusion sets) so the paper's strict
+// completion-order property also holds unconditionally.
+pub const PRECOMMIT_HOLD_MAX: Duration = Duration::from_millis(250);
+
+/// How long a restarting node waits for its peers' `StateReply` before
+/// coming back available anyway. Peer answers re-establish the node's
+/// `confirmed_vc` (wiped by the crash); a peer that is itself down when
+/// asked simply does not answer within the timeout.
+pub const RECOVERY_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Upper bound on how long an externally-committed transaction may sit in
+/// `pending_global` (parking read-only reads on its versions) without its
+/// coordinator's `ReleaseExternal` arriving. The release is volatile
+/// coordinator state: a crash can swallow it after the confirmation round
+/// already completed (the grouped coalescer buffers releases for
+/// piggybacking, and a crash-stop reset drops that buffer), and without a
+/// bound every read selecting such a writer's version parks, times out and
+/// re-parks forever. Expiring the entry is safe by then: the coordinator's
+/// confirmation phase is itself bounded by [`ACK_TIMEOUT`], so once this
+/// (longer) hold elapses the writer's client has either been answered long
+/// ago or received the degraded `ExternalCommitTimeout` — in both cases
+/// serving the version cannot precede the client response. Mirrors
+/// [`PRECOMMIT_HOLD_MAX`]: a liveness valve for state whose owner died,
+/// swept by read traffic.
+pub const PENDING_GLOBAL_HOLD_MAX: Duration = Duration::from_secs(30);
+
+/// How many times a client operation retries (with capped backoff) against
+/// a down colocated node before surfacing
+/// [`SssError::NodeUnavailable`](crate::SssError::NodeUnavailable). Sized
+/// so the retries ride out a typical scheduled crash window.
+pub const UNAVAILABLE_RETRY_MAX: u32 = 100;
+
+/// Configuration of an [`SssCluster`](crate::SssCluster): the values some
+/// harness, test or benchmark sets. Everything else the protocol is tuned by
+/// is a constant of this module.
 ///
 /// The defaults mirror the paper's evaluation setup where applicable: every
-/// key is replicated on two nodes, the 2PC lock-acquisition timeout is 1ms
-/// (paper §V), and clients are colocated with nodes.
+/// key is replicated on two nodes and clients are colocated with nodes.
 #[derive(Debug, Clone)]
 pub struct SssConfig {
     /// Number of nodes in the cluster.
     pub nodes: usize,
     /// Replication degree (replicas per key).
     pub replication: usize,
-    /// Worker threads per node draining the priority mailbox.
-    pub workers_per_node: usize,
-    /// Lock-acquisition timeout used during the 2PC prepare phase.
-    pub lock_timeout: Duration,
-    /// How long a coordinator waits for 2PC votes before aborting.
-    pub vote_timeout: Duration,
-    /// How long a read operation waits for the fastest replica.
-    pub read_timeout: Duration,
-    /// How long a coordinator waits for external-commit acknowledgements.
-    /// This covers the snapshot-queue wait of the Pre-Commit phase, so it is
-    /// deliberately generous.
-    pub ack_timeout: Duration,
     /// One-way network latency model.
     pub latency: LatencyModel,
-    /// Seed for latency sampling.
-    pub seed: u64,
-    /// Number of internal-commit records each node retains for the
-    /// `VisibleSet` computation.
-    pub nlog_capacity: usize,
-    /// Versions retained per key before garbage collection trims the chain.
-    pub versions_per_key: usize,
-    /// Starvation admission control (paper §III-E): a read-only read that
-    /// would serialize before an update transaction which has already been
-    /// waiting in a snapshot-queue for this long is briefly delayed.
-    pub admission_threshold: Duration,
-    /// Base delay of the exponential back-off applied by the admission
-    /// control; doubled on every retry.
-    pub admission_backoff: Duration,
-    /// Maximum number of back-off rounds before the read proceeds anyway.
-    pub admission_max_retries: u32,
-    /// Upper bound on the Pre-Commit hold: an update transaction held in a
-    /// snapshot-queue by slower read-only transactions externally commits
-    /// anyway once it has waited this long. Bounding the hold cannot break
-    /// strict serializability — a reader whose entry blocks a writer has a
-    /// pinned snapshot that can never cover that writer, so it will not
-    /// observe it later — but it breaks wait cycles between writers held by
-    /// parked readers and readers parked on unconfirmed writers.
-    // TODO(protocol): replace the bound with proper wait-cycle avoidance
-    // (e.g. client-side exclusion sets) so the paper's strict
-    // completion-order property also holds unconditionally.
-    pub precommit_hold_max: Duration,
     /// Optional fault injector interposed on the cluster transport and
     /// attached to the per-node pause gates. Inert until armed — see
-    /// [`SssConfig::faults`].
+    /// [`SssConfig::faults`]. A plan that can lose messages (link loss, or
+    /// crash windows that purge mailboxes) also turns on the transport's
+    /// reliable-delivery layer
+    /// ([`sss_faults::FaultPlan::needs_reliable_delivery`]); without one
+    /// the layer stays off, which keeps the handler-level idempotency
+    /// guards exercised by duplicate faults.
     pub fault_injector: Option<Arc<FaultInjector>>,
     /// Shard arity of every node's storage structures (multi-version store
     /// and lock table). Rounded up to a power of two; higher values reduce
@@ -95,55 +147,12 @@ pub struct SssConfig {
     /// dedicated messages. Only meaningful when `confirm_epoch_max > 1`;
     /// disable for A/B measurement of the piggyback alone.
     pub piggyback: bool,
-    /// How long a round leader waits between consecutive rounds of one
-    /// burst before launching the next (under-full) round, letting more
-    /// committers join and giving piggybacked releases a carrier. Applied
-    /// only *after* the leader's first round — a lone committer on an idle
-    /// coordinator still confirms immediately, so uncontended latency is
-    /// unchanged. Zero disables lingering; values are only meaningful when
-    /// `confirm_epoch_max > 1`.
-    pub confirm_linger: Duration,
     /// Optional observability hub: when set, client sessions carry a
     /// phase trace through every transaction (spans recorded into the
     /// hub's per-node trace rings and per-phase latency histograms). When
     /// `None` — the default — every instrumentation site reduces to one
     /// branch, keeping the tracing-off cost near zero.
     pub observability: Option<Arc<ObsHub>>,
-    /// Force-enables the transport's reliable-delivery layer (per-link
-    /// sequence numbers, ack/retransmit with seeded backoff, receiver-side
-    /// dedup — see [`sss_net::ReliabilityConfig`]). Off by default: the
-    /// bare transport never loses messages, and leaving the layer off keeps
-    /// the handler-level idempotency guards exercised by duplicate faults.
-    /// The cluster enables the layer automatically whenever its fault
-    /// plan expresses message loss or crash windows
-    /// ([`sss_faults::FaultPlan::needs_reliable_delivery`]), regardless of
-    /// this flag.
-    pub reliable_delivery: bool,
-    /// How long a restarting node waits for its peers' `StateReply` before
-    /// coming back available anyway. Peer answers re-establish the node's
-    /// `confirmed_vc` (wiped by the crash); a peer that is itself down when
-    /// asked simply does not answer within the timeout.
-    pub recovery_timeout: Duration,
-    /// Upper bound on how long an externally-committed transaction may sit
-    /// in `pending_global` (parking read-only reads on its versions) without
-    /// its coordinator's `ReleaseExternal` arriving. The release is volatile
-    /// coordinator state: a crash can swallow it after the confirmation
-    /// round already completed (the grouped coalescer buffers releases for
-    /// piggybacking, and a crash-stop reset drops that buffer), and without
-    /// a bound every read selecting such a writer's version parks, times
-    /// out and re-parks forever. Expiring the entry is safe by then: the
-    /// coordinator's confirmation phase is itself bounded by `ack_timeout`,
-    /// so once this (longer) hold elapses the writer's client has either
-    /// been answered long ago or received the degraded
-    /// `ExternalCommitTimeout` — in both cases serving the version cannot
-    /// precede the client response. Mirrors `precommit_hold_max`: a
-    /// liveness valve for state whose owner died, swept by read traffic.
-    pub pending_global_hold_max: Duration,
-    /// How many times a client operation retries (with capped backoff)
-    /// against a down colocated node before surfacing
-    /// [`SssError::NodeUnavailable`](crate::SssError::NodeUnavailable).
-    /// Sized so the retries ride out a typical scheduled crash window.
-    pub unavailable_retry_max: u32,
     /// Optional deterministic-simulation scheduler (see `sss-sim`). When
     /// set, the transport delivers messages as virtual-time events, node
     /// workers run as cooperative simulation tasks, and any fault plan's
@@ -164,30 +173,13 @@ impl SssConfig {
         SssConfig {
             nodes,
             replication: 2.min(nodes),
-            workers_per_node: 4,
-            lock_timeout: Duration::from_millis(1),
-            vote_timeout: Duration::from_secs(1),
-            read_timeout: Duration::from_secs(1),
-            ack_timeout: Duration::from_secs(10),
             latency: LatencyModel::ZERO,
-            seed: 0,
-            nlog_capacity: 4096,
-            versions_per_key: 64,
-            admission_threshold: Duration::from_millis(2),
-            admission_backoff: Duration::from_micros(250),
-            admission_max_retries: 5,
-            precommit_hold_max: Duration::from_millis(250),
             fault_injector: None,
             storage_shards: sss_storage::DEFAULT_SHARDS,
             delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
             confirm_epoch_max: DEFAULT_CONFIRM_EPOCH,
             piggyback: true,
-            confirm_linger: DEFAULT_CONFIRM_LINGER,
             observability: None,
-            reliable_delivery: false,
-            recovery_timeout: Duration::from_secs(1),
-            pending_global_hold_max: Duration::from_secs(30),
-            unavailable_retry_max: 100,
             scheduler: None,
         }
     }
@@ -218,27 +210,9 @@ impl SssConfig {
         self
     }
 
-    /// Sets the number of worker threads per node.
-    pub fn workers_per_node(mut self, workers: usize) -> Self {
-        self.workers_per_node = workers;
-        self
-    }
-
-    /// Sets the 2PC lock-acquisition timeout.
-    pub fn lock_timeout(mut self, timeout: Duration) -> Self {
-        self.lock_timeout = timeout;
-        self
-    }
-
     /// Sets the network latency model.
     pub fn latency(mut self, latency: LatencyModel) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Sets the random seed used by the latency model.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -270,38 +244,10 @@ impl SssConfig {
         self
     }
 
-    /// Sets the leader linger between consecutive grouped confirmation
-    /// rounds of one burst (zero disables lingering).
-    pub fn confirm_linger(mut self, linger: Duration) -> Self {
-        self.confirm_linger = linger;
-        self
-    }
-
     /// Attaches an observability hub: sessions trace protocol phases into
     /// its rings and histograms (see [`sss_obs::ObsHub`]).
     pub fn observability(mut self, hub: Arc<ObsHub>) -> Self {
         self.observability = Some(hub);
-        self
-    }
-
-    /// Force-enables the transport's reliable-delivery layer (see the
-    /// field documentation; plans with loss or crash windows enable it
-    /// automatically).
-    pub fn reliable_delivery(mut self, enabled: bool) -> Self {
-        self.reliable_delivery = enabled;
-        self
-    }
-
-    /// Sets how long a restarting node waits for peer `StateReply` answers
-    /// before coming back available.
-    pub fn recovery_timeout(mut self, timeout: Duration) -> Self {
-        self.recovery_timeout = timeout;
-        self
-    }
-
-    /// Sets the client-side retry budget against a down colocated node.
-    pub fn unavailable_retry_max(mut self, retries: u32) -> Self {
-        self.unavailable_retry_max = retries;
         self
     }
 
@@ -329,12 +275,11 @@ mod tests {
         assert_eq!(cfg.nodes, 5);
         assert_eq!(cfg.replication, 2);
         assert_eq!(cfg.storage_shards, sss_storage::DEFAULT_SHARDS);
-        assert_eq!(cfg.lock_timeout, Duration::from_millis(1));
+        assert_eq!(LOCK_TIMEOUT, Duration::from_millis(1));
         assert!(cfg.latency.is_zero());
         assert_eq!(cfg.replica_map().degree(), 2);
         assert_eq!(cfg.confirm_epoch_max, DEFAULT_CONFIRM_EPOCH);
         assert!(cfg.piggyback);
-        assert_eq!(cfg.confirm_linger, DEFAULT_CONFIRM_LINGER);
     }
 
     #[test]
@@ -347,14 +292,8 @@ mod tests {
     fn builder_methods_override_defaults() {
         let cfg = SssConfig::new(4)
             .replication(3)
-            .workers_per_node(2)
-            .lock_timeout(Duration::from_millis(5))
-            .latency(LatencyModel::cloudlab_like())
-            .seed(99);
+            .latency(LatencyModel::cloudlab_like());
         assert_eq!(cfg.replication, 3);
-        assert_eq!(cfg.workers_per_node, 2);
-        assert_eq!(cfg.lock_timeout, Duration::from_millis(5));
-        assert_eq!(cfg.seed, 99);
         assert!(!cfg.latency.is_zero());
     }
 

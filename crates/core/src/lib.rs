@@ -60,7 +60,7 @@ pub mod adapter;
 mod cluster;
 pub mod coalescer;
 mod commit_queue;
-mod config;
+pub mod config;
 mod error;
 mod messages;
 mod nlog;

@@ -7,6 +7,7 @@ use sss_net::ReplySender;
 use sss_storage::{Key, LockKind, TxnId, Value};
 use sss_vclock::{NodeId, VectorClock};
 
+use crate::config::{LOCK_TIMEOUT, PRECOMMIT_HOLD_MAX};
 use crate::messages::{Ack, PropagatedEntry, Vote};
 use crate::stats::NodeCounters;
 
@@ -68,10 +69,7 @@ impl SssNode {
             .iter()
             .map(|(k, _)| (k, LockKind::Exclusive))
             .chain(local_read_keys.iter().map(|k| (k, LockKind::Shared)));
-        if !self
-            .lock_table()
-            .acquire_many(txn, requests, self.config().lock_timeout)
-        {
+        if !self.lock_table().acquire_many(txn, requests, LOCK_TIMEOUT) {
             NodeCounters::bump(&self.counters().votes_lock_failed);
             reply.send(Vote {
                 from: self.id(),
@@ -341,11 +339,10 @@ impl SssNode {
     /// Re-evaluates every transaction held in its Pre-Commit phase; called
     /// after `Remove` messages clear snapshot-queue entries and periodically
     /// from other message handlers. A transaction that has been held longer
-    /// than `precommit_hold_max` is completed even if blocking read entries
-    /// remain (see the config field for why this is sound).
+    /// than `PRECOMMIT_HOLD_MAX` is completed even if blocking read entries
+    /// remain (see the constant for why this is sound).
     pub(super) fn release_unblocked_external_commits(&self, state: &mut NodeState) {
         let i = self.id().index();
-        let hold_max = self.config().precommit_hold_max;
         // Through `runtime::now`, not `Instant::elapsed`: `since` is a
         // virtual instant under simulation, and measuring it against the
         // real clock would make the hold decision wall-clock-dependent
@@ -353,7 +350,7 @@ impl SssNode {
         let now = sss_vclock::runtime::now();
         let waiting = std::mem::take(&mut state.waiting_external);
         for w in waiting {
-            if now.saturating_duration_since(w.since) < hold_max
+            if now.saturating_duration_since(w.since) < PRECOMMIT_HOLD_MAX
                 && state.blocks_external_commit(&w.write_keys, w.commit_vc.get(i))
             {
                 state.waiting_external.push(w);

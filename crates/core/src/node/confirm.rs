@@ -23,7 +23,7 @@
 //! whole window. Rounds on a fast network complete well before a window's
 //! worth of committers can arrive, so between the rounds of one burst —
 //! never before the first — the leader lingers for
-//! [`crate::SssConfig::confirm_linger`] to let the next round fill (and to
+//! [`CONFIRM_LINGER`] to let the next round fill (and to
 //! give completed members' piggybacked releases a carrier). The wait for a
 //! queued committer is therefore bounded by one in-flight round plus one
 //! linger.
@@ -50,15 +50,16 @@
 //! which grouping does not alter.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
-use sss_net::{reply_channel, Priority, ReplyReceiver, ReplySender, TransportExt};
+use sss_net::{reply_channel, Priority, ReplySender, TransportExt};
 use sss_storage::TxnId;
 use sss_vclock::{NodeId, VectorClock};
 
 use crate::coalescer::{round_id, CoalescerCore, RoundPlan};
-use crate::messages::{Ack, SssMessage};
+use crate::config::{ACK_TIMEOUT, CONFIRM_LINGER};
+use crate::messages::SssMessage;
+use crate::session::collect_acks;
 
 use super::SssNode;
 
@@ -102,9 +103,7 @@ impl SssNode {
         if lead {
             self.run_confirm_rounds();
         }
-        receiver
-            .recv_timeout(self.config().ack_timeout)
-            .unwrap_or(false)
+        receiver.recv_timeout(ACK_TIMEOUT).unwrap_or(false)
     }
 
     /// Piggybacks the `Remove` of a completed read-only transaction on the
@@ -113,7 +112,7 @@ impl SssNode {
     /// looping, so the delay is bounded by that round). Returns `false` when
     /// no round is in flight — the caller must send a targeted `Remove`
     /// immediately, because parking the remove on an idle coalescer would
-    /// hold blocked writers toward their `precommit_hold_max`.
+    /// hold blocked writers toward their `PRECOMMIT_HOLD_MAX`.
     pub(crate) fn queue_remove_on_next_round(&self, txn: TxnId) -> bool {
         self.confirm.state.lock().queue_remove(txn)
     }
@@ -125,7 +124,6 @@ impl SssNode {
         let all_nodes = self.config().nodes;
         let window = self.config().confirm_epoch_max.max(1);
         let piggyback = self.config().piggyback;
-        let linger = self.config().confirm_linger;
         // The leader lingers briefly between rounds of a burst (never before
         // its first round, so a lone committer on an idle coordinator pays
         // nothing): rounds complete much faster than transactions arrive, and
@@ -133,19 +131,19 @@ impl SssNode {
         // commits that happened to land while the previous round was in
         // flight. The pause lets a window's worth of committers accumulate —
         // and gives completed members' piggybacked releases a carrier — at a
-        // bounded, configurable latency cost for the queued members.
+        // bounded latency cost for the queued members.
         let mut lingered = false;
         let mut first_round = true;
         loop {
             // Exit, linger, flush, or round: decided by the pure core under
             // the same lock as the membership pushes (see the `coalescer`
             // module docs for why the exit can never strand a member).
-            let may_linger = !first_round && !lingered && !linger.is_zero();
+            let may_linger = !first_round && !lingered;
             let plan = self.confirm.state.lock().next_round(window, may_linger);
             let (batch, release, remove) = match plan {
                 RoundPlan::Exit => return,
                 RoundPlan::Linger => {
-                    sss_vclock::runtime::sleep(linger);
+                    sss_vclock::runtime::sleep(CONFIRM_LINGER);
                     lingered = true;
                     continue;
                 }
@@ -206,8 +204,7 @@ impl SssNode {
                     Priority::High,
                 )
                 .is_ok();
-            let ok =
-                sent && collect_round_acks(&receiver, round, all_nodes, self.config().ack_timeout);
+            let ok = sent && collect_acks(&receiver, round, all_nodes);
 
             // The round is complete and its members' clients are about to be
             // answered: their parked readers may now be released. On success
@@ -235,32 +232,4 @@ impl SssNode {
             }
         }
     }
-}
-
-/// Collects the round's acknowledgements: one per distinct node, matching
-/// the round id, within `timeout`.
-fn collect_round_acks(
-    receiver: &ReplyReceiver<Ack>,
-    round: TxnId,
-    expected: usize,
-    timeout: Duration,
-) -> bool {
-    let deadline = sss_vclock::runtime::now() + timeout;
-    let mut seen = vec![false; expected];
-    let mut distinct = 0;
-    while distinct < expected {
-        let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-        match receiver.recv_timeout(remaining) {
-            Some(ack) if ack.txn == round => {
-                let slot = ack.from.index();
-                if slot < expected && !seen[slot] {
-                    seen[slot] = true;
-                    distinct += 1;
-                }
-            }
-            Some(_) => continue,
-            None => return false,
-        }
-    }
-    true
 }

@@ -27,7 +27,7 @@ use sss_net::{reply_channel, ChannelTransport, Envelope, NodeService, Priority, 
 use sss_storage::{Key, LockTable, MvStore, ReplicaMap, TxnId};
 use sss_vclock::{NodeId, VectorClock};
 
-use crate::config::SssConfig;
+use crate::config::{SssConfig, NLOG_CAPACITY, RECOVERY_TIMEOUT, VERSIONS_PER_KEY};
 use crate::messages::SssMessage;
 use crate::stats::{NodeCounters, NodeStats};
 
@@ -72,7 +72,7 @@ impl SssNode {
         transport: Arc<ChannelTransport<SssMessage>>,
     ) -> Self {
         let replicas = config.replica_map();
-        let state = NodeState::new(id.index(), config.nodes, config.nlog_capacity);
+        let state = NodeState::new(id.index(), config.nodes, NLOG_CAPACITY);
         SssNode {
             id,
             replicas,
@@ -135,7 +135,7 @@ impl SssNode {
     /// Called by the cluster's restart hook on a dedicated task (never on a
     /// mailbox worker — the round blocks on replies).
     ///
-    /// Waits up to `config.recovery_timeout` for every peer; peers that are
+    /// Waits up to [`RECOVERY_TIMEOUT`] for every peer; peers that are
     /// themselves down simply do not answer in time, and the node comes
     /// back with whatever subset it merged (the same guarantee degradation
     /// as a confirmation-round timeout).
@@ -156,24 +156,16 @@ impl SssNode {
                 )
                 .is_ok();
             if sent {
-                let deadline = sss_vclock::runtime::now() + self.config.recovery_timeout;
                 let mut merged = VectorClock::new(self.config.nodes);
-                let mut seen = vec![false; self.config.nodes];
-                let mut distinct = 0;
-                while distinct < peers.len() {
-                    let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-                    match receiver.recv_timeout(remaining) {
-                        Some(answer) => {
-                            let slot = answer.from.index();
-                            if slot < seen.len() && !seen[slot] {
-                                seen[slot] = true;
-                                distinct += 1;
-                            }
-                            merged.merge(&answer.vc);
-                        }
-                        None => break,
-                    }
-                }
+                receiver.gather(
+                    peers.len(),
+                    RECOVERY_TIMEOUT,
+                    |answer| Some(answer.from),
+                    |answer| {
+                        merged.merge(&answer.vc);
+                        true
+                    },
+                );
                 self.state.lock().confirmed_vc.merge(&merged);
             }
         }
@@ -299,7 +291,7 @@ impl SssNode {
     /// The store is internally synchronized, so collection runs without
     /// taking the node's protocol-state mutex.
     pub fn collect_garbage(&self) -> usize {
-        self.store.prune_all(self.config.versions_per_key)
+        self.store.prune_all(VERSIONS_PER_KEY)
     }
 
     /// Human-readable dump of the transactions currently held in their

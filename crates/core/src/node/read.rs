@@ -4,6 +4,10 @@ use sss_net::ReplySender;
 use sss_storage::{Key, TxnId};
 use sss_vclock::VectorClock;
 
+use crate::config::{
+    ADMISSION_BACKOFF, ADMISSION_MAX_RETRIES, ADMISSION_THRESHOLD, PENDING_GLOBAL_HOLD_MAX,
+    PRECOMMIT_HOLD_MAX,
+};
 use crate::messages::{PropagatedEntry, ReadReturn};
 use crate::stats::NodeCounters;
 
@@ -41,13 +45,13 @@ impl SssNode {
         // in the key's snapshot-queue for a while, back off briefly so the
         // writer gets a chance to commit externally instead of being starved
         // by an endless chain of read-only transactions.
-        let mut backoff = self.config().admission_backoff;
+        let mut backoff = ADMISSION_BACKOFF;
         let mut retries = 0;
-        while retries < self.config().admission_max_retries {
+        while retries < ADMISSION_MAX_RETRIES {
             let aged_writer = state
                 .squeues
                 .get(&key)
-                .map(|q| q.has_aged_writer_beyond(vc.get(i), self.config().admission_threshold))
+                .map(|q| q.has_aged_writer_beyond(vc.get(i), ADMISSION_THRESHOLD))
                 .unwrap_or(false);
             if !aged_writer {
                 break;
@@ -65,7 +69,7 @@ impl SssNode {
         if state
             .squeues
             .get(&key)
-            .map(|q| q.has_aged_writer_beyond(0, self.config().precommit_hold_max))
+            .map(|q| q.has_aged_writer_beyond(0, PRECOMMIT_HOLD_MAX))
             .unwrap_or(false)
         {
             self.release_unblocked_external_commits(&mut state);
@@ -200,23 +204,22 @@ impl SssNode {
     }
 
     /// Liveness valve for `pending_global`: expires entries older than
-    /// [`crate::SssConfig::pending_global_hold_max`] as if their
+    /// [`PENDING_GLOBAL_HOLD_MAX`] as if their
     /// `ReleaseExternal` had arrived. The release is volatile coordinator
     /// state — a crash can drop it *after* the confirmation round completed
     /// (the grouped coalescer buffers completed members' releases for
     /// piggybacking on the next round, and the crash-stop reset discards
     /// that buffer) — and an unreleased writer otherwise parks every read
     /// selecting its version forever. Driven by read traffic, like the
-    /// `precommit_hold_max` wait-cycle breaker: the parked readers' own
+    /// `PRECOMMIT_HOLD_MAX` wait-cycle breaker: the parked readers' own
     /// retries are the clock that eventually fires the sweep. See the
-    /// config field for why expiring at this bound preserves the
+    /// constant for why expiring at this bound preserves the
     /// completion-order guarantee.
     fn expire_stale_pending_global(&self, state: &mut NodeState) {
-        let hold_max = self.config().pending_global_hold_max;
         let now = sss_vclock::runtime::now();
         let mut expired: Vec<TxnId> = Vec::new();
         while let Some((txn, since)) = state.pending_global_at.front().copied() {
-            if now.saturating_duration_since(since) < hold_max {
+            if now.saturating_duration_since(since) < PENDING_GLOBAL_HOLD_MAX {
                 break;
             }
             state.pending_global_at.pop_front();
@@ -370,7 +373,7 @@ impl SssNode {
         // under such dependency chains. (A blind overwrite of an excluded
         // writer's key does not carry its clock, but no workload in this
         // repository issues blind writes; the proper wait-cycle-free
-        // protocol remains the `precommit_hold_max` TODO.)
+        // protocol remains the `PRECOMMIT_HOLD_MAX` TODO.)
         let selected = self.store().chain(&key).and_then(|chain| {
             chain
                 .latest_matching(|ver| crate::protocol::version_visible(&ver.vc, &max_vc, &exclude))

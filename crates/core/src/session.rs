@@ -8,15 +8,15 @@
 //! [`Session::begin_update`] or [`Session::begin_read_only`].
 
 use std::collections::BTreeMap;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sss_net::{reply_channel, Priority, Transport, TransportExt};
+use sss_net::{reply_channel, Gather, Priority, Transport, TransportExt};
 use sss_obs::{ObsHub, Phase, TxnTrace};
 use sss_storage::{Key, TxnId, Value};
 use sss_vclock::{NodeId, VectorClock};
 
+use crate::config::{ACK_TIMEOUT, READ_TIMEOUT, UNAVAILABLE_RETRY_MAX, VOTE_TIMEOUT};
 use crate::error::{AbortReason, SssError};
 use crate::messages::{PropagatedEntry, SssMessage};
 use crate::node::SssNode;
@@ -116,7 +116,7 @@ fn ensure_available(node: &SssNode) -> Result<(), SssError> {
         Duration::from_micros(50),
         Duration::from_millis(2),
     );
-    for attempt in 1..=node.config().unavailable_retry_max {
+    for attempt in 1..=UNAVAILABLE_RETRY_MAX {
         backoff.pause(attempt);
         if node.is_available() {
             return Ok(());
@@ -156,31 +156,19 @@ fn remote_read(
         )
         .map_err(|_| SssError::ClusterShutdown)?;
     receiver
-        .recv_timeout(node.config().read_timeout)
+        .recv_timeout(READ_TIMEOUT)
         .ok_or_else(|| SssError::ReadTimeout { key: key.clone() })
 }
 
 /// Collects `Ack` replies for `txn` from `expected` distinct nodes, waiting
-/// at most `timeout`. Returns `false` on timeout or channel loss.
-fn collect_acks(
+/// at most [`ACK_TIMEOUT`]. Returns `false` on timeout or channel loss.
+pub(crate) fn collect_acks(
     receiver: &sss_net::ReplyReceiver<crate::messages::Ack>,
     txn: TxnId,
     expected: usize,
-    timeout: Duration,
 ) -> bool {
-    let deadline = sss_vclock::runtime::now() + timeout;
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    while seen.len() < expected {
-        let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-        match receiver.recv_timeout(remaining) {
-            Some(ack) if ack.txn == txn => {
-                seen.insert(ack.from);
-            }
-            Some(_) => continue,
-            None => return false,
-        }
-    }
-    true
+    let acked = |ack: &crate::messages::Ack| (ack.txn == txn).then_some(ack.from);
+    receiver.gather(expected, ACK_TIMEOUT, acked, |_| true) == Gather::Complete
 }
 
 /// An update transaction: reads observe the most recent committed versions,
@@ -332,33 +320,23 @@ impl UpdateTransaction {
             .map_err(|_| SssError::ClusterShutdown)?;
 
         let mut commit_vc = self.vc.clone();
-        let mut outcome = true;
-        let mut abort_reason = None;
-        let deadline = sss_vclock::runtime::now() + node.config().vote_timeout;
-        let mut voted: HashSet<NodeId> = HashSet::new();
-        while voted.len() < participants.len() {
-            let remaining = deadline.saturating_duration_since(sss_vclock::runtime::now());
-            match vote_receiver.recv_timeout(remaining) {
-                Some(vote) if vote.txn == self.id => {
-                    if !voted.insert(vote.from) {
-                        continue;
-                    }
-                    if vote.ok {
-                        commit_vc.merge(&vote.vc);
-                    } else {
-                        outcome = false;
-                        abort_reason = Some(AbortReason::ValidationFailed { key: None });
-                        break;
-                    }
+        let vote = vote_receiver.gather(
+            participants.len(),
+            VOTE_TIMEOUT,
+            |vote| (vote.txn == self.id).then_some(vote.from),
+            |vote| {
+                if vote.ok {
+                    commit_vc.merge(&vote.vc);
                 }
-                Some(_) => continue,
-                None => {
-                    outcome = false;
-                    abort_reason = Some(AbortReason::VoteTimeout);
-                    break;
-                }
-            }
-        }
+                vote.ok
+            },
+        );
+        let abort_reason = match vote {
+            Gather::Complete => None,
+            Gather::Rejected => Some(AbortReason::ValidationFailed { key: None }),
+            Gather::TimedOut => Some(AbortReason::VoteTimeout),
+        };
+        let outcome = abort_reason.is_none();
 
         // Compute the final commit vector clock (Algorithm 1 lines 21-24,
         // via the pure step shared with the model checker).
@@ -421,24 +399,17 @@ impl UpdateTransaction {
                 .map_err(|_| SssError::ClusterShutdown)?;
         }
 
-        if !outcome {
+        if let Some(reason) = abort_reason {
             if let Some(trace) = trace {
                 trace.finish(false);
             }
-            return Err(SssError::Aborted(
-                abort_reason.unwrap_or(AbortReason::ValidationFailed { key: None }),
-            ));
+            return Err(SssError::Aborted(reason));
         }
 
         let internal_latency = sss_vclock::runtime::elapsed_since(self.started);
 
         // External commit: wait for every write replica's acknowledgement.
-        let timed_out = !collect_acks(
-            &ack_receiver,
-            self.id,
-            write_replicas.len(),
-            node.config().ack_timeout,
-        );
+        let timed_out = !collect_acks(&ack_receiver, self.id, write_replicas.len());
 
         // Global external-commit confirmation round (completion-order
         // barrier, see `serve_or_park_read_only` and `begin_vc`): broadcast
@@ -501,13 +472,7 @@ impl UpdateTransaction {
                 confirm,
                 Priority::High,
             );
-            let failed = timed_out
-                || !collect_acks(
-                    &confirm_receiver,
-                    self.id,
-                    all_nodes,
-                    node.config().ack_timeout,
-                );
+            let failed = timed_out || !collect_acks(&confirm_receiver, self.id, all_nodes);
 
             // Release phase: the confirmation round is done (the client
             // response is next), so readers parked on this transaction's

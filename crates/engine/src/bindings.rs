@@ -1,135 +1,164 @@
-//! Trait bindings: hooks each engine's adapter (owned by the engine's own
-//! crate) onto the [`TransactionEngine`] / [`EngineSession`] traits.
+//! Trait bindings: [`TransactionEngine`] / [`EngineSession`] implemented
+//! directly on the engines — `SssEngine` and its session, and once for
+//! every competitor on the generic `BaselineCluster<P>` / `BaselineSession<P>`.
 //!
 //! The bindings are deliberately mechanical — every substantive decision
 //! (how a transaction executes, what counts as the internal latency) lives
-//! in the adapter next to its engine. Implementing the traits *here* rather
-//! than in the engine crates keeps the dependency graph acyclic: the engine
-//! crates do not know about the engine layer, and this crate can therefore
-//! host the [`EngineKind`](crate::EngineKind) factory that constructs all
-//! of them.
+//! next to its engine. Implementing the traits *here* rather than in the
+//! engine crates keeps the dependency graph acyclic: the engine crates do
+//! not know about the engine layer, and this crate can therefore host the
+//! [`EngineKind`](crate::EngineKind) factory that constructs all of them.
 
-use sss_baselines::adapters::{
-    RococoEngine, RococoEngineSession, TwoPcEngine, TwoPcEngineSession, WalterEngine,
-    WalterEngineSession,
-};
+use std::sync::Arc;
+
+use sss_baselines::{BaselineCluster, BaselineSession, Observed, Protocol};
 use sss_core::adapter::{SssEngine, SssEngineSession};
+use sss_net::MailboxStats;
+use sss_obs::{NodeLiveness, ObsHub};
+use sss_storage::{Key, StorageStats, Value};
 
 use crate::traits::{EngineSession, TransactionEngine, TxnOutcome};
 
-macro_rules! bind_engine {
-    ($engine:ty, $session:ty, $name:literal $(, diagnostics: $diag:expr)? $(, liveness: $liveness:expr)? $(, kinds: $kinds:expr)?) => {
-        impl TransactionEngine for $engine {
-            fn name(&self) -> &str {
-                $name
-            }
+impl TransactionEngine for SssEngine {
+    fn name(&self) -> &str {
+        "SSS"
+    }
 
-            fn nodes(&self) -> usize {
-                self.node_count()
-            }
+    fn nodes(&self) -> usize {
+        self.node_count()
+    }
 
-            fn session(&self, node: usize) -> Box<dyn EngineSession> {
-                Box::new(self.open_session(node))
-            }
+    fn session(&self, node: usize) -> Box<dyn EngineSession> {
+        Box::new(self.open_session(node))
+    }
 
-            fn storage_stats(&self) -> Option<sss_storage::StorageStats> {
-                Some(self.cluster().storage_stats())
-            }
+    fn diagnostics(&self) -> Option<String> {
+        Some(self.cluster().diagnostics())
+    }
 
-            fn mailbox_totals(&self) -> Option<sss_net::MailboxStats> {
-                Some(self.cluster().mailbox_totals())
-            }
+    fn node_liveness(&self) -> Option<Vec<NodeLiveness>> {
+        Some(self.cluster().node_liveness())
+    }
 
-            fn observability(&self) -> Option<std::sync::Arc<sss_obs::ObsHub>> {
-                self.cluster().observability()
-            }
+    fn storage_stats(&self) -> Option<StorageStats> {
+        Some(self.cluster().storage_stats())
+    }
 
-            $(
-                fn diagnostics(&self) -> Option<String> {
-                    #[allow(clippy::redundant_closure_call)]
-                    Some(($diag)(self))
-                }
-            )?
+    fn mailbox_totals(&self) -> Option<MailboxStats> {
+        Some(self.cluster().mailbox_totals())
+    }
 
-            $(
-                fn node_liveness(&self) -> Option<Vec<sss_obs::NodeLiveness>> {
-                    #[allow(clippy::redundant_closure_call)]
-                    Some(($liveness)(self))
-                }
-            )?
+    fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
+        Some(&sss_core::SssMessage::KIND_LABELS)
+    }
 
-            $(
-                fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
-                    Some($kinds)
-                }
-            )?
-        }
-
-        impl EngineSession for $session {
-            fn run_update(
-                &mut self,
-                read_keys: &[sss_storage::Key],
-                writes: &[(sss_storage::Key, sss_storage::Value)],
-            ) -> TxnOutcome {
-                TxnOutcome::from_timings(<$session>::run_update(self, read_keys, writes))
-            }
-
-            fn run_read_only(&mut self, read_keys: &[sss_storage::Key]) -> TxnOutcome {
-                TxnOutcome::from_timings(<$session>::run_read_only(self, read_keys))
-            }
-
-            fn run_update_observed(
-                &mut self,
-                read_keys: &[sss_storage::Key],
-                writes: &[(sss_storage::Key, sss_storage::Value)],
-            ) -> (TxnOutcome, Vec<Option<sss_storage::Value>>) {
-                let (timings, observed) =
-                    <$session>::run_update_observed(self, read_keys, writes);
-                (TxnOutcome::from_timings(timings), observed)
-            }
-
-            fn run_read_only_observed(
-                &mut self,
-                read_keys: &[sss_storage::Key],
-            ) -> (TxnOutcome, Vec<Option<sss_storage::Value>>) {
-                let (timings, observed) = <$session>::run_read_only_observed(self, read_keys);
-                (TxnOutcome::from_timings(timings), observed)
-            }
-        }
-    };
+    fn observability(&self) -> Option<Arc<ObsHub>> {
+        self.cluster().observability()
+    }
 }
 
-bind_engine!(
-    SssEngine,
-    SssEngineSession,
-    "SSS",
-    diagnostics: |engine: &SssEngine| engine.cluster().diagnostics(),
-    liveness: |engine: &SssEngine| engine.cluster().node_liveness(),
-    kinds: &sss_core::SssMessage::KIND_LABELS
-);
-bind_engine!(
-    TwoPcEngine,
-    TwoPcEngineSession,
-    "2PC",
-    kinds: &sss_baselines::twopc::MESSAGE_KIND_LABELS
-);
-bind_engine!(
-    WalterEngine,
-    WalterEngineSession,
-    "Walter",
-    kinds: &sss_baselines::walter::MESSAGE_KIND_LABELS
-);
-bind_engine!(
-    RococoEngine,
-    RococoEngineSession,
-    "ROCOCO",
-    kinds: &sss_baselines::rococo::MESSAGE_KIND_LABELS
-);
+impl EngineSession for SssEngineSession {
+    fn run_update(&mut self, read_keys: &[Key], writes: &[(Key, Value)]) -> TxnOutcome {
+        TxnOutcome::from_timings(SssEngineSession::run_update(self, read_keys, writes))
+    }
+
+    fn run_read_only(&mut self, read_keys: &[Key]) -> TxnOutcome {
+        TxnOutcome::from_timings(SssEngineSession::run_read_only(self, read_keys))
+    }
+
+    fn run_update_observed(
+        &mut self,
+        read_keys: &[Key],
+        writes: &[(Key, Value)],
+    ) -> (TxnOutcome, Vec<Option<Value>>) {
+        let (timings, observed) = SssEngineSession::run_update_observed(self, read_keys, writes);
+        (TxnOutcome::from_timings(timings), observed)
+    }
+
+    fn run_read_only_observed(&mut self, read_keys: &[Key]) -> (TxnOutcome, Vec<Option<Value>>) {
+        let (timings, observed) = SssEngineSession::run_read_only_observed(self, read_keys);
+        (TxnOutcome::from_timings(timings), observed)
+    }
+}
+
+impl<P: Protocol> TransactionEngine for BaselineCluster<P> {
+    fn name(&self) -> &str {
+        P::NAME
+    }
+
+    fn nodes(&self) -> usize {
+        self.node_count()
+    }
+
+    fn session(&self, node: usize) -> Box<dyn EngineSession> {
+        Box::new(BaselineCluster::session(self, node))
+    }
+
+    fn storage_stats(&self) -> Option<StorageStats> {
+        Some(BaselineCluster::storage_stats(self))
+    }
+
+    fn mailbox_totals(&self) -> Option<MailboxStats> {
+        Some(BaselineCluster::mailbox_totals(self))
+    }
+
+    fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
+        Some(P::MESSAGE_KIND_LABELS)
+    }
+
+    fn observability(&self) -> Option<Arc<ObsHub>> {
+        BaselineCluster::observability(self)
+    }
+}
+
+/// Times one baseline transaction and lines its observed values up with
+/// `read_keys`. None of the baselines delays its client response past
+/// commit, so the internal latency is the latency.
+fn timed(
+    read_keys: &[Key],
+    txn: impl FnOnce() -> Option<Observed>,
+) -> (TxnOutcome, Vec<Option<Value>>) {
+    let start = sss_vclock::runtime::now();
+    let Some(values) = txn() else {
+        return (TxnOutcome::Aborted, Vec::new());
+    };
+    let latency = sss_vclock::runtime::elapsed_since(start);
+    let outcome = TxnOutcome::Committed {
+        latency,
+        internal_latency: latency,
+    };
+    let observed = read_keys
+        .iter()
+        .map(|key| values.get(key).cloned().flatten())
+        .collect();
+    (outcome, observed)
+}
+
+impl<P: Protocol> EngineSession for BaselineSession<P> {
+    fn run_update(&mut self, read_keys: &[Key], writes: &[(Key, Value)]) -> TxnOutcome {
+        self.run_update_observed(read_keys, writes).0
+    }
+
+    fn run_read_only(&mut self, read_keys: &[Key]) -> TxnOutcome {
+        self.run_read_only_observed(read_keys).0
+    }
+
+    fn run_update_observed(
+        &mut self,
+        read_keys: &[Key],
+        writes: &[(Key, Value)],
+    ) -> (TxnOutcome, Vec<Option<Value>>) {
+        timed(read_keys, || self.update(read_keys, writes))
+    }
+
+    fn run_read_only_observed(&mut self, read_keys: &[Key]) -> (TxnOutcome, Vec<Option<Value>>) {
+        timed(read_keys, || self.read_only(read_keys))
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_storage::{Key, Value};
 
     #[test]
     fn bindings_forward_to_the_adapters() {

@@ -7,24 +7,25 @@
 //! * the **trait surface** an engine exposes to the rest of the workspace:
 //!   [`TransactionEngine`], [`EngineSession`] and [`TxnOutcome`];
 //! * the **registry**: [`EngineKind`] enumerates the engines and
-//!   [`EngineKind::build`] constructs any of them behind a
-//!   `Box<dyn TransactionEngine>`, parameterized only by node count,
-//!   replication degree and a [`NetProfile`];
-//!   [`EngineKind::build_faulted`] / [`EngineKind::build_with_injector`]
-//!   additionally place the engine under an `sss-faults` [`FaultPlan`];
-//! * the **trait bindings** that hook each engine's adapter (which lives in
-//!   the crate owning that engine: `sss-core` ships the SSS adapter,
-//!   `sss-baselines` ships the 2PC/Walter/ROCOCO adapters) onto the trait.
+//!   [`EngineKind::builder`] starts an [`EngineBuilder`] — node count,
+//!   replication degree, [`NetProfile`], the tuning values harnesses sweep,
+//!   an optional `sss-faults` [`FaultInjector`] and an optional simulation
+//!   scheduler — whose `build` boots any of them behind a
+//!   `Box<dyn TransactionEngine>`. [`EngineKind::build`] and
+//!   [`EngineKind::build_sim`] are the two shorthands for "defaults on this
+//!   network", threaded and simulated;
+//! * the **trait bindings** of the engines onto the trait.
 //!
 //! ## Layering
 //!
-//! The adapter state and transaction-execution logic live *with the engine*
-//! (`sss_core::adapter`, `sss_baselines::adapters`); this crate sits above
-//! both and contributes only the trait impls and the factory. That keeps the
-//! dependency graph acyclic — the engine crates know nothing about the
-//! registry — while still giving every consumer (`sss-workload`'s driver,
-//! `sss-bench`'s figure sweeps, the examples and the integration tests) a
-//! single construction path:
+//! How a transaction executes lives *with the engine*: `sss_core::adapter`
+//! runs whole SSS transactions on native sessions, and `sss_baselines`
+//! gives its three protocols one generic cluster and session. This crate
+//! sits above both and contributes only the trait impls and the builder.
+//! That keeps the dependency graph acyclic — the engine crates know nothing
+//! about the registry — while still giving every consumer (`sss-workload`'s
+//! driver, `sss-bench`'s figure sweeps, the examples and the integration
+//! tests) a single construction path:
 //!
 //! ```rust
 //! use sss_engine::{EngineKind, NetProfile};
@@ -41,7 +42,7 @@ mod registry;
 mod traits;
 
 pub use profile::NetProfile;
-pub use registry::{EngineKind, EngineTuning, ParseEngineKindError};
+pub use registry::{EngineBuilder, EngineKind, ParseEngineKindError};
 pub use traits::{EngineSession, TransactionEngine, TxnOutcome};
 
 pub use sss_core::DEFAULT_CONFIRM_EPOCH;

@@ -6,16 +6,14 @@ use sss_net::LatencyModel;
 
 /// One-way message-delay profile of the cluster an engine is built on.
 ///
-/// Only SSS consumes the *latency* part today: it injects the profile's
-/// delay into every message. The baseline engines (2PC, Walter, ROCOCO)
-/// run on the same `sss-net` transport but accept the profile for
-/// interface uniformity without applying its latency — the paper's
-/// comparison likewise runs every engine on the same (fast) interconnect.
+/// Every engine boots on the same `sss-net` chassis and pays the profile's
+/// delay on every message, so a comparison under a non-`Instant` profile
+/// charges SSS and the baselines the same network.
 ///
 /// The profile describes the network's *steady-state* delay; adversarial
 /// behaviour (delay spikes, reordering, duplication, partitions, pauses)
 /// is layered on top by an `sss-faults` fault plan via
-/// [`EngineKind::build_faulted`](crate::EngineKind::build_faulted) — each
+/// [`EngineBuilder::injector`](crate::EngineBuilder::injector) — each
 /// message's total delay is the profile sample plus the fault plan's extra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetProfile {

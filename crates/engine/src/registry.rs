@@ -3,98 +3,16 @@
 use std::str::FromStr;
 use std::sync::Arc;
 
-use sss_baselines::adapters::{RococoEngine, TwoPcEngine, WalterEngine};
-use sss_baselines::rococo::RococoConfig;
-use sss_baselines::twopc::TwoPcConfig;
-use sss_baselines::walter::WalterConfig;
+use sss_baselines::{BaselineConfig, RococoCluster, TwoPcCluster, WalterCluster};
 use sss_core::adapter::SssEngine;
-use sss_core::SssConfig;
-use sss_faults::{FaultInjector, FaultPlan};
+use sss_core::{SssConfig, DEFAULT_CONFIRM_EPOCH};
+use sss_faults::FaultInjector;
+use sss_obs::ObsHub;
 use sss_sim::SimRuntime;
 use sss_vclock::runtime::SchedulerHandle;
 
 use crate::profile::NetProfile;
 use crate::traits::TransactionEngine;
-
-/// Engine-independent tuning knobs threaded through the registry into each
-/// engine's own configuration type.
-///
-/// Every field defaults to "engine decides": `EngineTuning::default()`
-/// reproduces exactly what [`EngineKind::build`] constructs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineTuning {
-    /// Shard arity of every node's storage structures (stores and lock
-    /// tables); `None` keeps each engine's default
-    /// (`sss_storage::DEFAULT_SHARDS`). Rounded up to a power of two.
-    pub storage_shards: Option<usize>,
-    /// Messages a node worker drains from its mailbox per wakeup; `None`
-    /// keeps each engine's default (`sss_net::DEFAULT_DELIVERY_BATCH`).
-    /// Clamped to at least 1; batch size 1 reproduces
-    /// one-message-per-wakeup delivery.
-    pub delivery_batch: Option<usize>,
-    /// Epoch window of SSS's grouped external-commit confirmation: up to
-    /// this many update transactions share one `ConfirmExternal` round.
-    /// `Some(w)` with `w <= 1` disables grouping (per-transaction rounds);
-    /// `None` keeps the engine's default
-    /// (`sss_core::DEFAULT_CONFIRM_EPOCH`). Ignored by the baselines.
-    pub confirm_epoch: Option<usize>,
-    /// Whether SSS piggybacks `ReleaseExternal`/`Remove` traffic on grouped
-    /// confirmation rounds; `None` keeps the engine's default (enabled).
-    /// Ignored by the baselines.
-    pub piggyback: Option<bool>,
-    /// Whether the registry attaches an observability hub
-    /// ([`sss_obs::ObsHub`]) to the engine: per-transaction phase tracing,
-    /// per-phase latency histograms and per-node trace rings. Off by
-    /// default — tracing-off engines pay one branch per instrumentation
-    /// site. Retrieve the hub through
-    /// [`TransactionEngine::observability`](crate::TransactionEngine::observability).
-    pub observability: bool,
-}
-
-impl EngineTuning {
-    /// Tuning that only overrides the storage shard arity.
-    pub fn with_storage_shards(shards: usize) -> Self {
-        EngineTuning {
-            storage_shards: Some(shards),
-            ..EngineTuning::default()
-        }
-    }
-
-    /// Tuning that only overrides the per-wakeup delivery batch size.
-    pub fn with_delivery_batch(batch: usize) -> Self {
-        EngineTuning {
-            delivery_batch: Some(batch),
-            ..EngineTuning::default()
-        }
-    }
-
-    /// Sets the per-wakeup delivery batch size, keeping other knobs.
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = Some(batch);
-        self
-    }
-
-    /// Sets SSS's grouped-confirmation epoch window (`<= 1` disables
-    /// grouping), keeping other knobs.
-    pub fn confirm_epoch(mut self, window: usize) -> Self {
-        self.confirm_epoch = Some(window);
-        self
-    }
-
-    /// Enables or disables SSS's release/remove piggybacking, keeping other
-    /// knobs.
-    pub fn piggyback(mut self, enabled: bool) -> Self {
-        self.piggyback = Some(enabled);
-        self
-    }
-
-    /// Enables or disables phase tracing / observability, keeping other
-    /// knobs.
-    pub fn observability(mut self, enabled: bool) -> Self {
-        self.observability = enabled;
-        self
-    }
-}
 
 /// Which engine an experiment runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,17 +47,51 @@ impl EngineKind {
         }
     }
 
-    /// Builds this engine on a cluster of `nodes` nodes.
+    /// Starts describing an engine of this kind on `nodes` nodes with
+    /// `replication` replicas per key (ROCOCO ignores the replication
+    /// degree: the paper's comparison always runs it without replication).
+    /// Everything else starts at the engines' defaults; see
+    /// [`EngineBuilder`].
     ///
-    /// `replication` is the number of replicas per key; the ROCOCO engine
-    /// ignores it (the paper's comparison always runs ROCOCO without
-    /// replication). `net_profile` selects the message-delay model; only
-    /// message-passing engines consume it (see [`NetProfile`]).
+    /// This is the only way the rest of the workspace constructs an engine
+    /// — the workload driver, the figure sweeps, the examples and the
+    /// integration tests all go through it, so adding an engine means adding
+    /// a variant here and an arm in [`EngineBuilder::build`].
     ///
-    /// This factory is the only way the rest of the workspace constructs an
-    /// engine — the workload driver, the figure sweeps, the examples and
-    /// the integration tests all go through it, so adding an engine means
-    /// adding a variant here and an adapter in the crate that owns it.
+    /// ```rust
+    /// use sss_engine::{EngineKind, FaultInjector, FaultPlan, NetProfile};
+    ///
+    /// let injector = FaultInjector::new(FaultPlan::new(7));
+    /// let engine = EngineKind::TwoPc
+    ///     .builder(3, 2)
+    ///     .profile(NetProfile::CloudlabLike)
+    ///     .storage_shards(8)
+    ///     .delivery_batch(16)
+    ///     .observability(true)
+    ///     .injector(&injector)
+    ///     .build();
+    /// assert_eq!(engine.nodes(), 3);
+    /// assert!(engine.observability().is_some());
+    /// ```
+    pub fn builder(self, nodes: usize, replication: usize) -> EngineBuilder {
+        EngineBuilder {
+            kind: self,
+            nodes,
+            replication,
+            profile: NetProfile::Instant,
+            storage_shards: sss_storage::DEFAULT_SHARDS,
+            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
+            confirm_epoch: DEFAULT_CONFIRM_EPOCH,
+            piggyback: true,
+            observability: false,
+            injector: None,
+            scheduler: None,
+        }
+    }
+
+    /// Builds this engine with its defaults on a network with the given
+    /// delay profile: shorthand for
+    /// `self.builder(nodes, replication).profile(net_profile).build()`.
     ///
     /// # Panics
     ///
@@ -151,65 +103,9 @@ impl EngineKind {
         replication: usize,
         net_profile: NetProfile,
     ) -> Box<dyn TransactionEngine> {
-        self.build_with_injector(nodes, replication, net_profile, None)
-    }
-
-    /// [`EngineKind::build`] under a [`FaultPlan`]: the plan is armed
-    /// immediately, so its scheduled windows are measured from the moment
-    /// the engine boots.
-    ///
-    /// Every engine runs on the `sss-net` transport, so the plan's faults
-    /// (delays, reordering, duplication, partitions, pauses) apply to SSS
-    /// and to all three baselines alike.
-    pub fn build_faulted(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        faults: FaultPlan,
-    ) -> Box<dyn TransactionEngine> {
-        let injector = FaultInjector::new(faults);
-        let engine = self.build_with_injector(nodes, replication, net_profile, Some(&injector));
-        injector.arm();
-        engine
-    }
-
-    /// [`EngineKind::build`] under a caller-owned [`FaultInjector`].
-    ///
-    /// The injector is **not** armed: the caller keeps the handle and arms
-    /// it once the warm-up (e.g. key-space population) is done, so the
-    /// plan's scheduled windows cover the measured phase. The injector is
-    /// interposed on the engine's transport and attached to its per-node
-    /// pause gates, for the baselines just like for SSS.
-    pub fn build_with_injector(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        injector: Option<&Arc<FaultInjector>>,
-    ) -> Box<dyn TransactionEngine> {
-        self.build_tuned(
-            nodes,
-            replication,
-            net_profile,
-            EngineTuning::default(),
-            injector,
-        )
-    }
-
-    /// [`EngineKind::build_with_injector`] with explicit [`EngineTuning`]:
-    /// the registry threads the engine-independent knobs (currently the
-    /// storage shard arity) into each engine's own configuration type, so
-    /// harnesses can sweep them without knowing any engine's config struct.
-    pub fn build_tuned(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        tuning: EngineTuning,
-        injector: Option<&Arc<FaultInjector>>,
-    ) -> Box<dyn TransactionEngine> {
-        self.build_tuned_on(nodes, replication, net_profile, tuning, injector, None)
+        self.builder(nodes, replication)
+            .profile(net_profile)
+            .build()
     }
 
     /// Builds this engine under a deterministic-simulation scheduler: one
@@ -225,129 +121,153 @@ impl EngineKind {
         seed: u64,
     ) -> (Arc<SimRuntime>, Box<dyn TransactionEngine>) {
         let sim = SimRuntime::new(seed);
-        let handle = sim.handle();
-        let engine = self.build_tuned_on(
-            nodes,
-            replication,
-            net_profile,
-            EngineTuning::default(),
-            None,
-            Some(&handle),
-        );
+        let engine = self
+            .builder(nodes, replication)
+            .profile(net_profile)
+            .scheduler(sim.handle())
+            .build();
         (sim, engine)
     }
+}
 
-    /// [`EngineKind::build_tuned`] with an optional simulation scheduler:
-    /// when given, the engine's transport delivers messages as virtual-time
-    /// events, its node workers run as cooperative simulation tasks, and
-    /// any fault injector's pause windows are scheduled on the virtual
-    /// clock.
-    pub fn build_tuned_on(
-        &self,
-        nodes: usize,
-        replication: usize,
-        net_profile: NetProfile,
-        tuning: EngineTuning,
-        injector: Option<&Arc<FaultInjector>>,
-        scheduler: Option<&SchedulerHandle>,
-    ) -> Box<dyn TransactionEngine> {
-        if let (Some(injector), Some(scheduler)) = (injector, scheduler) {
-            injector.set_scheduler(Arc::clone(scheduler));
+/// Everything that can be said about an engine before it boots, in terms
+/// that do not depend on which engine it is. [`EngineBuilder::build`] lowers
+/// it to the engine's own configuration and starts it.
+#[derive(Debug, Clone)]
+pub struct EngineBuilder {
+    kind: EngineKind,
+    nodes: usize,
+    replication: usize,
+    profile: NetProfile,
+    storage_shards: usize,
+    delivery_batch: usize,
+    confirm_epoch: usize,
+    piggyback: bool,
+    observability: bool,
+    injector: Option<Arc<FaultInjector>>,
+    scheduler: Option<SchedulerHandle>,
+}
+
+impl EngineBuilder {
+    /// Sets the one-way message delay of the cluster's network. Every
+    /// engine runs on the same transport and pays it on every message.
+    pub fn profile(mut self, profile: NetProfile) -> Self {
+        self.profile = profile;
+        self
+    }
+
+    /// Sets the shard arity of every node's storage structures (stores and
+    /// lock tables; rounded up to a power of two).
+    pub fn storage_shards(mut self, shards: usize) -> Self {
+        self.storage_shards = shards;
+        self
+    }
+
+    /// Sets how many messages a node worker drains from its mailbox per
+    /// wakeup (clamped to at least 1; 1 reproduces one-message-per-wakeup
+    /// delivery).
+    pub fn delivery_batch(mut self, batch: usize) -> Self {
+        self.delivery_batch = batch;
+        self
+    }
+
+    /// Sets the epoch window of SSS's grouped external-commit confirmation:
+    /// up to this many update transactions share one `ConfirmExternal`
+    /// round (`<= 1` disables grouping). The baselines have no such round.
+    pub fn confirm_epoch(mut self, window: usize) -> Self {
+        self.confirm_epoch = window;
+        self
+    }
+
+    /// Sets whether SSS piggybacks `ReleaseExternal`/`Remove` traffic on
+    /// grouped confirmation rounds. The baselines have no such traffic.
+    pub fn piggyback(mut self, enabled: bool) -> Self {
+        self.piggyback = enabled;
+        self
+    }
+
+    /// Attaches an observability hub ([`ObsHub`]) to the engine:
+    /// per-transaction phase tracing, per-phase latency histograms and
+    /// per-node trace rings. Off by default — tracing-off engines pay one
+    /// branch per instrumentation site. Retrieve the hub through
+    /// [`TransactionEngine::observability`].
+    pub fn observability(mut self, enabled: bool) -> Self {
+        self.observability = enabled;
+        self
+    }
+
+    /// Places the engine under a caller-owned [`FaultInjector`]: it is
+    /// interposed on the transport and attached to the per-node pause gates
+    /// (and, for SSS, to crash-stop recovery). Every engine runs on the same
+    /// transport, so the plan's faults hit SSS and the baselines alike.
+    ///
+    /// The injector is **not** armed: the caller arms it once the warm-up
+    /// (e.g. key-space population) is done, so the plan's scheduled windows
+    /// cover the measured phase.
+    pub fn injector(mut self, injector: &Arc<FaultInjector>) -> Self {
+        self.injector = Some(Arc::clone(injector));
+        self
+    }
+
+    /// Runs the engine under a simulation scheduler: the transport delivers
+    /// messages as virtual-time events, node workers run as cooperative
+    /// simulation tasks, and the injector's windows are scheduled on the
+    /// virtual clock.
+    pub fn scheduler(mut self, scheduler: SchedulerHandle) -> Self {
+        self.scheduler = Some(scheduler);
+        self
+    }
+
+    /// Boots the engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node count is zero or the engine fails to boot (worker
+    /// spawn failure).
+    pub fn build(self) -> Box<dyn TransactionEngine> {
+        match self.kind {
+            EngineKind::Sss => Box::new(SssEngine::with_config(self.sss_config())),
+            EngineKind::TwoPc => Box::new(TwoPcCluster::start(self.baseline_config())),
+            EngineKind::Walter => Box::new(WalterCluster::start(self.baseline_config())),
+            EngineKind::Rococo => Box::new(RococoCluster::start(self.baseline_config())),
         }
-        let interposer =
-            |i: &&Arc<FaultInjector>| Arc::clone(*i) as Arc<dyn sss_net::FaultInterposer>;
-        // One hub per engine instance: every session and node of this
-        // engine records into it, and harnesses retrieve it back through
-        // `TransactionEngine::observability`.
-        let hub = tuning.observability.then(|| sss_obs::ObsHub::new(nodes));
-        match self {
-            EngineKind::Sss => {
-                let mut config = SssConfig::new(nodes)
-                    .replication(replication)
-                    .latency(net_profile.latency_model());
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(window) = tuning.confirm_epoch {
-                    config = config.confirm_epoch_max(window);
-                }
-                if let Some(enabled) = tuning.piggyback {
-                    config = config.piggyback(enabled);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(injector) = injector {
-                    config = config.fault_injector(Arc::clone(injector));
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                Box::new(SssEngine::with_config(config))
-            }
-            EngineKind::TwoPc => {
-                let mut config = TwoPcConfig::new(nodes).replication(replication);
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                let engine = TwoPcEngine::with_config(config, injector.as_ref().map(interposer));
-                if let Some(injector) = injector {
-                    injector.attach_pause_controls(engine.pause_controls());
-                }
-                Box::new(engine)
-            }
-            EngineKind::Walter => {
-                let mut config = WalterConfig::new(nodes).replication(replication);
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                let engine = WalterEngine::with_config(config, injector.as_ref().map(interposer));
-                if let Some(injector) = injector {
-                    injector.attach_pause_controls(engine.pause_controls());
-                }
-                Box::new(engine)
-            }
-            EngineKind::Rococo => {
-                let mut config = RococoConfig::new(nodes);
-                if let Some(shards) = tuning.storage_shards {
-                    config = config.storage_shards(shards);
-                }
-                if let Some(batch) = tuning.delivery_batch {
-                    config = config.delivery_batch(batch);
-                }
-                if let Some(hub) = hub {
-                    config = config.observability(hub);
-                }
-                if let Some(scheduler) = scheduler {
-                    config = config.scheduler(Arc::clone(scheduler));
-                }
-                let engine = RococoEngine::with_config(config, injector.as_ref().map(interposer));
-                if let Some(injector) = injector {
-                    injector.attach_pause_controls(engine.pause_controls());
-                }
-                Box::new(engine)
-            }
+    }
+
+    /// One hub per engine instance: every session and node of the engine
+    /// records into it.
+    fn hub(&self) -> Option<Arc<ObsHub>> {
+        self.observability.then(|| ObsHub::new(self.nodes))
+    }
+
+    fn sss_config(self) -> SssConfig {
+        let observability = self.hub();
+        SssConfig {
+            observability,
+            nodes: self.nodes,
+            replication: self.replication,
+            latency: self.profile.latency_model(),
+            fault_injector: self.injector,
+            storage_shards: self.storage_shards,
+            delivery_batch: self.delivery_batch,
+            confirm_epoch_max: self.confirm_epoch,
+            piggyback: self.piggyback,
+            scheduler: self.scheduler,
+        }
+    }
+
+    fn baseline_config(self) -> BaselineConfig {
+        let observability = self.hub();
+        BaselineConfig {
+            observability,
+            nodes: self.nodes,
+            replication: self.replication,
+            latency: self.profile.latency_model(),
+            storage_shards: self.storage_shards,
+            delivery_batch: self.delivery_batch,
+            scheduler: self.scheduler,
+            interposer: self
+                .injector
+                .map(|injector| injector as Arc<dyn sss_net::FaultInterposer>),
         }
     }
 }

@@ -3,8 +3,13 @@
 //! transaction, and SSS's read-only path never aborts (the paper's headline
 //! property).
 
-use sss_engine::{EngineKind, EngineTuning, NetProfile, TxnOutcome};
+use std::sync::Arc;
+use std::time::Duration;
+
+use sss_engine::{EngineKind, FaultInjector, NetProfile, TransactionEngine, TxnOutcome};
 use sss_storage::{Key, Value};
+use sss_workload::scenario::{run_scenario_sim_on, ChaosScenario, ScenarioExpectations};
+use sss_workload::{FaultPlan, WorkloadSpec};
 
 #[test]
 fn every_engine_kind_builds_and_commits_through_the_factory() {
@@ -71,13 +76,7 @@ fn sss_read_only_transactions_never_abort_through_the_registry() {
 fn every_engine_honours_the_storage_shard_tuning() {
     for kind in EngineKind::ALL {
         for shards in [1usize, 4] {
-            let engine = kind.build_tuned(
-                2,
-                1,
-                NetProfile::Instant,
-                EngineTuning::with_storage_shards(shards),
-                None,
-            );
+            let engine = kind.builder(2, 1).storage_shards(shards).build();
             let mut session = engine.session(0);
             assert!(
                 session
@@ -109,23 +108,73 @@ fn every_engine_honours_the_storage_shard_tuning() {
     }
 }
 
+/// Every engine runs on the same transport and pays the profile's delay on
+/// every message: the client of an update that involves a remote node
+/// waits at least one hop (replies travel on reply channels, not the
+/// transport), and the update's whole message exchange — request round and
+/// decision round — moves the virtual clock by at least two. (The baselines
+/// used to boot their transport without the profile: zero on both counts.)
 #[test]
-fn engines_build_under_every_net_profile() {
-    // Only SSS consumes the profile today, but the factory must accept any
-    // combination without panicking.
-    let profiles = [
-        NetProfile::Instant,
-        NetProfile::Uniform {
-            base: std::time::Duration::from_micros(10),
-            jitter: std::time::Duration::from_micros(5),
-        },
-    ];
-    for profile in profiles {
-        let engine = EngineKind::Sss.build(2, 1, profile);
-        let mut session = engine.session(0);
-        assert!(session
-            .run_update(&[], &[(Key::new("p"), Value::from_u64(1))])
-            .is_committed());
-        assert!(session.run_read_only(&[Key::new("p")]).is_committed());
+fn every_engine_pays_the_net_profile() {
+    let hop = Duration::from_micros(50);
+    let profile = NetProfile::Uniform {
+        base: hop,
+        jitter: Duration::ZERO,
+    };
+    // Eight keys: with any placement over four nodes, some are remote.
+    let writes: Vec<(Key, Value)> = (0..8)
+        .map(|i| (Key::new(format!("delay-{i}")), Value::from_u64(i)))
+        .collect();
+    for kind in EngineKind::ALL {
+        let (sim, engine) = kind.build_sim(4, 2, profile, 7);
+        let engine = Arc::new(engine);
+        let outcome = {
+            let (engine, writes) = (Arc::clone(&engine), writes.clone());
+            sim.block_on("update", move || engine.session(0).run_update(&[], &writes))
+        };
+        let TxnOutcome::Committed { latency, .. } = outcome else {
+            panic!("{kind}: a lone update aborted");
+        };
+        assert!(latency >= hop, "{kind}: committed in {latency:?}");
+        sim.wait_quiescent();
+        let elapsed = sim.virtual_elapsed();
+        assert!(
+            elapsed >= 2 * hop,
+            "{kind}: the update moved virtual time by {elapsed:?}, under two {hop:?} hops"
+        );
+    }
+}
+
+/// `EngineKind::build` / `build_sim` are shorthands, not a second path: an
+/// engine from the builder with no options set replays a seeded scenario
+/// bit-identically to one from the shorthand, for every kind.
+#[test]
+fn the_builder_with_no_options_is_the_shorthand() {
+    for kind in EngineKind::ALL {
+        let expect = match kind {
+            EngineKind::Sss => ScenarioExpectations::sss(),
+            EngineKind::Walter => ScenarioExpectations::weak_baseline(),
+            _ => ScenarioExpectations::serializable_baseline(),
+        };
+        let spec = WorkloadSpec::new(3)
+            .clients_per_node(2)
+            .total_keys(24)
+            .read_only_percent(40)
+            .seed(19);
+        let scenario = ChaosScenario::new("builder-vs-shorthand", spec)
+            .ops_per_client(12)
+            .expect(expect);
+        let run = |sim: Arc<sss_engine::SimRuntime>, engine: Box<dyn TransactionEngine>| {
+            let injector = FaultInjector::new(FaultPlan::new(19));
+            let outcome = run_scenario_sim_on(&sim, &Arc::new(engine), &injector, &scenario);
+            sim.wait_quiescent();
+            assert!(outcome.passed(), "{kind}: {:?}", outcome.violations);
+            (outcome.summary(), outcome.fingerprint())
+        };
+        let (sim, shorthand) = kind.build_sim(3, 2, NetProfile::Instant, 5);
+        let from_shorthand = run(sim, shorthand);
+        let sim = sss_engine::SimRuntime::new(5);
+        let built = kind.builder(3, 2).scheduler(sim.handle()).build();
+        assert_eq!(from_shorthand, run(sim, built), "{kind}");
     }
 }

@@ -316,6 +316,13 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInterposer for FaultInjector {
+    fn attach(&self, pause_controls: Vec<Arc<PauseControl>>, scheduler: Option<&SchedulerHandle>) {
+        if let Some(scheduler) = scheduler {
+            self.set_scheduler(Arc::clone(scheduler));
+        }
+        self.attach_pause_controls(pause_controls);
+    }
+
     fn plan(&self, from: NodeId, to: NodeId, now: Instant) -> SendPlan {
         // A node can always talk to itself, and an unarmed plan is inert.
         if from == to {

@@ -30,20 +30,31 @@
 //! a batch faults exactly like the equivalent sequence of single sends.
 //! Self-addressed messages can skip the queues entirely via the transport's
 //! local delivery fast path ([`ChannelTransport::set_local_dispatch`]).
+//!
+//! # The cluster chassis
+//!
+//! [`NodeHost`] puts the pieces together once for every engine: it creates
+//! the transport, registers the message classifier and each node's local
+//! fast path, hands the pause gates to the fault interposer, starts the
+//! worker runtimes, and tears all of it down (idempotently, and on drop).
+//! Coordinators wait for their participants through
+//! [`ReplyReceiver::gather`].
 
 #![deny(missing_docs)]
 
+mod host;
 mod latency;
 mod mailbox;
 mod reply;
 mod runtime;
 mod transport;
 
+pub use host::NodeHost;
 pub use latency::LatencyModel;
 pub use mailbox::{
     Mailbox, MailboxStats, PauseControl, Priority, DEFAULT_DELIVERY_BATCH, MESSAGE_KIND_SLOTS,
 };
-pub use reply::{reply_channel, ReplyReceiver, ReplySender, ReplyTryRecvError};
+pub use reply::{reply_channel, Gather, ReplyReceiver, ReplySender, ReplyTryRecvError};
 pub use runtime::{NodeRuntime, NodeService};
 pub use transport::{
     ChannelTransport, Envelope, FaultInterposer, LocalDispatch, ReliabilityConfig,

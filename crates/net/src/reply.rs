@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use sss_vclock::runtime;
+use sss_vclock::{runtime, NodeId};
 
 /// Error returned by [`ReplyReceiver::try_recv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +29,18 @@ impl std::fmt::Display for ReplyTryRecvError {
 }
 
 impl std::error::Error for ReplyTryRecvError {}
+
+/// How a [`ReplyReceiver::gather`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gather {
+    /// Every expected sender replied and every reply was accepted.
+    Complete,
+    /// A reply was refused by the caller; the gather stopped there.
+    Rejected,
+    /// The deadline passed, or every sender was dropped, before the
+    /// expected number of distinct senders replied.
+    TimedOut,
+}
 
 /// Sending half of a reply channel. Cloneable so that a request can be
 /// fanned out to every replica of a key.
@@ -112,6 +124,42 @@ impl<T> ReplyReceiver<T> {
         self.inner.recv().ok()
     }
 
+    /// Collects the first reply of each of `expected` distinct senders,
+    /// waiting at most `timeout` in total (virtual time under a simulation
+    /// scheduler).
+    ///
+    /// `sender` names who a reply is from, or `None` for a reply that does
+    /// not belong to this request (a stale answer to an earlier one), which
+    /// is skipped. A sender's second reply is skipped too: the network may
+    /// duplicate messages, and counting replies alone could reach `expected`
+    /// while a slower node's answer was still outstanding. `accept` consumes
+    /// each counted reply and returns `false` to stop early (a negative
+    /// vote).
+    pub fn gather(
+        &self,
+        expected: usize,
+        timeout: Duration,
+        sender: impl Fn(&T) -> Option<NodeId>,
+        mut accept: impl FnMut(T) -> bool,
+    ) -> Gather {
+        let deadline = runtime::now() + timeout;
+        let mut seen: Vec<NodeId> = Vec::with_capacity(expected);
+        while seen.len() < expected {
+            let remaining = deadline.saturating_duration_since(runtime::now());
+            let Some(reply) = self.recv_timeout(remaining) else {
+                return Gather::TimedOut;
+            };
+            match sender(&reply) {
+                Some(from) if !seen.contains(&from) => seen.push(from),
+                _ => continue,
+            }
+            if !accept(reply) {
+                return Gather::Rejected;
+            }
+        }
+        Gather::Complete
+    }
+
     /// Non-blocking poll for a reply.
     pub fn try_recv(&self) -> Result<T, ReplyTryRecvError> {
         self.inner.try_recv().map_err(|e| match e {
@@ -176,6 +224,78 @@ mod tests {
         assert!(tx.send(1));
         assert!(!tx.send(2));
         assert_eq!(rx.recv(), Some(1));
+    }
+
+    /// `(sender, positive?)` replies, gathered by sender.
+    fn gather_votes(rx: &ReplyReceiver<(usize, bool)>, expected: usize) -> (Gather, Vec<usize>) {
+        gather_votes_within(rx, expected, Duration::from_millis(20))
+    }
+
+    fn gather_votes_within(
+        rx: &ReplyReceiver<(usize, bool)>,
+        expected: usize,
+        timeout: Duration,
+    ) -> (Gather, Vec<usize>) {
+        let mut accepted = Vec::new();
+        let outcome = rx.gather(
+            expected,
+            timeout,
+            |(from, _)| Some(NodeId(*from)),
+            |(from, ok)| {
+                accepted.push(from);
+                ok
+            },
+        );
+        (outcome, accepted)
+    }
+
+    #[test]
+    fn gather_counts_each_sender_once_and_skips_foreign_replies() {
+        let (tx, rx) = reply_channel(4);
+        for vote in [(0, true), (0, false), (1, true)] {
+            tx.send(vote);
+        }
+        // The duplicate from node 0 (even a negative one) is skipped, so two
+        // distinct senders complete the gather.
+        assert_eq!(gather_votes(&rx, 2), (Gather::Complete, vec![0, 1]));
+
+        let (tx, rx) = reply_channel(2);
+        tx.send((7, true));
+        tx.send((1, true));
+        let outcome = rx.gather(
+            1,
+            Duration::from_millis(20),
+            |(from, _)| (*from != 7).then_some(NodeId(*from)),
+            |_| true,
+        );
+        assert_eq!(outcome, Gather::Complete, "the stale reply is not counted");
+    }
+
+    #[test]
+    fn gather_stops_at_the_first_rejecting_reply() {
+        let (tx, rx) = reply_channel(3);
+        for vote in [(0, true), (1, false), (2, true)] {
+            tx.send(vote);
+        }
+        assert_eq!(gather_votes(&rx, 3), (Gather::Rejected, vec![0, 1]));
+        assert_eq!(rx.try_recv(), Ok((2, true)), "the rest stays unread");
+    }
+
+    #[test]
+    fn gather_times_out_on_a_missing_sender_and_on_dropped_senders() {
+        let (tx, rx) = reply_channel(2);
+        tx.send((0, true));
+        let started = std::time::Instant::now();
+        assert_eq!(gather_votes(&rx, 2), (Gather::TimedOut, vec![0]));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+
+        // A disconnected channel ends the gather at once, not at the
+        // deadline.
+        drop(tx);
+        let long = Duration::from_secs(60);
+        let started = std::time::Instant::now();
+        assert_eq!(gather_votes_within(&rx, 1, long).0, Gather::TimedOut);
+        assert!(started.elapsed() < long);
     }
 
     #[test]

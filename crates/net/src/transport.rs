@@ -12,7 +12,7 @@ use sss_vclock::runtime::{Backoff, SchedulerHandle};
 use sss_vclock::NodeId;
 
 use crate::latency::LatencyModel;
-use crate::mailbox::{Mailbox, MailboxStats, Priority, MESSAGE_KIND_SLOTS};
+use crate::mailbox::{Mailbox, MailboxStats, PauseControl, Priority, MESSAGE_KIND_SLOTS};
 
 /// A node's message handler as registered with
 /// [`ChannelTransport::set_local_dispatch`]: the target of the local
@@ -209,6 +209,18 @@ impl SendPlan {
 pub trait FaultInterposer: Send + Sync + std::fmt::Debug {
     /// Plans the delivery of one message sent from `from` to `to` at `now`.
     fn plan(&self, from: NodeId, to: NodeId, now: Instant) -> SendPlan;
+
+    /// Called once by the [`NodeHost`](crate::NodeHost) that installs this
+    /// interposer, before any node runs: hands over the per-node pause
+    /// gates (indexed by node) and, under simulation, the scheduler that
+    /// timed fault windows must run on. An interposer that only plans
+    /// individual sends needs neither and keeps the default.
+    fn attach(
+        &self,
+        _pause_controls: Vec<Arc<PauseControl>>,
+        _scheduler: Option<&SchedulerHandle>,
+    ) {
+    }
 }
 
 /// Convenience helpers available on every transport.

@@ -138,3 +138,41 @@ fn reply_channels_work_against_the_virtual_clock() {
     transport.shutdown();
     rt.join();
 }
+
+#[test]
+fn a_gather_deadline_is_virtual() {
+    let sim = SimRuntime::new(3);
+    let handle = sim.handle();
+    let wall_start = Instant::now();
+    let outcome = sim.block_on("coordinator", move || {
+        // One of two participants answers (from another task, one virtual
+        // second in); the other never does.
+        let (reply, replies) = sss_net::reply_channel::<NodeId>(2);
+        let silent = reply.clone();
+        let _ = handle.spawn_task(
+            "participant".into(),
+            false,
+            Box::new(move || {
+                sss_vclock::runtime::sleep(Duration::from_secs(1));
+                reply.send(NodeId(0));
+            }),
+        );
+        let mut answered = Vec::new();
+        let outcome = replies.gather(
+            2,
+            Duration::from_secs(3600),
+            |from| Some(*from),
+            |from| {
+                answered.push(from);
+                true
+            },
+        );
+        drop(silent);
+        (outcome, answered)
+    });
+    assert_eq!(outcome, (sss_net::Gather::TimedOut, vec![NodeId(0)]));
+    // The coordinator waited out the whole hour on the virtual clock and
+    // none of it on the wall clock.
+    assert!(sim.virtual_elapsed() >= Duration::from_secs(3600));
+    assert!(wall_start.elapsed() < Duration::from_secs(600));
+}

@@ -46,6 +46,6 @@ fn main() {
         );
     }
     println!(
-        "\nFor the full evaluation sweeps run: cargo run -p sss-bench --release --bin all_figures"
+        "\nFor the full evaluation sweeps run: cargo run -p sss-bench --release --bin figures"
     );
 }

@@ -2,9 +2,7 @@
 //! boots, commits work, and keeps its own consistency promises; the weaker
 //! PSI engine is allowed anomalies that SSS and the 2PC-baseline are not.
 
-use sss::baselines::rococo::{RococoCluster, RococoConfig, RococoReadOutcome};
-use sss::baselines::twopc::{TwoPcCluster, TwoPcConfig, TwoPcOutcome};
-use sss::baselines::walter::{WalterCluster, WalterConfig, WalterOutcome};
+use sss::baselines::{BaselineConfig, RococoCluster, TwoPcCluster, WalterCluster};
 use sss::core::{SssCluster, SssConfig};
 use sss::storage::{Key, Value};
 
@@ -42,38 +40,31 @@ fn sss_read_your_own_cluster_writes_across_nodes() {
 
 #[test]
 fn twopc_transfers_preserve_the_total_balance() {
-    let cluster = TwoPcCluster::start(TwoPcConfig::new(3).replication(2));
-    let session = cluster.session(0);
+    let cluster = TwoPcCluster::start(BaselineConfig::new(3));
+    let mut session = cluster.session(0);
     let accounts: Vec<Key> = (0..8).map(|i| k(&format!("acct{i}"))).collect();
     let writes: Vec<(Key, Value)> = accounts
         .iter()
         .map(|a| (a.clone(), Value::from_u64(100)))
         .collect();
-    assert_eq!(session.execute(&[], &writes).0, TwoPcOutcome::Committed);
+    assert!(session.update(&[], &writes).is_some());
 
     // A few serial transfers (the 2PC engine aborts only under concurrency).
     for i in 0..8 {
         let from = accounts[i % accounts.len()].clone();
         let to = accounts[(i + 1) % accounts.len()].clone();
-        let (outcome, observed) = session.execute(&[from.clone(), to.clone()], &[]);
-        assert_eq!(outcome, TwoPcOutcome::Committed);
-        let observed = observed.unwrap();
+        let observed = session.read_only(&[from.clone(), to.clone()]).unwrap();
         let from_balance = observed[&from].clone().unwrap().to_u64().unwrap();
         let to_balance = observed[&to].clone().unwrap().to_u64().unwrap();
-        let (outcome, _) = session.execute(
-            &[from.clone(), to.clone()],
-            &[
-                (from.clone(), Value::from_u64(from_balance - 10)),
-                (to.clone(), Value::from_u64(to_balance + 10)),
-            ],
-        );
-        assert_eq!(outcome, TwoPcOutcome::Committed);
+        let transfer = [
+            (from.clone(), Value::from_u64(from_balance - 10)),
+            (to.clone(), Value::from_u64(to_balance + 10)),
+        ];
+        assert!(session.update(&[from, to], &transfer).is_some());
     }
 
-    let (outcome, observed) = session.execute(&accounts, &[]);
-    assert_eq!(outcome, TwoPcOutcome::Committed);
+    let observed = session.read_only(&accounts).unwrap();
     let total: u64 = observed
-        .unwrap()
         .values()
         .map(|v| v.clone().unwrap().to_u64().unwrap())
         .sum();
@@ -83,20 +74,13 @@ fn twopc_transfers_preserve_the_total_balance() {
 
 #[test]
 fn walter_read_only_transactions_are_abort_free_but_weaker() {
-    let cluster = WalterCluster::start(WalterConfig::new(3).replication(2));
-    let writer = cluster.session(0);
-    assert_eq!(
-        writer
-            .update(
-                &[],
-                &[(k("a"), Value::from_u64(1)), (k("b"), Value::from_u64(1))]
-            )
-            .0,
-        WalterOutcome::Committed
-    );
+    let cluster = WalterCluster::start(BaselineConfig::new(3));
+    let mut writer = cluster.session(0);
+    let writes = [(k("a"), Value::from_u64(1)), (k("b"), Value::from_u64(1))];
+    assert!(writer.update(&[], &writes).is_some());
     // Read-only transactions never abort, from any node.
     for node in 0..3 {
-        let session = cluster.session(node);
+        let mut session = cluster.session(node);
         for _ in 0..5 {
             assert!(session.read_only(&[k("a"), k("b")]).is_some());
         }
@@ -111,11 +95,13 @@ fn walter_read_only_transactions_are_abort_free_but_weaker() {
 
 #[test]
 fn rococo_read_only_cost_grows_with_read_set_size_under_write_pressure() {
-    let cluster = std::sync::Arc::new(RococoCluster::start(RococoConfig::new(2)));
+    let cluster = std::sync::Arc::new(RococoCluster::start(BaselineConfig::new(2)));
     let keys: Vec<Key> = (0..16).map(|i| k(&format!("r{i}"))).collect();
-    let session = cluster.session(0);
+    let mut session = cluster.session(0);
     for key in &keys {
-        assert!(session.update(&[(key.clone(), Value::from_u64(0))]));
+        assert!(session
+            .update(&[], &[(key.clone(), Value::from_u64(0))])
+            .is_some());
     }
 
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -124,12 +110,12 @@ fn rococo_read_only_cost_grows_with_read_set_size_under_write_pressure() {
         let keys = keys.clone();
         let stop = std::sync::Arc::clone(&stop);
         std::thread::spawn(move || {
-            let session = cluster.session(1);
+            let mut session = cluster.session(1);
             let mut i = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 i += 1;
                 let key = keys[(i as usize) % keys.len()].clone();
-                assert!(session.update(&[(key, Value::from_u64(i))]));
+                assert!(session.update(&[], &[(key, Value::from_u64(i))]).is_some());
             }
         })
     };
@@ -139,10 +125,7 @@ fn rococo_read_only_cost_grows_with_read_set_size_under_write_pressure() {
         let start = std::time::Instant::now();
         let mut committed = 0;
         for _ in 0..20 {
-            if matches!(
-                session.read_only(&keys[..size]).0,
-                RococoReadOutcome::Committed
-            ) {
+            if session.read_only(&keys[..size]).is_some() {
                 committed += 1;
             }
         }

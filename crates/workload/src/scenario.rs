@@ -30,7 +30,7 @@ use sss_consistency::{
     check_all, History, HistoryRecorder, ReadRecord, TxnKind, TxnRecord, WriteRecord,
 };
 use sss_engine::{
-    chrome_trace_json, EngineKind, EngineTuning, FaultInjector, FaultPlan, NetProfile, SimRuntime,
+    chrome_trace_json, EngineBuilder, EngineKind, FaultInjector, FaultPlan, NetProfile, SimRuntime,
     TransactionEngine, WatchdogConfig, WatchdogCore, WatchdogVerdict,
 };
 use sss_storage::{Key, TxnId, Value};
@@ -187,6 +187,16 @@ impl ChaosScenario {
         self
     }
 
+    /// The engine this scenario runs on, as a builder a harness can still
+    /// add to: `kind` on the scenario's node count, replication degree and
+    /// network profile, under `injector` (built from the scenario's plan,
+    /// or from an empty one for a fault-free control run).
+    pub fn engine(&self, kind: EngineKind, injector: &Arc<FaultInjector>) -> EngineBuilder {
+        kind.builder(self.spec.nodes, self.replication.min(self.spec.nodes))
+            .profile(self.profile)
+            .injector(injector)
+    }
+
     /// Total committed transactions the scenario demands.
     pub fn expected_total(&self) -> u64 {
         (self.spec.total_clients() * self.ops_per_client) as u64
@@ -223,7 +233,7 @@ pub struct ScenarioOutcome {
     pub diagnostics: Option<String>,
     /// Chrome-trace JSON of the engine's trace rings, dumped when the
     /// detector fired on an observability-enabled engine (see
-    /// [`run_scenario_with_tuning`]). Scheduling-dependent, so excluded from
+    /// [`run_scenario_on`]). Scheduling-dependent, so excluded from
     /// [`ScenarioOutcome::summary`].
     pub trace_dump: Option<String>,
     /// Consistency-checker verdict: `None` when unchecked, `Some(Ok(()))`
@@ -614,39 +624,19 @@ pub fn run_scenario(
     kind: EngineKind,
     scenario: &ChaosScenario,
 ) -> Result<ScenarioOutcome, SpecError> {
-    run_scenario_with_tuning(kind, scenario, EngineTuning::default())
-}
-
-/// [`run_scenario`] with explicit engine tuning, e.g. to run a chaos
-/// scenario with observability on (`EngineTuning::default()
-/// .observability(true)`) so a stuck run auto-dumps its trace rings into
-/// [`ScenarioOutcome::trace_dump`].
-///
-/// # Errors
-///
-/// Returns the [`SpecError`] if the scenario's workload spec is invalid.
-pub fn run_scenario_with_tuning(
-    kind: EngineKind,
-    scenario: &ChaosScenario,
-    tuning: EngineTuning,
-) -> Result<ScenarioOutcome, SpecError> {
     scenario.spec.validate()?;
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = kind.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        scenario.profile,
-        tuning,
-        Some(&injector),
-    );
+    let engine = scenario.engine(kind, &injector).build();
     let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
     injector.disarm();
     Ok(outcome)
 }
 
-/// [`run_scenario`] against an already-built engine; `injector` is armed
-/// after population (pass an injector built from an empty plan for a
-/// fault-free control run).
+/// [`run_scenario`] against an already-built engine — e.g.
+/// [`ChaosScenario::engine`] with [`EngineBuilder::observability`] on, so a stuck run auto-dumps its trace rings into
+/// [`ScenarioOutcome::trace_dump`]. `injector` is armed after population
+/// (pass an injector built from an empty plan for a fault-free control
+/// run).
 pub fn run_scenario_on<E: TransactionEngine + ?Sized>(
     engine: &E,
     injector: &Arc<FaultInjector>,
@@ -785,32 +775,15 @@ pub fn run_scenario_sim(
     scenario: &ChaosScenario,
     seed: u64,
 ) -> Result<ScenarioOutcome, SpecError> {
-    run_scenario_sim_with_tuning(kind, scenario, EngineTuning::default(), seed)
-}
-
-/// [`run_scenario_sim`] with explicit engine tuning.
-///
-/// # Errors
-///
-/// Returns the [`SpecError`] if the scenario's workload spec is invalid.
-pub fn run_scenario_sim_with_tuning(
-    kind: EngineKind,
-    scenario: &ChaosScenario,
-    tuning: EngineTuning,
-    seed: u64,
-) -> Result<ScenarioOutcome, SpecError> {
     scenario.spec.validate()?;
     let sim = SimRuntime::new(seed);
-    let handle = sim.handle();
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine: Arc<Box<dyn TransactionEngine>> = Arc::new(kind.build_tuned_on(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        scenario.profile,
-        tuning,
-        Some(&injector),
-        Some(&handle),
-    ));
+    let engine: Arc<Box<dyn TransactionEngine>> = Arc::new(
+        scenario
+            .engine(kind, &injector)
+            .scheduler(sim.handle())
+            .build(),
+    );
     let outcome = run_scenario_sim_on(&sim, &engine, &injector, scenario);
     injector.disarm();
     sim.wait_quiescent();
@@ -818,7 +791,7 @@ pub fn run_scenario_sim_with_tuning(
 }
 
 /// [`run_scenario_sim`] against an already-built engine wired to `sim`
-/// (see [`EngineKind::build_tuned_on`]); `injector` is armed at the first
+/// (see [`EngineBuilder::scheduler`]); `injector` is armed at the first
 /// quiescent point after population.
 pub fn run_scenario_sim_on(
     sim: &Arc<SimRuntime>,

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use sss_engine::{EngineTuning, FaultInjector, NetProfile};
+use sss_engine::FaultInjector;
 use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
 use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
@@ -37,13 +37,10 @@ fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
 fn run_with_batch(kind: EngineKind, batch: usize, seed: u64) -> sss_workload::ScenarioOutcome {
     let scenario = scenario(kind, seed);
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = kind.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        NetProfile::Instant,
-        EngineTuning::with_delivery_batch(batch),
-        Some(&injector),
-    );
+    let engine = scenario
+        .engine(kind, &injector)
+        .delivery_batch(batch)
+        .build();
     let outcome = run_scenario_on(engine.as_ref(), &injector, &scenario);
     injector.disarm();
     assert!(

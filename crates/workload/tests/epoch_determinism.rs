@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use sss_engine::{EngineTuning, FaultInjector, NetProfile, DEFAULT_CONFIRM_EPOCH};
+use sss_engine::{EngineBuilder, FaultInjector, DEFAULT_CONFIRM_EPOCH};
 use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
 use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
@@ -31,21 +31,21 @@ fn scenario(seed: u64) -> ChaosScenario {
         )
 }
 
-fn run_with_tuning(tuning: EngineTuning, seed: u64) -> sss_workload::ScenarioOutcome {
+/// Runs the seeded scenario on an SSS engine built with `tune` applied to
+/// the default builder.
+fn run_with_tuning(
+    tune: impl FnOnce(EngineBuilder) -> EngineBuilder,
+    seed: u64,
+) -> sss_workload::ScenarioOutcome {
     let scenario = scenario(seed);
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = EngineKind::Sss.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        NetProfile::Instant,
-        tuning,
-        Some(&injector),
-    );
+    let builder = tune(scenario.engine(EngineKind::Sss, &injector));
+    let engine = builder.clone().build();
     let outcome = run_scenario_on(engine.as_ref(), &injector, &scenario);
     injector.disarm();
     assert!(
         outcome.passed(),
-        "SSS with tuning {tuning:?} violated expectations: {:?}",
+        "SSS built from {builder:?} violated expectations: {:?}",
         outcome.violations
     );
     outcome
@@ -57,11 +57,8 @@ fn run_with_tuning(tuning: EngineTuning, seed: u64) -> sss_workload::ScenarioOut
 /// acceptance check of the protocol-round-reduction change.
 #[test]
 fn sss_scenario_summary_is_identical_across_epoch_windows() {
-    let singleton = run_with_tuning(EngineTuning::default().confirm_epoch(1), 23);
-    let grouped = run_with_tuning(
-        EngineTuning::default().confirm_epoch(DEFAULT_CONFIRM_EPOCH),
-        23,
-    );
+    let singleton = run_with_tuning(|b| b.confirm_epoch(1), 23);
+    let grouped = run_with_tuning(|b| b.confirm_epoch(DEFAULT_CONFIRM_EPOCH), 23);
     assert_eq!(
         singleton.summary(),
         grouped.summary(),
@@ -75,8 +72,8 @@ fn sss_scenario_summary_is_identical_across_epoch_windows() {
 /// piggybacked default bit-for-bit.
 #[test]
 fn sss_scenario_summary_is_identical_with_piggyback_off() {
-    let standalone = run_with_tuning(EngineTuning::default().piggyback(false), 23);
-    let piggybacked = run_with_tuning(EngineTuning::default().piggyback(true), 23);
+    let standalone = run_with_tuning(|b| b.piggyback(false), 23);
+    let piggybacked = run_with_tuning(|b| b.piggyback(true), 23);
     assert_eq!(
         standalone.summary(),
         piggybacked.summary(),
@@ -89,12 +86,9 @@ fn sss_scenario_summary_is_identical_with_piggyback_off() {
 /// still yields one bit-identical summary.
 #[test]
 fn sss_scenario_summary_is_identical_across_combined_sweeps() {
-    let baseline = run_with_tuning(EngineTuning::with_delivery_batch(1).confirm_epoch(1), 29);
+    let baseline = run_with_tuning(|b| b.delivery_batch(1).confirm_epoch(1), 29);
     for (batch, window) in [(1, 8), (16, 1), (16, DEFAULT_CONFIRM_EPOCH)] {
-        let swept = run_with_tuning(
-            EngineTuning::with_delivery_batch(batch).confirm_epoch(window),
-            29,
-        );
+        let swept = run_with_tuning(|b| b.delivery_batch(batch).confirm_epoch(window), 29);
         assert_eq!(
             baseline.summary(),
             swept.summary(),

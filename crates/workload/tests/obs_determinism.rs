@@ -1,5 +1,5 @@
 //! Observability must be pure measurement: building an engine with phase
-//! tracing, per-phase histograms and trace rings on (`EngineTuning::
+//! tracing, per-phase histograms and trace rings on (`EngineBuilder::
 //! observability`) may not change what any transaction observes. The same
 //! seeded chaos scenario must therefore produce the bit-identical outcome
 //! summary with tracing on and off for SSS (whose summary is fully
@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use sss_engine::{EngineTuning, FaultInjector, NetProfile};
+use sss_engine::FaultInjector;
 use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
 use sss_workload::{
     EngineKind, FaultPlan, LinkFault, LinkSelector, TransactionEngine, WorkloadSpec,
@@ -43,13 +43,10 @@ fn run(
     observability: bool,
 ) -> sss_workload::ScenarioOutcome {
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = kind.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        NetProfile::Instant,
-        EngineTuning::default().observability(observability),
-        Some(&injector),
-    );
+    let engine = scenario
+        .engine(kind, &injector)
+        .observability(observability)
+        .build();
     let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
     injector.disarm();
     assert!(

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use sss_engine::{EngineTuning, FaultInjector, NetProfile};
+use sss_engine::FaultInjector;
 use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
 use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
@@ -35,13 +35,10 @@ fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
 fn run_with_shards(kind: EngineKind, shards: usize, seed: u64) -> sss_workload::ScenarioOutcome {
     let scenario = scenario(kind, seed);
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = kind.build_tuned(
-        scenario.spec.nodes,
-        scenario.replication.min(scenario.spec.nodes),
-        NetProfile::Instant,
-        EngineTuning::with_storage_shards(shards),
-        Some(&injector),
-    );
+    let engine = scenario
+        .engine(kind, &injector)
+        .storage_shards(shards)
+        .build();
     let outcome = run_scenario_on(engine.as_ref(), &injector, &scenario);
     injector.disarm();
     assert!(
