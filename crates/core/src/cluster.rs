@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sss_faults::{FaultInjector, FaultInterposer};
-use sss_net::{NodeHost, ReliabilityConfig, TransportConfig};
+use sss_net::{NodeHost, TransportConfig};
 use sss_vclock::NodeId;
 
 use crate::config::{SssConfig, LATENCY_SEED, WORKERS_PER_NODE};
@@ -59,20 +59,19 @@ impl SssCluster {
     /// compatibility (e.g. resource exhaustion while spawning workers).
     pub fn start(config: SssConfig) -> Result<Self, SssError> {
         let injector = config.fault_injector.clone();
-        let mut transport_config = TransportConfig::new(config.nodes)
-            .latency(config.latency)
-            .seed(LATENCY_SEED);
         // The reliable-delivery layer is on exactly when the fault plan can
         // lose messages (link loss, or crash windows that purge mailboxes):
         // running such a plan on the bare transport would wedge the
         // protocol by design, and every other plan keeps exercising the
         // handlers' own idempotency guards.
-        if injector
-            .as_ref()
-            .is_some_and(|i| i.fault_plan().needs_reliable_delivery())
-        {
-            transport_config = transport_config.reliable(ReliabilityConfig::default());
-        }
+        let mut transport_config = TransportConfig::new(config.nodes)
+            .latency(config.latency)
+            .seed(LATENCY_SEED)
+            .reliable(
+                injector
+                    .as_ref()
+                    .is_some_and(|i| i.fault_plan().needs_reliable_delivery()),
+            );
         if let Some(injector) = &injector {
             transport_config =
                 transport_config.interposer(Arc::clone(injector) as Arc<dyn FaultInterposer>);

@@ -1,8 +1,7 @@
 //! The runtime half of the subsystem: turns a [`FaultPlan`] into transport
-//! interposition and scheduled pause/resume actions.
+//! interposition and scheduled pause/resume and crash/restart actions.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,13 +9,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sss_net::{FaultInterposer, NodeId, PauseControl, SendPlan};
-use sss_vclock::runtime::SchedulerHandle;
+use sss_vclock::runtime::Timers;
 
 use crate::plan::FaultPlan;
-
-/// How often the pause scheduler re-checks its stop flag while waiting for
-/// the next scheduled event.
-const SCHEDULER_TICK: Duration = Duration::from_millis(1);
 
 /// Callback the cluster attaches so crash-stop windows reach it: invoked
 /// with `(node, true)` when a scheduled crash begins and `(node, false)`
@@ -36,6 +31,64 @@ enum FaultEvent {
     Crash,
 }
 
+/// What the scheduled window events act on; shared with the closures
+/// waiting on the executor.
+struct Targets {
+    /// `false` once disarmed. Held across each firing, so
+    /// [`FaultInjector::disarm`] waits out an event in flight and every
+    /// later one is a no-op: a pause can never land after the resume-all.
+    live: Mutex<bool>,
+    controls: Mutex<Vec<Arc<PauseControl>>>,
+    /// Cluster-attached callback for crash/restart events; `None` until the
+    /// cluster registers one, in which case crash windows only mark the
+    /// node in `crashed` (useful for injector-level tests).
+    crash_hook: Mutex<Option<CrashHook>>,
+    /// Nodes currently inside a crash window. `disarm` restarts the
+    /// leftovers before it resumes pause gates, so an abandoned scenario
+    /// never leaves a node permanently dead.
+    crashed: Mutex<HashSet<usize>>,
+}
+
+impl Targets {
+    /// Fires one scheduled fault action against the attached controls/hook.
+    fn fire(&self, node: usize, event: FaultEvent) {
+        let live = self.live.lock();
+        if !*live {
+            return;
+        }
+        match event {
+            FaultEvent::Pause => {
+                if let Some(control) = self.controls.lock().get(node) {
+                    control.pause();
+                }
+            }
+            FaultEvent::Resume => {
+                if let Some(control) = self.controls.lock().get(node) {
+                    control.resume();
+                }
+            }
+            FaultEvent::Crash => {
+                self.crashed.lock().insert(node);
+                self.call_hook(node, true);
+            }
+            FaultEvent::Restart => {
+                self.crashed.lock().remove(&node);
+                self.call_hook(node, false);
+            }
+        }
+    }
+
+    fn call_hook(&self, node: usize, down: bool) {
+        // Cloned out of the lock: the hook purges mailboxes and may take
+        // its time; holding the hook lock would serialize it against a
+        // cluster attaching one.
+        let hook = self.crash_hook.lock().clone();
+        if let Some(hook) = hook {
+            hook(node, down);
+        }
+    }
+}
+
 /// Executes a [`FaultPlan`] against a running cluster.
 ///
 /// The injector plays two roles:
@@ -43,37 +96,30 @@ enum FaultEvent {
 /// * as a [`FaultInterposer`] it is consulted by the transport on every
 ///   send and translates the plan's partitions and per-link faults into
 ///   [`SendPlan`]s (extra delays and duplicated copies);
-/// * once [`FaultInjector::arm`]ed, a scheduler thread walks the plan's
-///   pause windows and flips the [`PauseControl`]s the cluster attached.
+/// * once [`FaultInjector::arm`]ed, the plan's pause and crash windows are
+///   events on the cluster's [`Timers`] (virtual-time events under the
+///   simulator) that flip the [`PauseControl`]s and call the [`CrashHook`]
+///   the cluster attached.
 ///
 /// Faults are inert until `arm` is called, so a harness can boot a cluster
 /// and pre-populate its key space fault-free, then arm the plan for the
 /// measured window. [`FaultInjector::disarm`] (also run on drop and by the
-/// cluster's shutdown) stops the scheduler and resumes every paused node.
+/// cluster's shutdown) cancels the rest of the plan and resumes every
+/// paused node.
 pub struct FaultInjector {
     plan: FaultPlan,
     /// Set exactly once by [`FaultInjector::arm`]; reads on the send hot
     /// path are lock-free after initialization.
     armed_at: std::sync::OnceLock<Instant>,
     links: Mutex<HashMap<(usize, usize), StdRng>>,
-    controls: Arc<Mutex<Vec<Arc<PauseControl>>>>,
-    /// Cluster-attached callback for crash/restart events; `None` until the
-    /// cluster registers one, in which case crash windows only mark the
-    /// node in `crashed` (useful for injector-level tests).
-    crash_hook: Arc<Mutex<Option<CrashHook>>>,
-    /// Nodes currently inside a crash window. `disarm` restarts the
-    /// leftovers before it resumes pause gates, so an abandoned scenario
-    /// never leaves a node permanently dead.
-    crashed: Arc<Mutex<HashSet<usize>>>,
-    scheduler: Mutex<Option<std::thread::JoinHandle<()>>>,
-    stop: Arc<AtomicBool>,
-    /// Simulation scheduler, when the cluster runs under one: pause windows
-    /// become virtual-time events instead of a scheduler thread, and the
-    /// armed epoch is a virtual instant.
-    sim: std::sync::OnceLock<SchedulerHandle>,
-    /// Tokens of scheduled (not yet fired) virtual pause/resume events, so
-    /// disarm can cancel the remainder of the plan.
-    sim_events: Mutex<Vec<u64>>,
+    targets: Arc<Targets>,
+    /// The executor the windows run on: the cluster's, lent through
+    /// [`FaultInterposer::attach`], or one of the injector's own when it is
+    /// armed without ever being attached.
+    timers: Mutex<Option<Arc<Timers>>>,
+    /// Tokens of the scheduled window events, so disarm can cancel the
+    /// remainder of the plan.
+    scheduled: Mutex<Vec<u64>>,
 }
 
 impl FaultInjector {
@@ -83,21 +129,15 @@ impl FaultInjector {
             plan,
             armed_at: std::sync::OnceLock::new(),
             links: Mutex::new(HashMap::new()),
-            controls: Arc::new(Mutex::new(Vec::new())),
-            crash_hook: Arc::new(Mutex::new(None)),
-            crashed: Arc::new(Mutex::new(HashSet::new())),
-            scheduler: Mutex::new(None),
-            stop: Arc::new(AtomicBool::new(false)),
-            sim: std::sync::OnceLock::new(),
-            sim_events: Mutex::new(Vec::new()),
+            targets: Arc::new(Targets {
+                live: Mutex::new(true),
+                controls: Mutex::new(Vec::new()),
+                crash_hook: Mutex::new(None),
+                crashed: Mutex::new(HashSet::new()),
+            }),
+            timers: Mutex::new(None),
+            scheduled: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Runs scheduled pause windows on a simulation scheduler instead of a
-    /// real-time scheduler thread. Must be called before
-    /// [`FaultInjector::arm`]; write-once, later calls are no-ops.
-    pub fn set_scheduler(&self, scheduler: SchedulerHandle) {
-        let _ = self.sim.set(scheduler);
     }
 
     /// The plan this injector executes.
@@ -109,73 +149,33 @@ impl FaultInjector {
     /// node. Called by the cluster during start-up; scheduled pauses of
     /// nodes without an attached control are ignored.
     pub fn attach_pause_controls(&self, controls: Vec<Arc<PauseControl>>) {
-        *self.controls.lock() = controls;
+        *self.targets.controls.lock() = controls;
     }
 
     /// Attaches the cluster's crash/restart callback. Called by the cluster
     /// during start-up, before [`FaultInjector::arm`]; crash windows fired
     /// without a hook only update the injector's crashed-node set.
     pub fn attach_crash_hook(&self, hook: CrashHook) {
-        *self.crash_hook.lock() = Some(hook);
+        *self.targets.crash_hook.lock() = Some(hook);
     }
 
     /// `true` while `node` is inside a scheduled crash window (crashed and
     /// not yet restarted).
     pub fn is_node_crashed(&self, node: usize) -> bool {
-        self.crashed.lock().contains(&node)
-    }
-
-    /// Fires one scheduled fault action against the attached controls/hook.
-    fn fire(
-        controls: &Mutex<Vec<Arc<PauseControl>>>,
-        crash_hook: &Mutex<Option<CrashHook>>,
-        crashed: &Mutex<HashSet<usize>>,
-        node: usize,
-        event: FaultEvent,
-    ) {
-        match event {
-            FaultEvent::Pause => {
-                if let Some(control) = controls.lock().get(node) {
-                    control.pause();
-                }
-            }
-            FaultEvent::Resume => {
-                if let Some(control) = controls.lock().get(node) {
-                    control.resume();
-                }
-            }
-            FaultEvent::Crash => {
-                crashed.lock().insert(node);
-                // Clone out of the lock: the hook purges mailboxes and may
-                // take its time; holding the hook lock would serialize it
-                // against disarm.
-                let hook = crash_hook.lock().clone();
-                if let Some(hook) = hook {
-                    hook(node, true);
-                }
-            }
-            FaultEvent::Restart => {
-                crashed.lock().remove(&node);
-                let hook = crash_hook.lock().clone();
-                if let Some(hook) = hook {
-                    hook(node, false);
-                }
-            }
-        }
+        self.targets.crashed.lock().contains(&node)
     }
 
     /// Arms the plan: scheduled windows are measured from this instant and
     /// probabilistic faults start firing. Idempotent — only the first call
     /// sets the epoch.
     pub fn arm(&self) {
-        let epoch = match self.sim.get() {
-            Some(scheduler) => scheduler.now(),
-            None => Instant::now(),
-        };
+        let timers = Arc::clone(
+            self.timers
+                .lock()
+                .get_or_insert_with(|| Arc::new(Timers::new(None))),
+        );
+        let epoch = timers.now();
         if self.armed_at.set(epoch).is_err() {
-            return;
-        }
-        if self.plan.pauses.is_empty() && self.plan.crashes.is_empty() {
             return;
         }
         // Coalesce overlapping pause windows per node before flattening to
@@ -214,47 +214,14 @@ impl FaultInjector {
             events.push((crash.start, crash.node, FaultEvent::Crash));
             events.push((crash.restarts_at(), crash.node, FaultEvent::Restart));
         }
+        // The executor runs same-instant events in scheduling order, so
+        // this sort fixes their order.
         events.sort_by_key(|(at, node, event)| (*at, *node, *event));
-        if let Some(scheduler) = self.sim.get() {
-            // Simulated: each action is a virtual-time event; the sort
-            // above fixes the order of same-instant events.
-            let mut tokens = self.sim_events.lock();
-            for (at, node, event) in events {
-                let controls = Arc::clone(&self.controls);
-                let crash_hook = Arc::clone(&self.crash_hook);
-                let crashed = Arc::clone(&self.crashed);
-                tokens.push(scheduler.schedule(
-                    epoch + at,
-                    Box::new(move || {
-                        FaultInjector::fire(&controls, &crash_hook, &crashed, node, event);
-                    }),
-                ));
-            }
-            return;
+        let mut scheduled = self.scheduled.lock();
+        for (at, node, event) in events {
+            let targets = Arc::clone(&self.targets);
+            scheduled.push(timers.schedule(epoch + at, move || targets.fire(node, event)));
         }
-        let controls = Arc::clone(&self.controls);
-        let crash_hook = Arc::clone(&self.crash_hook);
-        let crashed = Arc::clone(&self.crashed);
-        let stop = Arc::clone(&self.stop);
-        let handle = std::thread::Builder::new()
-            .name("sss-fault-scheduler".into())
-            .spawn(move || {
-                for (at, node, event) in events {
-                    loop {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let elapsed = epoch.elapsed();
-                        if elapsed >= at {
-                            break;
-                        }
-                        std::thread::sleep(SCHEDULER_TICK.min(at - elapsed));
-                    }
-                    FaultInjector::fire(&controls, &crash_hook, &crashed, node, event);
-                }
-            })
-            .expect("failed to spawn fault scheduler");
-        *self.scheduler.lock() = Some(handle);
     }
 
     /// `true` once the plan has been armed.
@@ -262,33 +229,25 @@ impl FaultInjector {
         self.armed_at.get().is_some()
     }
 
-    /// Stops the pause scheduler and resumes every attached node.
+    /// Cancels the remaining windows and resumes every attached node.
     /// Idempotent; also invoked on drop and by cluster shutdown, so a
     /// harness abandoned mid-scenario never leaves nodes paused.
     pub fn disarm(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.scheduler.lock().take() {
-            let _ = handle.join();
-        }
-        if let Some(scheduler) = self.sim.get() {
-            for token in self.sim_events.lock().drain(..) {
-                scheduler.cancel(token);
+        *self.targets.live.lock() = false;
+        if let Some(timers) = &*self.timers.lock() {
+            for token in self.scheduled.lock().drain(..) {
+                timers.cancel(token);
             }
         }
         // Restart nodes whose restart event was cancelled above (or whose
         // window outlived the scenario) *before* resuming pause gates, so a
         // node never comes back paused-but-alive with a purged mailbox.
-        let mut leftover: Vec<usize> = self.crashed.lock().drain().collect();
-        if !leftover.is_empty() {
-            leftover.sort_unstable();
-            let hook = self.crash_hook.lock().clone();
-            if let Some(hook) = hook {
-                for node in leftover {
-                    hook(node, false);
-                }
-            }
+        let mut leftover: Vec<usize> = self.targets.crashed.lock().drain().collect();
+        leftover.sort_unstable();
+        for node in leftover {
+            self.targets.call_hook(node, false);
         }
-        for control in self.controls.lock().iter() {
+        for control in self.targets.controls.lock().iter() {
             control.resume();
         }
     }
@@ -316,10 +275,8 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInterposer for FaultInjector {
-    fn attach(&self, pause_controls: Vec<Arc<PauseControl>>, scheduler: Option<&SchedulerHandle>) {
-        if let Some(scheduler) = scheduler {
-            self.set_scheduler(Arc::clone(scheduler));
-        }
+    fn attach(&self, pause_controls: Vec<Arc<PauseControl>>, timers: &Arc<Timers>) {
+        *self.timers.lock() = Some(Arc::clone(timers));
         self.attach_pause_controls(pause_controls);
     }
 

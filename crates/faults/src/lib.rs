@@ -17,10 +17,11 @@
 //!   comparable, so the same plan replays the same adversary.
 //! * [`FaultInjector`] — executes a plan against a running cluster by
 //!   implementing the `sss-net` [`FaultInterposer`]
-//!   hook (consulted by the transport on every send), by driving the
-//!   per-node [`PauseControl`] gates from a
-//!   scheduler thread, and by firing the cluster-attached [`CrashHook`]
-//!   at crash/restart instants.
+//!   hook (consulted by the transport on every send), and by scheduling
+//!   the plan's windows on the cluster's one timer executor
+//!   (`sss_vclock::runtime::Timers`): pause windows flip the per-node
+//!   [`PauseControl`] gates, crash windows fire the cluster-attached
+//!   [`CrashHook`].
 //!
 //! Message loss and crashes violate the paper's *reliable asynchronous
 //! channel* assumption (§II), so they are only safety-preserving when the
@@ -31,6 +32,8 @@
 //! The delay-only faults (jitter, spikes, reordering, duplication,
 //! partitions-that-heal, pauses) remain safety-preserving on the bare
 //! transport, exactly as before.
+
+#![deny(missing_docs)]
 
 mod injector;
 mod plan;

@@ -26,8 +26,8 @@ pub struct NodeHost<M: Send + Clone + 'static> {
 impl<M: Send + Clone + 'static> NodeHost<M> {
     /// Boots a cluster: creates the transport described by `config`,
     /// attributes its traffic per message kind through `kind_index`, hands
-    /// the pause gates (and the simulation scheduler, if any) to the
-    /// config's fault interposer, builds one service per node with
+    /// the pause gates and the transport's timers to the config's fault
+    /// interposer, builds one service per node with
     /// `service`, registers each as the target of its node's local fast
     /// path and starts `workers` mailbox workers per node, each draining up
     /// to `delivery_batch` messages per wakeup.
@@ -49,14 +49,13 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
     ) -> (Self, Vec<Arc<S>>) {
         let nodes = config.nodes;
         let interposer = config.interposer.clone();
-        let scheduler = config.scheduler.clone();
         let transport = Arc::new(ChannelTransport::new(config));
         transport.set_message_classifier(kind_index);
         if let Some(interposer) = interposer {
             let gates = (0..nodes)
                 .map(|i| transport.mailbox(NodeId(i)).pause_control())
                 .collect();
-            interposer.attach(gates, scheduler.as_ref());
+            interposer.attach(gates, transport.timers());
         }
         let services: Vec<Arc<S>> = (0..nodes).map(|i| service(NodeId(i), &transport)).collect();
         // Self-addressed messages skip the mailbox and run the handler on

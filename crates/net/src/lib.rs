@@ -19,17 +19,24 @@
 //! The substrate is engine-agnostic: SSS, the 2PC baseline, Walter and
 //! ROCOCO all run on it unchanged.
 //!
-//! # Batched delivery
+//! # One send path, four routes
 //!
-//! Delivery is batched at both ends of a mailbox: senders can hand a
-//! per-destination batch to [`Transport::send_batch`] (one enqueue and one
-//! wakeup round per destination) and workers drain up to a configurable
-//! number of same-priority messages per wakeup
+//! [`Transport::send`] and [`Transport::send_batch`] share one routing body
+//! that sends each message down one of four routes — *lost*, *local*,
+//! *immediate* or *timed*; the table is on [`ChannelTransport`]. The timed
+//! route is one wire crossing (plan, per-copy latency sample, one timer per
+//! copy on the transport's [`Timers`](sss_vclock::runtime::Timers)), which
+//! the optional reliable-delivery layer ([`TransportConfig::reliable`])
+//! reuses for its acks and retransmissions. The same `Timers` runs the
+//! fault injector's windows, so a threaded cluster has a single timer
+//! thread and a simulated one has none.
+//!
+//! Delivery is batched at both ends of a mailbox: a `send_batch` is one
+//! enqueue and one wakeup round per destination, and workers drain up to a
+//! configurable number of same-priority messages per wakeup
 //! ([`Mailbox::pop_batch`], [`NodeRuntime::spawn_batched`]). Batching is
 //! invisible to the fault layer: interposers are consulted per message, so
 //! a batch faults exactly like the equivalent sequence of single sends.
-//! Self-addressed messages can skip the queues entirely via the transport's
-//! local delivery fast path ([`ChannelTransport::set_local_dispatch`]).
 //!
 //! # The cluster chassis
 //!
@@ -45,6 +52,7 @@
 mod host;
 mod latency;
 mod mailbox;
+mod reliable;
 mod reply;
 mod runtime;
 mod transport;
@@ -54,11 +62,12 @@ pub use latency::LatencyModel;
 pub use mailbox::{
     Mailbox, MailboxStats, PauseControl, Priority, DEFAULT_DELIVERY_BATCH, MESSAGE_KIND_SLOTS,
 };
+pub use reliable::{ReliabilityStats, RETRANSMIT_RTO};
 pub use reply::{reply_channel, Gather, ReplyReceiver, ReplySender, ReplyTryRecvError};
 pub use runtime::{NodeRuntime, NodeService};
 pub use transport::{
-    ChannelTransport, Envelope, FaultInterposer, LocalDispatch, ReliabilityConfig,
-    ReliabilityStats, SendPlan, Transport, TransportConfig, TransportError, TransportExt,
+    ChannelTransport, Envelope, FaultInterposer, LocalDispatch, SendPlan, Transport,
+    TransportConfig, TransportError, TransportExt,
 };
 
 pub use sss_vclock::NodeId;

@@ -27,7 +27,7 @@ use sss_vclock::runtime::SchedulerHandle;
 /// construction under a simulated runtime), waiters park on the scheduler
 /// instead of a condvar and producers wake through it, so a simulated
 /// mailbox never blocks a real thread outside the scheduler's control.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct SchedCell(OnceLock<SchedulerHandle>);
 
 impl SchedCell {
@@ -44,14 +44,6 @@ impl SchedCell {
         if let Some(scheduler) = self.0.get() {
             scheduler.wake();
         }
-    }
-}
-
-impl std::fmt::Debug for SchedCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("SchedCell")
-            .field(&self.0.get().map(|_| "sim"))
-            .finish()
     }
 }
 
@@ -164,8 +156,7 @@ impl PauseControl {
     /// Wakes every parked waiter without changing the pause state; called by
     /// [`Mailbox::close`] so a close always unblocks paused workers.
     pub(crate) fn wake_all(&self) {
-        let _guard = self.waiters.lock();
-        drop(_guard);
+        drop(self.waiters.lock());
         self.resumed.notify_all();
         self.sched.wake();
     }
@@ -460,7 +451,7 @@ impl<M: Send> Mailbox<M> {
     /// across crash windows.
     pub fn crash(&self) {
         self.crashed.store(true, Ordering::Release);
-        let purged = {
+        {
             let mut state = self.state.lock();
             let mut purged = 0u64;
             for idx in 0..3 {
@@ -472,9 +463,7 @@ impl<M: Send> Mailbox<M> {
             if purged > 0 {
                 state.dequeue_ops += 1;
             }
-            purged
-        };
-        let _ = purged;
+        }
         // Wake parked poppers so they migrate from the ready queue to the
         // crash gate (mirrors how a pause landing mid-park re-gates).
         self.ready.notify_all();
@@ -523,24 +512,7 @@ impl<M: Send> Mailbox<M> {
     /// Returns `false` if the mailbox has been closed (the message is
     /// dropped), `true` otherwise.
     pub fn push(&self, msg: M, priority: Priority) -> bool {
-        if self.closed.load(Ordering::Acquire) {
-            return false;
-        }
-        if self.crashed.load(Ordering::Acquire) {
-            // A crashed node's NIC is off: the message vanishes, but the
-            // sender observes success — loss, not rejection.
-            return true;
-        }
-        let idx = priority.index();
-        {
-            let mut state = self.state.lock();
-            state.queues[idx].push_back(msg);
-            state.enqueued[idx] += 1;
-            state.enqueue_ops += 1;
-        }
-        self.ready.notify_one();
-        self.sched.wake();
-        true
+        self.push_batch(Some(msg), priority)
     }
 
     /// Enqueues every message of `msgs` in the queue of class `priority`
@@ -554,6 +526,8 @@ impl<M: Send> Mailbox<M> {
             return false;
         }
         if self.crashed.load(Ordering::Acquire) {
+            // A crashed node's NIC is off: the messages vanish, but the
+            // sender observes success — loss, not rejection.
             return true;
         }
         let idx = priority.index();
@@ -579,12 +553,15 @@ impl<M: Send> Mailbox<M> {
         true
     }
 
-    /// Pops the next message, honoring the priority bias.
-    ///
-    /// Blocks until a message arrives or the mailbox is closed *and* empty,
-    /// in which case `None` is returned.
-    pub fn pop(&self) -> Option<M> {
-        'outer: loop {
+    /// The one blocking loop behind [`Mailbox::pop`] and
+    /// [`Mailbox::pop_batch`]: waits out pause and crash gates, then `take`s
+    /// from the queues under their lock, parking until there is something
+    /// to take. `None` once the mailbox is closed and drained.
+    fn wait_and_take<T>(
+        &self,
+        mut take: impl FnMut(&mut MailboxState<M>) -> Option<T>,
+    ) -> Option<T> {
+        loop {
             // A paused or crashed node stops draining its queues (fault
             // injection); the close flag overrides both so shutdown always
             // drains.
@@ -593,22 +570,12 @@ impl<M: Send> Mailbox<M> {
                 continue;
             }
             let mut state = self.state.lock();
-            loop {
-                // Re-checked after every wakeup so a pause that lands while
-                // this worker is parked gates the messages behind it.
-                if self.gated() {
-                    // Re-park on the pause gate instead of the ready queue.
-                    break;
-                }
-                if let Some(msg) = state.pop_highest() {
-                    // Filter outside the queue lock (it may take locks of
-                    // its own); a filtered-out message was consumed, keep
-                    // popping.
-                    drop(state);
-                    if self.passes_filter(&msg) {
-                        return Some(msg);
-                    }
-                    continue 'outer;
+            // Re-checked after every wakeup so a pause that lands while
+            // this worker is parked gates the messages behind it: the
+            // worker re-parks on the pause gate instead of the ready queue.
+            while !self.gated() {
+                if let Some(taken) = take(&mut state) {
+                    return Some(taken);
                 }
                 if self.closed.load(Ordering::Acquire) {
                     return None;
@@ -633,6 +600,21 @@ impl<M: Send> Mailbox<M> {
         }
     }
 
+    /// Pops the next message, honoring the priority bias.
+    ///
+    /// Blocks until a message arrives or the mailbox is closed *and* empty,
+    /// in which case `None` is returned.
+    pub fn pop(&self) -> Option<M> {
+        loop {
+            let msg = self.wait_and_take(MailboxState::pop_highest)?;
+            // Filtered outside the queue lock (the filter may take locks of
+            // its own); a filtered-out message was consumed, keep popping.
+            if self.passes_filter(&msg) {
+                return Some(msg);
+            }
+        }
+    }
+
     /// Pops up to `max` messages of the *same* (highest non-empty) priority
     /// class into `out`, blocking until at least one message is available or
     /// the mailbox is closed and empty.
@@ -648,58 +630,28 @@ impl<M: Send> Mailbox<M> {
     /// Panics if `max` is zero.
     pub fn pop_batch(&self, max: usize, out: &mut Vec<M>) -> usize {
         assert!(max > 0, "pop_batch needs a non-zero batch size");
-        'outer: loop {
-            if self.gated() {
-                self.pause.block_while_paused(&self.closed, &self.crashed);
-                continue;
+        loop {
+            let taken = self.wait_and_take(|state| match state.drain_highest(max, out) {
+                0 => None,
+                taken => Some(taken),
+            });
+            let Some(taken) = taken else { return 0 };
+            // Filter the drained region outside the queue lock; filtered-out
+            // messages were consumed. If the whole batch dies, go back to
+            // waiting.
+            let start = out.len() - taken;
+            if let Some(filter) = self.filter.get() {
+                let mut i = start;
+                while i < out.len() {
+                    if filter(&out[i]) {
+                        i += 1;
+                    } else {
+                        out.remove(i);
+                    }
+                }
             }
-            let mut state = self.state.lock();
-            loop {
-                if self.gated() {
-                    break;
-                }
-                let taken = state.drain_highest(max, out);
-                if taken > 0 {
-                    // Filter the drained region outside the queue lock;
-                    // filtered-out messages were consumed. If the whole
-                    // batch dies, go back to waiting.
-                    drop(state);
-                    let kept = match self.filter.get() {
-                        None => taken,
-                        Some(filter) => {
-                            let start = out.len() - taken;
-                            let mut i = start;
-                            while i < out.len() {
-                                if filter(&out[i]) {
-                                    i += 1;
-                                } else {
-                                    out.remove(i);
-                                }
-                            }
-                            out.len() - start
-                        }
-                    };
-                    if kept > 0 {
-                        return kept;
-                    }
-                    continue 'outer;
-                }
-                if self.closed.load(Ordering::Acquire) {
-                    return 0;
-                }
-                match self.sched.get() {
-                    None => {
-                        state.waiters += 1;
-                        self.ready.wait(&mut state);
-                        state.waiters -= 1;
-                    }
-                    Some(scheduler) => {
-                        let scheduler = Arc::clone(scheduler);
-                        drop(state);
-                        scheduler.park(None);
-                        break;
-                    }
-                }
+            if out.len() > start {
+                return out.len() - start;
             }
         }
     }

@@ -1,18 +1,18 @@
 //! The [`Transport`] abstraction and its in-process implementation.
 
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_vclock::runtime::{Backoff, SchedulerHandle};
+use sss_vclock::runtime::{SchedulerHandle, Timers};
 use sss_vclock::NodeId;
 
 use crate::latency::LatencyModel;
 use crate::mailbox::{Mailbox, MailboxStats, PauseControl, Priority, MESSAGE_KIND_SLOTS};
+use crate::reliable::{ReliabilityStats, ReliableLayer};
 
 /// A node's message handler as registered with
 /// [`ChannelTransport::set_local_dispatch`]: the target of the local
@@ -114,11 +114,12 @@ pub trait Transport<M: Send>: Send + Sync {
 /// Every entry is one delivered copy of the message, with the *extra* delay
 /// (on top of the transport's configured latency model) to apply to that
 /// copy. A plan can also declare the message [`SendPlan::lost`]: zero copies
-/// reach the wire. Loss is only survivable when the transport runs a
-/// reliable-delivery layer (see [`ReliabilityConfig`]) whose retransmissions
-/// redraw the plan until a copy passes; without one a lost message is simply
-/// gone, which breaks the paper's reliable-channel system model — fault
-/// plans that enable loss are expected to enable reliability with it.
+/// reach the wire. Loss is only survivable when the transport runs its
+/// reliable-delivery layer (see [`TransportConfig::reliable`]) whose
+/// retransmissions redraw the plan until a copy passes; without one a lost
+/// message is simply gone, which breaks the paper's reliable-channel system
+/// model — fault plans that enable loss are expected to enable reliability
+/// with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendPlan {
     copies: Vec<Duration>,
@@ -199,9 +200,10 @@ impl SendPlan {
 /// messages until the partition heals) and message loss are all expressible
 /// as a [`SendPlan`]. The paper's system model assumes reliable asynchronous
 /// channels; loss therefore steps outside it and is only meaningful together
-/// with the transport's reliable-delivery layer ([`ReliabilityConfig`]),
-/// which re-establishes eventual delivery by retransmission — every fresh
-/// wire attempt (first send and each retransmit) draws a fresh plan.
+/// with the transport's reliable-delivery layer
+/// ([`TransportConfig::reliable`]), which re-establishes eventual delivery by
+/// retransmission — every fresh wire attempt (first send and each
+/// retransmit) draws a fresh plan.
 ///
 /// Interposer faults compose with the transport's [`LatencyModel`]: each
 /// copy's total delay is the sampled model latency plus the plan's extra
@@ -212,15 +214,10 @@ pub trait FaultInterposer: Send + Sync + std::fmt::Debug {
 
     /// Called once by the [`NodeHost`](crate::NodeHost) that installs this
     /// interposer, before any node runs: hands over the per-node pause
-    /// gates (indexed by node) and, under simulation, the scheduler that
-    /// timed fault windows must run on. An interposer that only plans
-    /// individual sends needs neither and keeps the default.
-    fn attach(
-        &self,
-        _pause_controls: Vec<Arc<PauseControl>>,
-        _scheduler: Option<&SchedulerHandle>,
-    ) {
-    }
+    /// gates (indexed by node) and the transport's executor, on which timed
+    /// fault windows run (in virtual time under simulation). An interposer
+    /// that only plans individual sends needs neither and keeps the default.
+    fn attach(&self, _pause_controls: Vec<Arc<PauseControl>>, _timers: &Arc<Timers>) {}
 }
 
 /// Convenience helpers available on every transport.
@@ -256,61 +253,8 @@ pub trait TransportExt<M: Send + Clone>: Transport<M> {
 
 impl<M: Send + Clone, T: Transport<M> + ?Sized> TransportExt<M> for T {}
 
-/// Tuning knobs of the transport's reliable-delivery layer.
-///
-/// The layer sits between [`Transport::send`] and the destination mailbox:
-/// every message gets a per-link sequence number and is retransmitted on a
-/// capped-exponential schedule (deterministically jittered from the
-/// transport seed) until the *receiver's worker* acknowledges popping it for
-/// processing — not merely enqueueing it, so a crash that purges a mailbox
-/// also revives the retransmissions of everything it destroyed. Receivers
-/// drop already-processed sequence numbers before the handler sees them,
-/// turning the at-least-once wire into effectively-once delivery. Acks
-/// travel the reverse link and are subject to the same wire faults (loss
-/// included); a lost ack costs one duplicate, which the receiver suppresses
-/// and re-acknowledges.
-#[derive(Debug, Clone, Copy)]
-pub struct ReliabilityConfig {
-    /// Base retransmission timeout: the first retransmit of an unacked
-    /// message fires roughly this long after the send.
-    pub rto: Duration,
-    /// Upper bound on the backoff between retransmissions.
-    pub cap: Duration,
-    /// Retransmissions per message before the layer gives up, which bounds
-    /// the event cascade when a peer never restarts.
-    pub max_attempts: u32,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            rto: Duration::from_millis(1),
-            cap: Duration::from_millis(10),
-            max_attempts: 20,
-        }
-    }
-}
-
-/// Monotonic counters of the reliable-delivery layer (see
-/// [`ChannelTransport::reliability_stats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReliabilityStats {
-    /// Messages that entered the reliable layer (sequence numbers issued).
-    pub sent: u64,
-    /// Wire retransmissions performed.
-    pub retransmits: u64,
-    /// Acknowledgements that retired an outstanding message.
-    pub acks: u64,
-    /// Duplicate deliveries suppressed before reaching a handler.
-    pub duplicates_suppressed: u64,
-    /// Messages abandoned after exhausting `max_attempts` retransmissions.
-    pub gave_up: u64,
-    /// Messages currently unacknowledged (a gauge, not a counter).
-    pub outstanding: u64,
-}
-
 /// Configuration of a [`ChannelTransport`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct TransportConfig {
     /// Number of nodes in the cluster.
     pub nodes: usize,
@@ -320,31 +264,18 @@ pub struct TransportConfig {
     pub seed: u64,
     /// Optional fault interposer consulted on every send.
     pub interposer: Option<Arc<dyn FaultInterposer>>,
-    /// Optional simulation scheduler. When set, latency is modeled by
-    /// scheduling virtual-time delivery events instead of a delayer thread,
-    /// `now` reads come from the virtual clock, and every mailbox parks its
-    /// workers on the scheduler.
+    /// Optional simulation scheduler. When set, timed deliveries are
+    /// virtual-time events, `now` reads come from the virtual clock, and
+    /// every mailbox parks its workers on the scheduler.
     pub scheduler: Option<SchedulerHandle>,
-    /// Optional reliable-delivery layer (sequence numbers, ack/retransmit,
-    /// receiver-side dedup). Off by default: the lossless fault repertoire
-    /// (delay, reorder, duplicate, partition) is deliberately exercised
-    /// against the bare protocol — e.g. duplicate storms keep testing
-    /// handler idempotency — and only plans that lose messages or crash
-    /// nodes need the layer to restore eventual delivery.
-    pub reliable: Option<ReliabilityConfig>,
-}
-
-impl std::fmt::Debug for TransportConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransportConfig")
-            .field("nodes", &self.nodes)
-            .field("latency", &self.latency)
-            .field("seed", &self.seed)
-            .field("interposer", &self.interposer)
-            .field("scheduler", &self.scheduler.as_ref().map(|_| "sim"))
-            .field("reliable", &self.reliable)
-            .finish()
-    }
+    /// Runs the reliable-delivery layer (sequence numbers, ack/retransmit,
+    /// receiver-side dedup; see [`RETRANSMIT_RTO`](crate::RETRANSMIT_RTO)).
+    /// Off by default: the lossless fault repertoire (delay, reorder,
+    /// duplicate, partition) is deliberately exercised against the bare
+    /// protocol — e.g. duplicate storms keep testing handler idempotency —
+    /// and only plans that lose messages or crash nodes need the layer to
+    /// restore eventual delivery.
+    pub reliable: bool,
 }
 
 impl TransportConfig {
@@ -356,7 +287,7 @@ impl TransportConfig {
             seed: 0,
             interposer: None,
             scheduler: None,
-            reliable: None,
+            reliable: false,
         }
     }
 
@@ -385,504 +316,98 @@ impl TransportConfig {
         self
     }
 
-    /// Enables the reliable-delivery layer (see [`ReliabilityConfig`]).
-    pub fn reliable(mut self, reliable: ReliabilityConfig) -> Self {
-        self.reliable = Some(reliable);
+    /// Turns the reliable-delivery layer on or off (see
+    /// [`TransportConfig::reliable`]).
+    pub fn reliable(mut self, reliable: bool) -> Self {
+        self.reliable = reliable;
         self
     }
 }
 
-struct Delayed<M> {
-    deliver_at: Instant,
-    seq: u64,
-    envelope: Envelope<M>,
+/// The copies of a message no interposer planned: one, with no extra delay.
+const ONE_COPY: &[Duration] = &[Duration::ZERO];
+
+/// What lies between a sender and a destination mailbox: the latency model,
+/// the fault interposer and the executor that timed copies wait on. Forward
+/// sends, acks and retransmissions all cross it through [`Wire::cross`].
+#[derive(Clone)]
+pub(crate) struct Wire {
+    pub(crate) latency: LatencyModel,
+    pub(crate) interposer: Option<Arc<dyn FaultInterposer>>,
+    pub(crate) timers: Arc<Timers>,
 }
 
-impl<M> PartialEq for Delayed<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Delayed<M> {}
-impl<M> PartialOrd for Delayed<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Delayed<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest delivery wins.
-        other
-            .deliver_at
-            .cmp(&self.deliver_at)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct DelayerState<M> {
-    heap: BinaryHeap<Delayed<M>>,
-    rng: StdRng,
-    next_seq: u64,
-    shutdown: bool,
-}
-
-/// One unacknowledged message on a directed link.
-struct PendingMsg<M> {
-    envelope: Envelope<M>,
-    /// Wire attempts so far beyond the initial send.
-    attempt: u32,
-}
-
-/// Per-directed-link state of the reliable layer: the sender side of the
-/// link (sequence counter, unacked messages) and the receiver side
-/// (processed-sequence tracking for dedup) live in one entry because both
-/// ends of an in-process link belong to the same transport.
-struct LinkState<M> {
-    next_seq: u64,
-    outstanding: HashMap<u64, PendingMsg<M>>,
-    /// Receiver side: every sequence number below this has been handed to a
-    /// handler exactly once.
-    processed_floor: u64,
-    /// Receiver side: processed sequence numbers at or above the floor
-    /// (out-of-order arrivals); drained into the floor as gaps fill.
-    processed: BTreeSet<u64>,
-}
-
-impl<M> Default for LinkState<M> {
-    fn default() -> Self {
-        LinkState {
-            next_seq: 0,
-            outstanding: HashMap::new(),
-            processed_floor: 0,
-            processed: BTreeSet::new(),
-        }
-    }
-}
-
-impl<M> LinkState<M> {
-    /// Receiver-side dedup: records `seq` as processed; `false` when it
-    /// already was (the caller suppresses the duplicate).
-    fn record_processed(&mut self, seq: u64) -> bool {
-        if seq < self.processed_floor || self.processed.contains(&seq) {
-            return false;
-        }
-        self.processed.insert(seq);
-        while self.processed.remove(&self.processed_floor) {
-            self.processed_floor += 1;
-        }
-        true
-    }
-}
-
-/// A timer or delivery owned by the reliable layer.
-enum RelEvent<M> {
-    /// Check an outstanding message and put fresh copies on the wire.
-    Retransmit { from: usize, to: usize, seq: u64 },
-    /// An acknowledgement finished crossing the reverse link: retire the
-    /// outstanding message.
-    AckArrival { from: usize, to: usize, seq: u64 },
-    /// A retransmitted copy finished crossing the wire: enqueue it.
-    Deliver { envelope: Envelope<M> },
-}
-
-struct RelTimer<M> {
-    at: Instant,
-    seq: u64,
-    event: RelEvent<M>,
-}
-
-impl<M> PartialEq for RelTimer<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for RelTimer<M> {}
-impl<M> PartialOrd for RelTimer<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for RelTimer<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap; reverse so the earliest timer wins.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct RelTimerState<M> {
-    heap: BinaryHeap<RelTimer<M>>,
-    next_seq: u64,
-    shutdown: bool,
-}
-
-#[derive(Default)]
-struct RelCounters {
-    sent: AtomicU64,
-    retransmits: AtomicU64,
-    acks: AtomicU64,
-    dups: AtomicU64,
-    gave_up: AtomicU64,
-}
-
-/// The transport's reliable-delivery layer (enabled via
-/// [`TransportConfig::reliable`]; semantics on [`ReliabilityConfig`]).
-///
-/// Initial copies ride the transport's normal delivery machinery with a
-/// sequence number stamped into the envelope; everything else — acks,
-/// retransmissions, retransmitted copies in flight — is scheduled here, as
-/// virtual-time events under simulation or on a dedicated timer thread
-/// otherwise, so none of it ever touches the mailbox queue counters.
-struct ReliableLayer<M> {
-    cfg: ReliabilityConfig,
-    /// Retransmission schedule: capped exponential, jitter seeded from the
-    /// transport seed so simulated runs replay bit-identically.
-    backoff: Backoff,
-    mailboxes: Vec<Arc<Mailbox<Envelope<M>>>>,
-    interposer: Option<Arc<dyn FaultInterposer>>,
-    latency: LatencyModel,
-    links: Mutex<HashMap<(usize, usize), LinkState<M>>>,
-    /// Latency sampler for ack and retransmission crossings, seeded apart
-    /// from the forward path's so both draw reproducible sequences.
-    rng: Mutex<StdRng>,
-    sched: Option<SchedulerHandle>,
-    timers: Arc<(Mutex<RelTimerState<M>>, Condvar)>,
-    timer_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    counters: RelCounters,
-    shutdown: AtomicBool,
-}
-
-impl<M: Send + Clone + 'static> ReliableLayer<M> {
-    fn new(
-        cfg: ReliabilityConfig,
-        mailboxes: Vec<Arc<Mailbox<Envelope<M>>>>,
-        interposer: Option<Arc<dyn FaultInterposer>>,
-        latency: LatencyModel,
-        seed: u64,
-        sched: Option<SchedulerHandle>,
-    ) -> Arc<Self> {
-        Arc::new(ReliableLayer {
-            backoff: Backoff::exponential(cfg.rto, cfg.cap).with_jitter(seed ^ 0x52_45_4C_49),
-            cfg,
-            mailboxes,
-            interposer,
-            latency,
-            links: Mutex::new(HashMap::new()),
-            rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x61_63_6B_73)),
-            sched,
-            timers: Arc::new((
-                Mutex::new(RelTimerState {
-                    heap: BinaryHeap::new(),
-                    next_seq: 0,
-                    shutdown: false,
-                }),
-                Condvar::new(),
-            )),
-            timer_thread: Mutex::new(None),
-            counters: RelCounters::default(),
-            shutdown: AtomicBool::new(false),
-        })
-    }
-
-    fn now(&self) -> Instant {
-        match &self.sched {
-            Some(sched) => sched.now(),
-            None => Instant::now(),
-        }
-    }
-
-    /// Stamps `envelope` with the next sequence number of its link, records
-    /// it as outstanding and arms its first retransmission timer. Called on
-    /// the send path before the interposer draws the wire plan, so a lost
-    /// first attempt is already covered.
-    fn register(self: &Arc<Self>, envelope: &mut Envelope<M>) {
-        let link = (envelope.from.index(), envelope.to.index());
-        let seq = {
-            let mut links = self.links.lock();
-            let state = links.entry(link).or_default();
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            envelope.rel_seq = Some(seq);
-            state.outstanding.insert(
-                seq,
-                PendingMsg {
-                    envelope: envelope.clone(),
-                    attempt: 0,
-                },
-            );
-            seq
-        };
-        self.counters.sent.fetch_add(1, Ordering::Relaxed);
-        let at = self.now() + self.backoff.delay(1);
-        self.schedule(
-            at,
-            RelEvent::Retransmit {
-                from: link.0,
-                to: link.1,
-                seq,
-            },
-        );
-    }
-
-    /// The mailbox pop filter: decides whether a popped message reaches the
-    /// handler. Unstamped messages always pass. Stamped ones are deduped
-    /// against the link's processed set and acknowledged either way — a
-    /// duplicate usually means the previous ack was lost on the wire.
-    ///
-    /// Acking at *pop* time rather than enqueue time is what makes crashes
-    /// survivable: a crash purges the destination queue, so everything that
-    /// was enqueued but never popped stays unacknowledged and keeps being
-    /// retransmitted until the node restarts and processes it.
-    fn on_pop(self: &Arc<Self>, envelope: &Envelope<M>) -> bool {
-        let Some(seq) = envelope.rel_seq else {
-            return true;
-        };
-        let link = (envelope.from.index(), envelope.to.index());
-        let fresh = {
-            let mut links = self.links.lock();
-            links.entry(link).or_default().record_processed(seq)
-        };
-        if !fresh {
-            self.counters.dups.fetch_add(1, Ordering::Relaxed);
-        }
-        self.send_ack(envelope.from, envelope.to, seq);
-        fresh
-    }
-
-    /// Models the ack crossing the reverse link: it draws the interposer's
-    /// plan for `to -> from` (acks are lost, delayed and duplicated like any
-    /// other traffic) and, if a copy survives, schedules the retirement of
-    /// the outstanding message after the reverse latency.
-    fn send_ack(self: &Arc<Self>, from: NodeId, to: NodeId, seq: u64) {
-        if self.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let now = self.now();
-        let plan = match &self.interposer {
-            Some(interposer) => interposer.plan(to, from, now),
+impl Wire {
+    /// The interposer's plan for one message; a plain pass without one.
+    pub(crate) fn plan(&self, from: NodeId, to: NodeId, now: Instant) -> SendPlan {
+        match &self.interposer {
+            Some(interposer) => interposer.plan(from, to, now),
             None => SendPlan::pass(),
-        };
-        if plan.is_lost() {
-            return;
-        }
-        let extra = plan.deliveries().first().copied().unwrap_or(Duration::ZERO);
-        let delay = self.latency.sample(&mut *self.rng.lock()) + extra;
-        self.schedule(
-            now + delay,
-            RelEvent::AckArrival {
-                from: from.index(),
-                to: to.index(),
-                seq,
-            },
-        );
-    }
-
-    fn on_ack(&self, from: usize, to: usize, seq: u64) {
-        let mut links = self.links.lock();
-        if let Some(state) = links.get_mut(&(from, to)) {
-            if state.outstanding.remove(&seq).is_some() {
-                self.counters.acks.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
-    /// A retransmission timer fired: if the message is still outstanding,
-    /// put fresh copies on the wire (fresh interposer draw, fresh latency
-    /// samples) and arm the next, longer timer. Gives up once the
-    /// destination closed or `max_attempts` is exhausted.
-    fn on_retransmit(self: &Arc<Self>, from: usize, to: usize, seq: u64) {
-        if self.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let (envelope, attempt) = {
-            let mut links = self.links.lock();
-            let Some(state) = links.get_mut(&(from, to)) else {
-                return;
-            };
-            let Some(pending) = state.outstanding.get_mut(&seq) else {
-                return;
-            };
-            if self.mailboxes[to].is_closed() {
-                state.outstanding.remove(&seq);
-                return;
-            }
-            pending.attempt += 1;
-            if pending.attempt > self.cfg.max_attempts {
-                state.outstanding.remove(&seq);
-                self.counters.gave_up.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            (pending.envelope.clone(), pending.attempt)
-        };
-        self.counters.retransmits.fetch_add(1, Ordering::Relaxed);
-        let now = self.now();
-        let plan = match &self.interposer {
-            Some(interposer) => interposer.plan(envelope.from, envelope.to, now),
-            None => SendPlan::pass(),
-        };
-        for extra in plan.deliveries() {
-            let delay = self.latency.sample(&mut *self.rng.lock()) + *extra;
-            self.schedule(
-                now + delay,
-                RelEvent::Deliver {
-                    envelope: envelope.clone(),
-                },
-            );
-        }
-        self.schedule(
-            now + self.backoff.delay(attempt + 1),
-            RelEvent::Retransmit { from, to, seq },
-        );
-    }
-
-    fn run_event(self: &Arc<Self>, event: RelEvent<M>) {
-        match event {
-            RelEvent::Retransmit { from, to, seq } => self.on_retransmit(from, to, seq),
-            RelEvent::AckArrival { from, to, seq } => self.on_ack(from, to, seq),
-            RelEvent::Deliver { envelope } => {
-                let mailbox = &self.mailboxes[envelope.to.index()];
-                let priority = envelope.priority;
-                // A push into a closed mailbox is a silent no-op and a push
-                // into a crashed one is dropped on purpose — the message
-                // stays outstanding and a later retransmission lands it.
-                mailbox.push(envelope, priority);
-            }
-        }
-    }
-
-    /// Schedules `event` for `at`: a virtual-time event under simulation, a
-    /// timer-heap entry serviced by the layer's timer thread otherwise.
-    /// Events hold the layer weakly so a dropped transport stops the
-    /// machinery instead of being kept alive by its own timers.
-    fn schedule(self: &Arc<Self>, at: Instant, event: RelEvent<M>) {
-        if self.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match &self.sched {
-            Some(sched) => {
-                let weak = Arc::downgrade(self);
-                sched.schedule(
-                    at,
-                    Box::new(move || {
-                        if let Some(layer) = weak.upgrade() {
-                            layer.run_event(event);
-                        }
-                    }),
-                );
-            }
-            None => {
-                self.ensure_timer_thread();
-                let (lock, cvar) = &*self.timers;
-                let mut guard = lock.lock();
-                if guard.shutdown {
-                    return;
-                }
-                let seq = guard.next_seq;
-                guard.next_seq += 1;
-                guard.heap.push(RelTimer { at, seq, event });
-                drop(guard);
-                cvar.notify_all();
-            }
-        }
-    }
-
-    fn ensure_timer_thread(self: &Arc<Self>) {
-        let mut guard = self.timer_thread.lock();
-        if guard.is_some() {
-            return;
-        }
-        let weak = Arc::downgrade(self);
-        let timers = Arc::clone(&self.timers);
-        let handle = std::thread::Builder::new()
-            .name("sss-net-reliable".into())
-            .spawn(move || Self::timer_loop(weak, timers))
-            .expect("failed to spawn reliable-delivery timer thread");
-        *guard = Some(handle);
-    }
-
-    fn timer_loop(
-        weak: std::sync::Weak<ReliableLayer<M>>,
-        timers: Arc<(Mutex<RelTimerState<M>>, Condvar)>,
-    ) {
-        let (lock, cvar) = &*timers;
-        let mut guard = lock.lock();
-        loop {
-            if guard.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            if let Some(top) = guard.heap.peek() {
-                if top.at <= now {
-                    let timer = guard.heap.pop().expect("peeked timer vanished");
-                    // Run outside the heap lock: events take the link and
-                    // rng locks and may schedule further timers.
-                    drop(guard);
-                    match weak.upgrade() {
-                        Some(layer) => layer.run_event(timer.event),
-                        None => return,
-                    }
-                    guard = lock.lock();
-                    continue;
-                }
-                let wait = top.at - now;
-                cvar.wait_for(&mut guard, wait);
+    /// One crossing: each of `copies` (the extra delays a [`SendPlan`]
+    /// delivers; none for a lost message) reaches `deliver` once a latency
+    /// sampled from `rng`, plus that extra delay, has passed since `now`.
+    /// `item` moves into the last copy, so only duplicates pay for a clone.
+    pub(crate) fn cross<T, D>(
+        &self,
+        rng: &Mutex<StdRng>,
+        copies: &[Duration],
+        now: Instant,
+        item: T,
+        deliver: D,
+    ) where
+        T: Clone + Send + 'static,
+        D: Fn(T) + Clone + Send + 'static,
+    {
+        let mut last = Some((item, deliver));
+        for (i, extra) in copies.iter().enumerate() {
+            let delay = self.latency.sample(&mut *rng.lock()) + *extra;
+            let (item, deliver) = if i + 1 == copies.len() {
+                last.take()
             } else {
-                cvar.wait_for(&mut guard, Duration::from_millis(50));
+                last.clone()
             }
+            .expect("only the last copy takes the item");
+            self.timers.schedule(now + delay, move || deliver(item));
         }
     }
+}
 
-    /// Stops the layer: no new timers, timer thread joined, outstanding
-    /// messages dropped (shutdown is not a fault to recover from).
-    fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        {
-            let (lock, cvar) = &*self.timers;
-            lock.lock().shutdown = true;
-            cvar.notify_all();
-        }
-        if let Some(handle) = self.timer_thread.lock().take() {
-            let _ = handle.join();
-        }
-        self.links.lock().clear();
-    }
-
-    fn stats(&self) -> ReliabilityStats {
-        let outstanding = {
-            let links = self.links.lock();
-            links.values().map(|l| l.outstanding.len() as u64).sum()
-        };
-        ReliabilityStats {
-            sent: self.counters.sent.load(Ordering::Relaxed),
-            retransmits: self.counters.retransmits.load(Ordering::Relaxed),
-            acks: self.counters.acks.load(Ordering::Relaxed),
-            duplicates_suppressed: self.counters.dups.load(Ordering::Relaxed),
-            gave_up: self.counters.gave_up.load(Ordering::Relaxed),
-            outstanding,
-        }
+/// Where a timed crossing ends: the envelope is enqueued at `mailbox`. A
+/// closed mailbox refuses it silently, which is how copies still in flight
+/// at shutdown disappear.
+pub(crate) fn land<M: Send + 'static>(
+    mailbox: &Arc<Mailbox<Envelope<M>>>,
+) -> impl Fn(Envelope<M>) + Clone + Send + 'static {
+    let mailbox = Arc::clone(mailbox);
+    move |envelope| {
+        let priority = envelope.priority;
+        mailbox.push(envelope, priority);
     }
 }
 
 /// In-process [`Transport`] built on per-node priority [`Mailbox`]es.
 ///
-/// With a zero [`LatencyModel`] messages are pushed straight into the
-/// destination mailbox; with a non-zero model they are staged in a delay
-/// wheel serviced by a dedicated thread, which reproduces out-of-order
-/// delivery across messages with different sampled delays.
+/// # The routing table
 ///
-/// # Local delivery fast path
+/// Every message of a [`Transport::send`] or [`Transport::send_batch`]
+/// takes exactly one of four routes, decided in one place:
+///
+/// | route | when | what happens |
+/// |---|---|---|
+/// | **lost** | the interposer's plan drops it | nothing reaches the wire; with the reliable layer on, its retransmission timer recovers it |
+/// | **local** | zero latency, plain-pass plan, self-addressed, a handler registered with [`ChannelTransport::set_local_dispatch`], and the node neither paused, crashed nor closed | the handler runs on the sending thread: no queueing, no worker wakeup, no payload clone; counted in [`MailboxStats::local_delivered`] |
+/// | **immediate** | zero latency, plain-pass plan | pushed straight into the destination mailbox (a batch with one enqueue and one wakeup round) |
+/// | **timed** | anything else | each copy of the plan waits on the shared [`Timers`] for its sampled latency plus the plan's extra delay, then is pushed; copies with different delays arrive out of order |
 ///
 /// A node frequently messages *itself* (the coordinator is its own 2PC
 /// participant, confirmation rounds cover every node, and a colocated
-/// client reads local replicas). When a handler has been registered with
-/// [`ChannelTransport::set_local_dispatch`], a self-addressed message that
-/// would otherwise take the zero-latency fast path is handed to the handler
-/// directly on the sending thread — no queueing, no worker wakeup, no
-/// payload clone. The fast path is skipped (and the message queued
-/// normally) whenever it could be observable: a non-zero latency model, a
-/// fault-interposer plan that is not a plain pass, a paused node (pause
-/// gates model a node that stops *processing*), or a closed mailbox.
-/// Locally delivered messages are counted in
-/// [`MailboxStats::local_delivered`] rather than the queue counters.
+/// client reads local replicas), which is what the local route is for. It
+/// is skipped whenever it could be observable — pause gates model a node
+/// that stops *processing* — and when the reliable layer is on, because a
+/// node's messages to itself must survive its own crash like any others.
 pub struct ChannelTransport<M> {
     mailboxes: Vec<Arc<Mailbox<Envelope<M>>>>,
     local: Vec<OnceLock<LocalDispatch<M>>>,
@@ -895,27 +420,10 @@ pub struct ChannelTransport<M> {
     /// deliveries alike.
     kind_counts: Vec<[AtomicU64; MESSAGE_KIND_SLOTS]>,
     classifier: OnceLock<fn(&M) -> usize>,
-    latency: LatencyModel,
-    interposer: Option<Arc<dyn FaultInterposer>>,
-    delayer: Option<DelayerHandle<M>>,
-    sim: Option<SimCtx>,
-    reliable: Option<Arc<ReliableLayer<M>>>,
-}
-
-/// Simulation-mode context of a [`ChannelTransport`]: latency turns into
-/// virtual-time delivery events on the scheduler instead of entries in the
-/// threaded delay wheel.
-struct SimCtx {
-    sched: SchedulerHandle,
-    /// Latency sampler for the simulated path, seeded from the transport
-    /// config exactly like the delayer's; kept separate so simulated and
-    /// threaded runs each consume their own reproducible draw sequence.
+    wire: Wire,
+    /// Latency sampler of the send path, seeded from the transport config.
     rng: Mutex<StdRng>,
-}
-
-struct DelayerHandle<M> {
-    state: Arc<(Mutex<DelayerState<M>>, Condvar)>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    reliable: Option<Arc<ReliableLayer<M>>>,
 }
 
 impl<M: Send + Clone + 'static> ChannelTransport<M> {
@@ -929,33 +437,18 @@ impl<M: Send + Clone + 'static> ChannelTransport<M> {
         let mailboxes: Vec<Arc<Mailbox<Envelope<M>>>> = (0..config.nodes)
             .map(|_| Arc::new(Mailbox::new()))
             .collect();
-        let sim = config.scheduler.map(|sched| {
+        if let Some(scheduler) = &config.scheduler {
             for mailbox in &mailboxes {
-                mailbox.set_scheduler(Arc::clone(&sched));
+                mailbox.set_scheduler(Arc::clone(scheduler));
             }
-            SimCtx {
-                sched,
-                rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
-            }
-        });
-        // Fault interposers can delay individual copies even when the base
-        // latency model is zero, so their presence also requires the wheel.
-        // Under simulation delays become scheduler events, never a thread.
-        let delayer = if sim.is_some() || (config.latency.is_zero() && config.interposer.is_none())
-        {
-            None
-        } else {
-            Some(Self::spawn_delayer(config.seed))
+        }
+        let wire = Wire {
+            latency: config.latency,
+            interposer: config.interposer,
+            timers: Arc::new(Timers::new(config.scheduler)),
         };
-        let reliable = config.reliable.map(|rel| {
-            let layer = ReliableLayer::new(
-                rel,
-                mailboxes.clone(),
-                config.interposer.clone(),
-                config.latency,
-                config.seed,
-                sim.as_ref().map(|ctx| Arc::clone(&ctx.sched)),
-            );
+        let reliable = config.reliable.then(|| {
+            let layer = ReliableLayer::new(mailboxes.clone(), wire.clone(), config.seed);
             // Receiver side of the layer: every mailbox filters popped
             // messages through the dedup/ack hook before its workers hand
             // them to handlers.
@@ -973,21 +466,16 @@ impl<M: Send + Clone + 'static> ChannelTransport<M> {
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
             classifier: OnceLock::new(),
-            latency: config.latency,
-            interposer: config.interposer,
-            delayer,
-            sim,
+            wire,
+            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
             reliable,
         }
     }
 
-    /// The instant "now" as this transport experiences it: virtual time
-    /// under simulation, wall-clock time otherwise.
-    fn now(&self) -> Instant {
-        match &self.sim {
-            Some(ctx) => ctx.sched.now(),
-            None => Instant::now(),
-        }
+    /// The executor this transport's timed deliveries wait on; the chassis
+    /// lends it to the fault interposer so a cluster has one.
+    pub(crate) fn timers(&self) -> &Arc<Timers> {
+        &self.wire.timers
     }
 
     /// Registers the function that maps a message to its per-kind counter
@@ -1000,22 +488,21 @@ impl<M: Send + Clone + 'static> ChannelTransport<M> {
         let _ = self.classifier.set(classifier);
     }
 
-    /// Counts `count` logical sends of `payload`'s kind toward destination
-    /// `to`, if a classifier is registered.
-    fn note_kind(&self, to: NodeId, payload: &M, count: u64) {
+    /// Counts one logical send of `payload`'s kind toward destination `to`,
+    /// if a classifier is registered.
+    fn note_kind(&self, to: NodeId, payload: &M) {
         if let Some(classify) = self.classifier.get() {
             let slot = classify(payload);
             if slot < MESSAGE_KIND_SLOTS {
-                self.kind_counts[to.index()][slot].fetch_add(count, Ordering::Relaxed);
+                self.kind_counts[to.index()][slot].fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
     /// Registers the handler that receives node `node`'s self-addressed
-    /// messages directly (see the type-level docs on the local delivery
-    /// fast path). Typically called once per node right after the node's
-    /// worker runtime is constructed; only the first registration per node
-    /// takes effect.
+    /// messages directly (the local route of the type-level routing table).
+    /// Typically called once per node right after the node's worker runtime
+    /// is constructed; only the first registration per node takes effect.
     ///
     /// # Panics
     ///
@@ -1041,68 +528,6 @@ impl<M: Send + Clone + 'static> ChannelTransport<M> {
             return None;
         }
         Some(dispatch)
-    }
-
-    fn spawn_delayer(seed: u64) -> DelayerHandle<M> {
-        let state = Arc::new((
-            Mutex::new(DelayerState {
-                heap: BinaryHeap::new(),
-                rng: StdRng::seed_from_u64(seed),
-                next_seq: 0,
-                shutdown: false,
-            }),
-            Condvar::new(),
-        ));
-        DelayerHandle {
-            state,
-            thread: Mutex::new(None),
-        }
-    }
-
-    fn ensure_delayer_thread(&self) {
-        let Some(delayer) = &self.delayer else { return };
-        let mut guard = delayer.thread.lock();
-        if guard.is_some() {
-            return;
-        }
-        let state = Arc::clone(&delayer.state);
-        let mailboxes: Vec<Arc<Mailbox<Envelope<M>>>> = self.mailboxes.clone();
-        let handle = std::thread::Builder::new()
-            .name("sss-net-delayer".into())
-            .spawn(move || Self::delayer_loop(state, mailboxes))
-            .expect("failed to spawn delayer thread");
-        *guard = Some(handle);
-    }
-
-    fn delayer_loop(
-        state: Arc<(Mutex<DelayerState<M>>, Condvar)>,
-        mailboxes: Vec<Arc<Mailbox<Envelope<M>>>>,
-    ) {
-        let (lock, cvar) = &*state;
-        let mut guard = lock.lock();
-        loop {
-            if guard.shutdown && guard.heap.is_empty() {
-                return;
-            }
-            let now = Instant::now();
-            if let Some(top) = guard.heap.peek() {
-                if top.deliver_at <= now {
-                    let delayed = guard.heap.pop().expect("peeked entry vanished");
-                    let env = delayed.envelope;
-                    let to = env.to.index();
-                    // Deliver outside of the heap lock to keep the wheel hot.
-                    drop(guard);
-                    let priority = env.priority;
-                    mailboxes[to].push(env, priority);
-                    guard = lock.lock();
-                    continue;
-                }
-                let wait = top.deliver_at - now;
-                cvar.wait_for(&mut guard, wait);
-            } else {
-                cvar.wait_for(&mut guard, Duration::from_millis(50));
-            }
-        }
     }
 
     /// Mailbox of node `node`, used by the node runtime to attach workers.
@@ -1131,27 +556,20 @@ impl<M: Send + Clone + 'static> ChannelTransport<M> {
         stats
     }
 
-    /// Closes every mailbox and stops the delayer thread.
+    /// Closes every mailbox, then stops the timers.
     ///
-    /// In-flight messages already queued in mailboxes are still delivered to
-    /// workers that keep draining them; new sends fail with
-    /// [`TransportError::Closed`].
+    /// Messages already queued in mailboxes are still delivered to workers
+    /// that keep draining them; copies still waiting out a delay and
+    /// unacknowledged messages of the reliable layer are dropped — shutdown
+    /// returns without waiting for the longest delay in flight. New sends
+    /// fail with [`TransportError::Closed`]. Idempotent.
     pub fn shutdown(&self) {
+        for mailbox in &self.mailboxes {
+            mailbox.close();
+        }
+        self.wire.timers.stop();
         if let Some(layer) = &self.reliable {
-            layer.stop();
-        }
-        if let Some(delayer) = &self.delayer {
-            {
-                let (lock, cvar) = &*delayer.state;
-                lock.lock().shutdown = true;
-                cvar.notify_all();
-            }
-            if let Some(handle) = delayer.thread.lock().take() {
-                let _ = handle.join();
-            }
-        }
-        for mb in &self.mailboxes {
-            mb.close();
+            layer.forget_all();
         }
     }
 
@@ -1160,69 +578,118 @@ impl<M: Send + Clone + 'static> ChannelTransport<M> {
     pub fn reliability_stats(&self) -> Option<ReliabilityStats> {
         self.reliable.as_ref().map(|layer| layer.stats())
     }
-}
 
-impl<M: Send + Clone + 'static> ChannelTransport<M> {
-    /// Stages every copy of `plan` for `payload` into the delay wheel; the
-    /// caller holds the wheel lock and is responsible for the wakeup.
-    fn stage_delayed(
+    /// The one send path: prepares every message of `envelopes` (kind
+    /// counters, reliable-layer sequence numbers), draws the interposer's
+    /// plans, drops what the wire loses and hands the rest to
+    /// [`ChannelTransport::deliver`]. A single send is a batch of one held
+    /// in an array, so it builds no `Vec`.
+    fn route<E>(
         &self,
-        guard: &mut parking_lot::MutexGuard<'_, DelayerState<M>>,
-        envelope: Envelope<M>,
-        plan: &SendPlan,
-        now: Instant,
-    ) {
-        let copies = plan.deliveries();
-        // The envelope is moved into the last copy; only duplicated copies
-        // pay for a clone, keeping the common single-delivery path as cheap
-        // as before the interposer hook existed.
-        let mut envelope = Some(envelope);
-        for (i, extra) in copies.iter().enumerate() {
-            let delay = self.latency.sample(&mut guard.rng) + *extra;
-            let seq = guard.next_seq;
-            guard.next_seq += 1;
-            let envelope = if i + 1 == copies.len() {
-                envelope
-                    .take()
-                    .expect("envelope moved before the last copy")
-            } else {
-                envelope.as_ref().expect("envelope taken early").clone()
-            };
-            guard.heap.push(Delayed {
-                deliver_at: now + delay,
-                seq,
-                envelope,
-            });
+        from: NodeId,
+        to: NodeId,
+        priority: Priority,
+        mut envelopes: E,
+    ) -> Result<(), TransportError>
+    where
+        E: AsMut<[Envelope<M>]> + IntoIterator<Item = Envelope<M>>,
+    {
+        let Some(mailbox) = self.mailboxes.get(to.index()) else {
+            return Err(TransportError::UnknownNode(to));
+        };
+        if envelopes.as_mut().is_empty() {
+            return Ok(());
         }
+        for envelope in envelopes.as_mut().iter() {
+            self.note_kind(to, &envelope.payload);
+        }
+        // Registered before the wire draw: a message whose very first
+        // attempt is lost is already outstanding and will be retransmitted.
+        if let Some(layer) = &self.reliable {
+            for envelope in envelopes.as_mut() {
+                layer.register(envelope);
+            }
+        }
+        // The interposer is consulted once per message — a batch is a
+        // delivery optimization, not a unit the fault model can observe, so
+        // `sss-faults` determinism (per-link RNG draw sequences, reorder and
+        // duplicate semantics) is identical to a sequence of single sends.
+        // Without an interposer every message passes and no plan is built.
+        let plans: Vec<SendPlan> = match &self.wire.interposer {
+            Some(interposer) => {
+                let now = self.wire.timers.now();
+                envelopes
+                    .as_mut()
+                    .iter()
+                    .map(|_| interposer.plan(from, to, now))
+                    .collect()
+            }
+            None => Vec::new(),
+        };
+        if plans.iter().any(SendPlan::is_lost) {
+            // Lost: dropped on the wire, message by message. With the
+            // reliable layer on, the retransmission timer recovers them;
+            // without, the caller opted into a lossy network.
+            let (envelopes, plans): (Vec<_>, Vec<_>) = envelopes
+                .into_iter()
+                .zip(plans)
+                .filter(|(_, plan)| !plan.is_lost())
+                .unzip();
+            return if envelopes.is_empty() {
+                Ok(())
+            } else {
+                self.deliver(mailbox, from, to, priority, envelopes, &plans)
+            };
+        }
+        self.deliver(mailbox, from, to, priority, envelopes, &plans)
     }
 
-    /// Schedules every copy of `plan` for `envelope` as virtual-time
-    /// delivery events on the simulation scheduler — the sim-mode
-    /// equivalent of [`ChannelTransport::stage_delayed`]. Event ordering is
-    /// the scheduler's deterministic `(time, seq)` order, and a copy that
-    /// fires after shutdown lands in a closed mailbox where the push is a
-    /// silent no-op, matching the threaded delayer's drain-then-drop.
-    fn stage_sim(&self, ctx: &SimCtx, envelope: Envelope<M>, plan: &SendPlan, now: Instant) {
-        let copies = plan.deliveries();
-        let mut envelope = Some(envelope);
-        for (i, extra) in copies.iter().enumerate() {
-            let delay = self.latency.sample(&mut *ctx.rng.lock()) + *extra;
-            let env = if i + 1 == copies.len() {
-                envelope
-                    .take()
-                    .expect("envelope moved before the last copy")
+    /// Delivers messages the wire did not lose: locally, immediately or
+    /// timed (see the type-level routing table). `plans` is parallel to
+    /// `envelopes`, or empty when every message passes.
+    fn deliver<E>(
+        &self,
+        mailbox: &Arc<Mailbox<Envelope<M>>>,
+        from: NodeId,
+        to: NodeId,
+        priority: Priority,
+        mut envelopes: E,
+        plans: &[SendPlan],
+    ) -> Result<(), TransportError>
+    where
+        E: AsMut<[Envelope<M>]> + IntoIterator<Item = Envelope<M>>,
+    {
+        if self.wire.latency.is_zero() && plans.iter().all(SendPlan::is_pass) {
+            if from == to {
+                if let Some(dispatch) = self.local_fast_path(to) {
+                    // Local.
+                    self.local_delivered[to.index()]
+                        .fetch_add(envelopes.as_mut().len() as u64, Ordering::Relaxed);
+                    for envelope in envelopes {
+                        dispatch(envelope);
+                    }
+                    return Ok(());
+                }
+            }
+            // Immediate.
+            return if mailbox.push_batch(envelopes, priority) {
+                Ok(())
             } else {
-                envelope.as_ref().expect("envelope taken early").clone()
+                Err(TransportError::Closed)
             };
-            let mailbox = Arc::clone(&self.mailboxes[env.to.index()]);
-            ctx.sched.schedule(
-                now + delay,
-                Box::new(move || {
-                    let priority = env.priority;
-                    mailbox.push(env, priority);
-                }),
-            );
         }
+        // Timed.
+        if mailbox.is_closed() {
+            return Err(TransportError::Closed);
+        }
+        let now = self.wire.timers.now();
+        let land = land(mailbox);
+        for (i, envelope) in envelopes.into_iter().enumerate() {
+            let copies = plans.get(i).map_or(ONE_COPY, SendPlan::deliveries);
+            self.wire
+                .cross(&self.rng, copies, now, envelope, land.clone());
+        }
+        Ok(())
     }
 }
 
@@ -1234,67 +701,14 @@ impl<M: Send + Clone + 'static> Transport<M> for ChannelTransport<M> {
         payload: M,
         priority: Priority,
     ) -> Result<(), TransportError> {
-        let Some(mailbox) = self.mailboxes.get(to.index()) else {
-            return Err(TransportError::UnknownNode(to));
-        };
-        self.note_kind(to, &payload, 1);
-        let mut envelope = Envelope {
+        let envelope = Envelope {
             from,
             to,
             priority,
             payload,
             rel_seq: None,
         };
-        // Registered before the wire draw: a message whose very first
-        // attempt is lost is already outstanding and will be retransmitted.
-        if let Some(layer) = &self.reliable {
-            layer.register(&mut envelope);
-        }
-        let plan = match &self.interposer {
-            Some(interposer) => interposer.plan(from, to, self.now()),
-            None => SendPlan::pass(),
-        };
-        if plan.is_lost() {
-            // Dropped on the wire. With the reliable layer on, the
-            // retransmission timer recovers it; without, the caller opted
-            // into a lossy network and the message is gone.
-            return Ok(());
-        }
-        if self.latency.is_zero() && plan.is_pass() {
-            if from == to {
-                if let Some(dispatch) = self.local_fast_path(to) {
-                    self.local_delivered[to.index()].fetch_add(1, Ordering::Relaxed);
-                    dispatch(envelope);
-                    return Ok(());
-                }
-            }
-            return if mailbox.push(envelope, priority) {
-                Ok(())
-            } else {
-                Err(TransportError::Closed)
-            };
-        }
-        if let Some(ctx) = &self.sim {
-            if mailbox.is_closed() {
-                return Err(TransportError::Closed);
-            }
-            let now = ctx.sched.now();
-            self.stage_sim(ctx, envelope, &plan, now);
-            return Ok(());
-        }
-        self.ensure_delayer_thread();
-        let delayer = self
-            .delayer
-            .as_ref()
-            .expect("latency or interposer set but no delayer");
-        let (lock, cvar) = &*delayer.state;
-        let mut guard = lock.lock();
-        if guard.shutdown {
-            return Err(TransportError::Closed);
-        }
-        self.stage_delayed(&mut guard, envelope, &plan, Instant::now());
-        cvar.notify_one();
-        Ok(())
+        self.route(from, to, priority, [envelope])
     }
 
     fn send_batch(
@@ -1304,13 +718,7 @@ impl<M: Send + Clone + 'static> Transport<M> for ChannelTransport<M> {
         batch: Vec<M>,
         priority: Priority,
     ) -> Result<(), TransportError> {
-        let Some(mailbox) = self.mailboxes.get(to.index()) else {
-            return Err(TransportError::UnknownNode(to));
-        };
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut envelopes: Vec<Envelope<M>> = batch
+        let envelopes: Vec<Envelope<M>> = batch
             .into_iter()
             .map(|payload| Envelope {
                 from,
@@ -1320,90 +728,7 @@ impl<M: Send + Clone + 'static> Transport<M> for ChannelTransport<M> {
                 rel_seq: None,
             })
             .collect();
-        for env in &envelopes {
-            self.note_kind(to, &env.payload, 1);
-        }
-        if let Some(layer) = &self.reliable {
-            for env in &mut envelopes {
-                layer.register(env);
-            }
-        }
-        // The interposer is consulted once per message — a batch is a
-        // delivery optimization, not a unit the fault model can observe, so
-        // `sss-faults` determinism (per-link RNG draw sequences, reorder and
-        // duplicate semantics) is identical to a sequence of single sends.
-        let now = self.now();
-        let plans: Vec<SendPlan> = match &self.interposer {
-            Some(interposer) => envelopes
-                .iter()
-                .map(|_| interposer.plan(from, to, now))
-                .collect(),
-            None => Vec::new(),
-        };
-        // Wire loss strikes per message: lost envelopes leave the batch here
-        // (retransmission recovers them when the reliable layer is on).
-        let mut plans = plans;
-        if plans.iter().any(|p| p.is_lost()) {
-            let mut kept_envelopes = Vec::with_capacity(envelopes.len());
-            let mut kept_plans = Vec::with_capacity(plans.len());
-            for (env, plan) in envelopes.into_iter().zip(plans) {
-                if !plan.is_lost() {
-                    kept_envelopes.push(env);
-                    kept_plans.push(plan);
-                }
-            }
-            envelopes = kept_envelopes;
-            plans = kept_plans;
-            if envelopes.is_empty() {
-                return Ok(());
-            }
-        }
-        let all_pass = plans.iter().all(|p| p.is_pass());
-        if self.latency.is_zero() && all_pass {
-            if from == to {
-                if let Some(dispatch) = self.local_fast_path(to) {
-                    self.local_delivered[to.index()]
-                        .fetch_add(envelopes.len() as u64, Ordering::Relaxed);
-                    for envelope in envelopes {
-                        dispatch(envelope);
-                    }
-                    return Ok(());
-                }
-            }
-            return if mailbox.push_batch(envelopes, priority) {
-                Ok(())
-            } else {
-                Err(TransportError::Closed)
-            };
-        }
-        if let Some(ctx) = &self.sim {
-            if mailbox.is_closed() {
-                return Err(TransportError::Closed);
-            }
-            let pass = SendPlan::pass();
-            for (i, envelope) in envelopes.into_iter().enumerate() {
-                let plan = plans.get(i).unwrap_or(&pass);
-                self.stage_sim(ctx, envelope, plan, now);
-            }
-            return Ok(());
-        }
-        self.ensure_delayer_thread();
-        let delayer = self
-            .delayer
-            .as_ref()
-            .expect("latency or interposer set but no delayer");
-        let (lock, cvar) = &*delayer.state;
-        let mut guard = lock.lock();
-        if guard.shutdown {
-            return Err(TransportError::Closed);
-        }
-        let pass = SendPlan::pass();
-        for (i, envelope) in envelopes.into_iter().enumerate() {
-            let plan = plans.get(i).unwrap_or(&pass);
-            self.stage_delayed(&mut guard, envelope, plan, now);
-        }
-        cvar.notify_one();
-        Ok(())
+        self.route(from, to, priority, envelopes)
     }
 
     fn num_nodes(&self) -> usize {
@@ -1415,7 +740,7 @@ impl<M> std::fmt::Debug for ChannelTransport<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelTransport")
             .field("nodes", &self.mailboxes.len())
-            .field("latency", &self.latency)
+            .field("latency", &self.wire.latency)
             .finish()
     }
 }
@@ -1427,7 +752,7 @@ mod tests {
     /// Polls `cond` until it holds or a generous deadline elapses; returns
     /// whether it held. Replaces fixed sleeps: tests wait on observable
     /// state (mailbox depth) under a deadline instead of assuming how long
-    /// the delayer thread needs.
+    /// the timer thread needs.
     fn eventually(cond: impl Fn() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(5);
         while !cond() {
@@ -1616,6 +941,22 @@ mod tests {
             t.send(NodeId(0), NodeId(0), 2, Priority::Normal),
             Err(TransportError::Closed)
         );
+    }
+
+    #[test]
+    fn shutdown_drops_copies_still_in_flight_instead_of_waiting_for_them() {
+        let config = TransportConfig::new(2)
+            .latency(LatencyModel::new(Duration::from_secs(5), Duration::ZERO));
+        let t: ChannelTransport<u32> = ChannelTransport::new(config);
+        t.send(NodeId(0), NodeId(1), 1, Priority::Normal).unwrap();
+        let start = Instant::now();
+        t.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "shutdown waited {:?} for a copy 5 s from delivery",
+            start.elapsed()
+        );
+        assert!(t.mailbox(NodeId(1)).is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use sss_net::{
     Envelope, FaultInterposer, MailboxStats, NodeHost, NodeService, PauseControl, Priority,
     SendPlan, Transport, TransportConfig,
 };
-use sss_vclock::runtime::SchedulerHandle;
+use sss_vclock::runtime::Timers;
 use sss_vclock::NodeId;
 
 const NODES: usize = 3;
@@ -128,8 +128,7 @@ impl FaultInterposer for Recorder {
         SendPlan::pass()
     }
 
-    fn attach(&self, pause_controls: Vec<Arc<PauseControl>>, scheduler: Option<&SchedulerHandle>) {
-        assert!(scheduler.is_none(), "a threaded host has no scheduler");
+    fn attach(&self, pause_controls: Vec<Arc<PauseControl>>, _timers: &Arc<Timers>) {
         *self.gates.lock() = pause_controls;
     }
 }

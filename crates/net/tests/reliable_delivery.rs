@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use sss_net::{
-    ChannelTransport, Envelope, FaultInterposer, NodeRuntime, Priority, ReliabilityConfig,
-    SendPlan, Transport, TransportConfig,
+    ChannelTransport, Envelope, FaultInterposer, NodeRuntime, Priority, SendPlan, Transport,
+    TransportConfig, RETRANSMIT_RTO,
 };
 use sss_sim::SimRuntime;
 use sss_vclock::NodeId;
@@ -90,7 +90,7 @@ fn lossy_run(seed: u64, messages: u64, loss_percent: u64) -> (HashMap<u64, u64>,
         .seed(seed)
         .scheduler(sim.handle())
         .interposer(Arc::new(LossyLink::new(NodeId(0), NodeId(1), loss_percent)))
-        .reliable(ReliabilityConfig::default());
+        .reliable(true);
     let transport: Arc<ChannelTransport<u64>> = Arc::new(ChannelTransport::new(config));
     let seen: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
     let service = {
@@ -205,13 +205,12 @@ fn retransmit_waits_for_its_virtual_time_deadline() {
         }
     }
     let sim = SimRuntime::new(3);
-    let rel = ReliabilityConfig::default();
     let config = TransportConfig::new(2)
         .scheduler(sim.handle())
         .interposer(Arc::new(LoseFirstAttempt {
             draws: AtomicU64::new(0),
         }))
-        .reliable(rel);
+        .reliable(true);
     let transport: Arc<ChannelTransport<u64>> = Arc::new(ChannelTransport::new(config));
     let handled = Arc::new(AtomicU64::new(0));
     let service = {
@@ -243,10 +242,10 @@ fn retransmit_waits_for_its_virtual_time_deadline() {
     // [rto/2, rto): virtual time must have advanced at least that far — the
     // timer really waited for its deadline instead of firing immediately.
     assert!(
-        sim.virtual_elapsed() >= rel.rto / 2,
+        sim.virtual_elapsed() >= RETRANSMIT_RTO / 2,
         "virtual time only advanced {:?}, expected at least {:?}",
         sim.virtual_elapsed(),
-        rel.rto / 2
+        RETRANSMIT_RTO / 2
     );
     transport.shutdown();
     rt0.join();
@@ -259,7 +258,7 @@ fn wire_duplicates_are_suppressed_before_the_handler() {
     let config = TransportConfig::new(2)
         .scheduler(sim.handle())
         .interposer(Arc::new(DuplicateEverything))
-        .reliable(ReliabilityConfig::default());
+        .reliable(true);
     let transport: Arc<ChannelTransport<u64>> = Arc::new(ChannelTransport::new(config));
     let seen: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
     let service = {
@@ -311,7 +310,7 @@ fn lost_acks_cost_duplicates_never_deliveries() {
     let config = TransportConfig::new(2)
         .scheduler(sim.handle())
         .interposer(Arc::new(LossyLink::new(NodeId(1), NodeId(0), 60)))
-        .reliable(ReliabilityConfig::default());
+        .reliable(true);
     let transport: Arc<ChannelTransport<u64>> = Arc::new(ChannelTransport::new(config));
     let seen: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
     let service = {

@@ -178,3 +178,96 @@ proptest! {
         prop_assert_eq!(clock.nanos_at(deadline), start + timeout_ns);
     }
 }
+
+/// The contract of the stack's one deadline executor,
+/// `sss_vclock::runtime::Timers`, checked on both of its runtimes: the same
+/// ordering guarantees as the event queue above, whether an event is a
+/// virtual-time event of a `SimRuntime` or an entry in the threaded heap.
+mod timers_contract {
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    use sss_sim::SimRuntime;
+    use sss_vclock::runtime::Timers;
+
+    /// `settle` returns once every event due within `horizon` has run.
+    fn check(timers: &Timers, horizon: Duration, settle: &dyn Fn()) {
+        let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+        let record = |tag: &'static str| {
+            let log = Arc::clone(&log);
+            move || log.lock().unwrap().push(tag)
+        };
+        let start = timers.now();
+
+        // Same-instant events run in scheduling order; an earlier instant
+        // scheduled later still runs first.
+        let at = start + horizon / 2;
+        for tag in ["b1", "b2", "b3", "b4"] {
+            timers.schedule(at, record(tag));
+        }
+        timers.schedule(start + horizon / 4, record("a"));
+        // Cancelled before it fires: never runs, and only the first cancel
+        // reports that it stopped anything.
+        let cancelled = timers.schedule(at, record("cancelled"));
+        assert!(timers.cancel(cancelled));
+        assert!(!timers.cancel(cancelled));
+        settle();
+        assert_eq!(*log.lock().unwrap(), ["a", "b1", "b2", "b3", "b4"]);
+        assert!(!timers.cancel(cancelled), "a token is never reused");
+
+        // A deadline already past runs at once rather than never.
+        log.lock().unwrap().clear();
+        timers.schedule(start, record("past"));
+        settle();
+        assert_eq!(*log.lock().unwrap(), ["past"]);
+
+        // Stop drops what is pending, without waiting for its deadline, and
+        // refuses what comes later.
+        log.lock().unwrap().clear();
+        timers.schedule(timers.now() + Duration::from_secs(3600), record("pending"));
+        let wall = Instant::now();
+        timers.stop();
+        assert!(wall.elapsed() < Duration::from_secs(5));
+        timers.schedule(timers.now(), record("after stop"));
+        settle();
+        timers.stop();
+        assert!(log.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn threaded() {
+        let horizon = Duration::from_millis(40);
+        let timers = Timers::new(None);
+        // A sentinel at the horizon: when it has run, so has everything due
+        // before it, however late the timer thread was scheduled. A stopped
+        // executor drops the sentinel, which ends the wait at once.
+        let settle = || {
+            let (done, wait) = std::sync::mpsc::channel();
+            timers.schedule(timers.now() + horizon, move || {
+                let _ = done.send(());
+            });
+            let _ = wait.recv();
+        };
+        check(&timers, horizon, &settle);
+    }
+
+    #[test]
+    fn simulated() {
+        let sim = SimRuntime::new(9);
+        // Frozen between settles, so scheduling from this host thread never
+        // races the firing of what it scheduled a moment ago.
+        let settle = || {
+            sim.start();
+            sim.freeze();
+        };
+        check(
+            &Timers::new(Some(sim.handle())),
+            Duration::from_millis(40),
+            &settle,
+        );
+        assert!(
+            sim.virtual_elapsed() >= Duration::from_secs(3600),
+            "a stopped executor's events stay on the scheduler as no-ops"
+        );
+    }
+}

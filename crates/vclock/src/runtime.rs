@@ -5,12 +5,12 @@
 //! # Why this lives in `sss-vclock`
 //!
 //! Every crate that blocks or reads time — `sss-net` (mailboxes, reply
-//! channels, the transport delay wheel), `sss-storage` (lock-table waits),
-//! `sss-faults` (fault-plan timing), `sss-core`/`sss-baselines` (protocol
-//! timeouts and backoffs) — already depends on this crate for [`crate::NodeId`]
-//! and [`crate::VectorClock`]. Hosting the scheduler trait here lets all of
-//! them consult the simulation hooks without introducing a single new
-//! dependency edge.
+//! channels, timed deliveries and retransmissions), `sss-storage`
+//! (lock-table waits), `sss-faults` (fault-plan windows),
+//! `sss-core`/`sss-baselines` (protocol timeouts and backoffs) — already
+//! depends on this crate for [`crate::NodeId`] and [`crate::VectorClock`].
+//! Hosting the scheduler trait here lets all of them consult the simulation
+//! hooks without introducing a single new dependency edge.
 //!
 //! # The two modes
 //!
@@ -31,6 +31,15 @@
 //! additionally handed an explicit [`SchedulerHandle`] at construction so
 //! host-side operations such as `close()` can wake parked tasks.
 //!
+//! # Run this at time T
+//!
+//! Work that must happen at a deadline without a task waiting for it — a
+//! delayed message delivery, a retransmission timer, the start and end of a
+//! fault window — goes through one executor, [`Timers`]: an event on the
+//! scheduler when simulated, otherwise one heap served by one thread. It is
+//! the only place outside the simulator that owns a timer heap or a timer
+//! thread, so callers never branch on which runtime they are under.
+//!
 //! # Virtual instants
 //!
 //! A simulated clock still hands out [`std::time::Instant`] values so that
@@ -42,7 +51,8 @@
 //! against `Instant::now()` taken outside the simulation — which is why all
 //! protocol code reads time through [`now`].
 
-use std::sync::Arc;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -182,6 +192,221 @@ pub fn sleep(duration: Duration) {
     }
 }
 
+/// The deadline executor: runs closures at instants.
+///
+/// Under a [`SchedulerHandle`] an event *is* a [`SimScheduler::schedule`]
+/// event in virtual time; otherwise events sit in one heap served by one
+/// thread (`sss-timers`, spawned by the first [`Timers::schedule`]). Either
+/// way events scheduled for the same instant run in scheduling order, a
+/// deadline already past runs as soon as possible, and an event runs with
+/// no executor lock held, so it may schedule or cancel others.
+///
+/// Sharing one `Timers` between the components of a cluster (the transport
+/// lends its own to the fault interposer) keeps a threaded cluster at one
+/// timer thread however many of them have deadlines. Dropping the last
+/// handle stops it.
+pub struct Timers {
+    scheduler: Option<SchedulerHandle>,
+    shared: Arc<TimerShared>,
+}
+
+struct TimerShared {
+    queue: Mutex<TimerQueue>,
+    /// Signalled on every push and on stop; only the timer thread waits.
+    changed: Condvar,
+}
+
+struct TimerQueue {
+    heap: BinaryHeap<Timer>,
+    next_token: u64,
+    thread: Option<JoinHandle<()>>,
+    /// Set by [`Timers::stop`]: nothing runs or is accepted any more.
+    stopped: bool,
+}
+
+struct Timer {
+    at: Instant,
+    token: u64,
+    event: Box<dyn FnOnce() + Send>,
+}
+
+impl PartialEq for Timer {
+    fn eq(&self, other: &Self) -> bool {
+        self.token == other.token
+    }
+}
+impl Eq for Timer {}
+impl PartialOrd for Timer {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Timer {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // BinaryHeap is a max-heap: reversed, so the earliest deadline and,
+        // within an instant, the earliest scheduled event surfaces first.
+        (other.at, other.token).cmp(&(self.at, self.token))
+    }
+}
+
+/// Token of an event refused because the executor had stopped; no live
+/// event ever carries it.
+const REFUSED: u64 = u64::MAX;
+
+impl TimerShared {
+    fn lock(&self) -> MutexGuard<'_, TimerQueue> {
+        // Events run outside the lock, so only a panic inside this module
+        // could poison it.
+        self.queue.lock().expect("timer queue poisoned")
+    }
+
+    fn serve(&self) {
+        let mut queue = self.lock();
+        while !queue.stopped {
+            let now = Instant::now();
+            match queue.heap.peek().map(|next| next.at) {
+                Some(at) if at <= now => {
+                    let due = queue.heap.pop().expect("peeked timer vanished");
+                    drop(queue);
+                    (due.event)();
+                    queue = self.lock();
+                }
+                Some(at) => {
+                    let (guard, _) = self
+                        .changed
+                        .wait_timeout(queue, at - now)
+                        .expect("timer queue poisoned");
+                    queue = guard;
+                }
+                None => queue = self.changed.wait(queue).expect("timer queue poisoned"),
+            }
+        }
+    }
+}
+
+impl Timers {
+    /// An executor on `scheduler`'s virtual time, or on the wall clock and
+    /// its own thread when there is none.
+    pub fn new(scheduler: Option<SchedulerHandle>) -> Self {
+        Timers {
+            scheduler,
+            shared: Arc::new(TimerShared {
+                queue: Mutex::new(TimerQueue {
+                    heap: BinaryHeap::new(),
+                    next_token: 0,
+                    thread: None,
+                    stopped: false,
+                }),
+                changed: Condvar::new(),
+            }),
+        }
+    }
+
+    /// The instant deadlines are measured against: virtual under a
+    /// scheduler, the wall clock otherwise.
+    pub fn now(&self) -> Instant {
+        match &self.scheduler {
+            Some(scheduler) => scheduler.now(),
+            None => Instant::now(),
+        }
+    }
+
+    /// Runs `event` once the clock reaches `at`. Returns a token for
+    /// [`Timers::cancel`]. After [`Timers::stop`] the event is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the timer thread cannot be spawned.
+    pub fn schedule(&self, at: Instant, event: impl FnOnce() + Send + 'static) -> u64 {
+        let mut queue = self.shared.lock();
+        if queue.stopped {
+            return REFUSED;
+        }
+        if let Some(scheduler) = &self.scheduler {
+            drop(queue);
+            let shared = Arc::clone(&self.shared);
+            return scheduler.schedule(
+                at,
+                Box::new(move || {
+                    let stopped = shared.lock().stopped;
+                    if !stopped {
+                        event();
+                    }
+                }),
+            );
+        }
+        let token = queue.next_token;
+        queue.next_token += 1;
+        queue.heap.push(Timer {
+            at,
+            token,
+            event: Box::new(event),
+        });
+        if queue.thread.is_none() {
+            let shared = Arc::clone(&self.shared);
+            queue.thread = Some(
+                std::thread::Builder::new()
+                    .name("sss-timers".into())
+                    .spawn(move || shared.serve())
+                    .expect("failed to spawn the timer thread"),
+            );
+        }
+        drop(queue);
+        self.shared.changed.notify_one();
+        token
+    }
+
+    /// Cancels a scheduled event. Returns `true` if it had not yet started
+    /// (and now never will); an event already running is not waited for.
+    pub fn cancel(&self, token: u64) -> bool {
+        if let Some(scheduler) = &self.scheduler {
+            return scheduler.cancel(token);
+        }
+        let mut queue = self.shared.lock();
+        let before = queue.heap.len();
+        queue.heap.retain(|timer| timer.token != token);
+        queue.heap.len() < before
+    }
+
+    /// Stops the executor: pending events never run (the heap drops them;
+    /// under a scheduler they stay queued there as no-ops, so the simulated
+    /// schedule does not change shape), later ones are refused, and the
+    /// timer thread is joined once the event it is running (if any)
+    /// returns. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the panic of an event that panicked on the timer thread.
+    pub fn stop(&self) {
+        if let Err(panic) = self.halt() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    fn halt(&self) -> std::thread::Result<()> {
+        let (pending, thread) = {
+            let mut queue = self.shared.lock();
+            queue.stopped = true;
+            (std::mem::take(&mut queue.heap), queue.thread.take())
+        };
+        self.shared.changed.notify_one();
+        // Outside the lock: dropping an event may run arbitrary destructors.
+        drop(pending);
+        match thread {
+            // An event that stops its own executor cannot wait for itself.
+            Some(thread) if thread.thread().id() != std::thread::current().id() => thread.join(),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl Drop for Timers {
+    fn drop(&mut self) {
+        // A drop must not panic; `stop` is where an event's panic surfaces.
+        let _ = self.halt();
+    }
+}
+
 /// An attempt-scaled pause policy shared by every retry loop in the stack:
 /// scenario-driver abort retries, client unavailable-node retries, and the
 /// reliable-delivery retransmission timers.
@@ -276,7 +501,7 @@ fn mix(seed: u64, attempt: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// A scheduler stub that only records calls; enough to test the
     /// thread-local plumbing without pulling in the simulator.
@@ -347,6 +572,44 @@ mod tests {
         let handle: SchedulerHandle = Arc::clone(&stub) as SchedulerHandle;
         enter(&handle, || sleep(Duration::from_nanos(42)));
         assert_eq!(stub.slept.load(Ordering::Relaxed), 42);
+    }
+
+    #[test]
+    fn stopping_the_timers_waits_for_the_event_in_flight_and_ends_the_thread() {
+        let timers = Timers::new(None);
+        let (started, wait_started) = std::sync::mpsc::channel();
+        let (release, wait_release) = std::sync::mpsc::channel::<()>();
+        let finished = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&finished);
+        timers.schedule(Instant::now(), move || {
+            started.send(std::thread::current().id()).unwrap();
+            let _ = wait_release.recv_timeout(Duration::from_millis(50));
+            flag.store(true, Ordering::SeqCst);
+        });
+        let timer_thread = wait_started.recv().unwrap();
+        assert_ne!(timer_thread, std::thread::current().id());
+        // The event is mid-flight (it holds `wait_release`): stop must not
+        // return before it has.
+        timers.stop();
+        assert!(finished.load(Ordering::SeqCst));
+        drop(release);
+        assert!(
+            timers.shared.lock().thread.is_none(),
+            "the timer thread was joined"
+        );
+    }
+
+    #[test]
+    fn an_event_may_stop_its_own_executor() {
+        let timers = Arc::new(Timers::new(None));
+        let (done, wait) = std::sync::mpsc::channel();
+        let own = Arc::clone(&timers);
+        timers.schedule(Instant::now(), move || {
+            own.stop();
+            done.send(()).unwrap();
+        });
+        wait.recv_timeout(Duration::from_secs(5))
+            .expect("stop on the timer thread must not join itself");
     }
 
     #[test]
