@@ -91,16 +91,13 @@ impl BaselineConfig {
 pub trait Protocol: Sized + 'static {
     /// Display name used in reports (matches the paper's legends).
     const NAME: &'static str;
-    /// Labels of the message kinds, in [`Protocol::kind_index`] order — the
-    /// per-kind mailbox counters (`MailboxStats::per_kind`) attribute
-    /// traffic against this table.
-    const MESSAGE_KIND_LABELS: &'static [&'static str];
     /// The wire protocol.
     type Message: Send + Clone + 'static;
     /// The server side of one node.
     type Node: NodeService<Self::Message>;
 
-    /// Dense per-kind index into [`Protocol::MESSAGE_KIND_LABELS`].
+    /// Dense index of the message's kind: its slot in the per-kind mailbox
+    /// counters (`MailboxStats::per_kind`).
     fn kind_index(message: &Self::Message) -> usize;
 
     /// Where keys live.

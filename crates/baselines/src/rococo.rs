@@ -235,7 +235,6 @@ pub type RococoCluster = BaselineCluster<Rococo>;
 
 impl Protocol for Rococo {
     const NAME: &'static str = "ROCOCO";
-    const MESSAGE_KIND_LABELS: &'static [&'static str] = &["Dispatch", "Commit", "SnapshotRead"];
     type Message = RococoMessage;
     type Node = RococoNode;
 

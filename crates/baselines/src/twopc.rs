@@ -260,7 +260,6 @@ pub type TwoPcCluster = BaselineCluster<TwoPc>;
 
 impl Protocol for TwoPc {
     const NAME: &'static str = "2PC";
-    const MESSAGE_KIND_LABELS: &'static [&'static str] = &["Read", "Prepare", "Decide"];
     type Message = TwoPcMessage;
     type Node = TwoPcNode;
 

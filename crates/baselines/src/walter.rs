@@ -298,7 +298,6 @@ pub type WalterCluster = BaselineCluster<Walter>;
 
 impl Protocol for Walter {
     const NAME: &'static str = "Walter";
-    const MESSAGE_KIND_LABELS: &'static [&'static str] = &["Read", "Prepare", "Decide"];
     type Message = WalterMessage;
     type Node = WalterNode;
 

@@ -3,8 +3,8 @@
 //!
 //! The evaluation figures themselves are regenerated by the `figures`
 //! binary (see `src/bin/`); keeping them out of `cargo bench` keeps the
-//! bench run short while the binary remains the tool for producing the
-//! numbers recorded in `EXPERIMENTS.md`.
+//! bench run short. The numbers a change is gated on come from neither: see
+//! `benchmark/README.md`.
 
 use std::time::Duration;
 

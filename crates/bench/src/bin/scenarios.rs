@@ -4,8 +4,8 @@
 //! the `sss-consistency` checker verifying every recorded history.
 //!
 //! Usage: `cargo run -p sss-bench --release --bin scenarios
-//!         [--smoke] [--seed N] [--check-determinism] [--obs]
-//!         [--trace-out PATH]`
+//!         [--smoke] [--seed N] [--check-determinism] [--only NAME]
+//!         [--engine NAME] [--obs] [--trace-out PATH]`
 //!
 //! * `--smoke` — small cluster and short runs (the CI configuration).
 //! * `--seed N` — base seed of the workload and fault streams (default 42).
@@ -15,16 +15,23 @@
 //!   watchdog's trace dump on a stuck run); summaries stay bit-identical.
 //! * `--trace-out PATH` — write every run's trace spans as one Chrome-trace
 //!   JSON file (open in `chrome://tracing` or Perfetto); implies `--obs`.
+//! * `--only NAME` / `--engine NAME` — run only the catalog entries of that
+//!   scenario name / engine.
 //!
-//! Exits non-zero if any scenario fails its expectations.
+//! Exits 1 if any scenario fails its expectations, 2 if the selection
+//! matches no catalog entry (the valid scenario names are listed).
 
-use sss_bench::scenarios::{render_results, run_catalog_traced, ScenarioConfig};
+use sss_bench::scenarios::{render_results, run_catalog_traced, selected_catalog, ScenarioConfig};
 use sss_engine::chrome_trace_json;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let config = ScenarioConfig::from_args(&args);
-    let (results, trace_groups) = run_catalog_traced(&config).unwrap_or_else(|error| {
+    let catalog = selected_catalog(&config).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    let (results, trace_groups) = run_catalog_traced(&config, catalog).unwrap_or_else(|error| {
         eprintln!("invalid scenario in catalog: {error}");
         std::process::exit(2);
     });

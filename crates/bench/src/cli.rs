@@ -1,7 +1,7 @@
-//! Shared command-line plumbing for the benchmark binaries.
+//! Shared command-line plumbing for the binaries.
 //!
 //! Every binary in `src/bin/` — the figure reproductions (`figures`), the
-//! chaos-scenario runner `scenarios`, the throughput harness — parses its
+//! chaos-scenario runner `scenarios`, `sim-sweep`, `modelcheck` — parses its
 //! arguments through this module rather than hand-rolling another copy of
 //! the argument loop.
 

@@ -1,9 +1,9 @@
 //! One harness function per figure of the evaluation section.
 //!
 //! Each function returns a [`FigureTable`] whose rows mirror the data series
-//! of the corresponding plot in the paper. The binaries under `src/bin/`
-//! print these tables; `EXPERIMENTS.md` records the measured output next to
-//! the paper's reported trends.
+//! of the corresponding plot in the paper. The `figures` binary prints
+//! these tables; nothing records them yet (ROADMAP item 4(a): committed
+//! virtual-time figures).
 
 use std::time::Duration;
 

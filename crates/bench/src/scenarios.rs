@@ -13,6 +13,7 @@
 //! [`ScenarioExpectations::sss_under_crash`]); the serializable baselines
 //! must keep consistency; Walter (PSI) is run for liveness only.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use sss_engine::{EngineKind, FaultInjector, TraceSpan, TransactionEngine};
@@ -332,39 +333,50 @@ impl CatalogResult {
     }
 }
 
-/// Runs the whole catalog.
+/// The catalog entries `config.only` / `config.engine` select.
+///
+/// # Errors
+///
+/// A selection that matches nothing (a misspelt or renamed scenario, an
+/// engine with no entry of that name) yields a message listing the catalog's
+/// scenario names: a gate looping over `--only NAME` must fail, not pass on
+/// zero runs.
+pub fn selected_catalog(config: &ScenarioConfig) -> Result<Vec<ScenarioRun>, String> {
+    let catalog = scenario_catalog(config);
+    let selected = |run: &ScenarioRun| {
+        config
+            .only
+            .as_ref()
+            .map_or(true, |n| &run.scenario.name == n)
+            && config.engine.map_or(true, |engine| run.engine == engine)
+    };
+    if !catalog.iter().any(selected) {
+        let names: BTreeSet<&str> = catalog.iter().map(|r| r.scenario.name.as_str()).collect();
+        return Err(format!(
+            "no catalog entry matches --only {} --engine {} (scenarios: {})",
+            config.only.as_deref().unwrap_or("*"),
+            config.engine.map_or("*", |engine| engine.label()),
+            Vec::from_iter(names).join(", ")
+        ));
+    }
+    Ok(catalog.into_iter().filter(selected).collect())
+}
+
+/// Runs `catalog` (see [`selected_catalog`]), returning each entry's result
+/// and its drained trace spans as labelled groups ready for
+/// [`sss_engine::chrome_trace_json`] — one group per entry that ran with
+/// observability on (empty when [`ScenarioConfig::observability`] is off).
 ///
 /// # Errors
 ///
 /// Returns the [`SpecError`] of the first structurally invalid scenario
 /// (catalog construction bugs surface here rather than as bogus runs).
-pub fn run_catalog(config: &ScenarioConfig) -> Result<Vec<CatalogResult>, SpecError> {
-    Ok(run_catalog_traced(config)?.0)
-}
-
-/// [`run_catalog`], additionally returning each run's drained trace spans
-/// as labelled groups ready for [`sss_engine::chrome_trace_json`] — one
-/// group per catalog entry that ran with observability on (empty when
-/// [`ScenarioConfig::observability`] is off).
-///
-/// # Errors
-///
-/// Returns the [`SpecError`] of the first structurally invalid scenario.
 pub fn run_catalog_traced(
     config: &ScenarioConfig,
+    catalog: Vec<ScenarioRun>,
 ) -> Result<(Vec<CatalogResult>, Vec<TraceGroup>), SpecError> {
     let mut results = Vec::new();
     let mut trace_groups = Vec::new();
-    let catalog = scenario_catalog(config)
-        .into_iter()
-        .filter(|run| match &config.only {
-            Some(name) => &run.scenario.name == name,
-            None => true,
-        })
-        .filter(|run| match config.engine {
-            Some(engine) => run.engine == engine,
-            None => true,
-        });
     for run in catalog {
         let (outcome, spans) = run_entry(config, &run)?;
         if let Some(spans) = spans {
@@ -581,6 +593,41 @@ mod tests {
                 .expect("seeded scenario is in the catalog");
             assert_eq!(named.expect, ScenarioExpectations::sss());
             assert_eq!(named.faults, fault_plan_for(expected, 1));
+        }
+    }
+
+    /// An empty selection is an error naming the catalog, not zero runs
+    /// that "all passed": CI's crash/loss gate loops over `--only NAME`.
+    #[test]
+    fn an_empty_selection_is_an_error_listing_the_catalog() {
+        let select = |list: &[&str]| {
+            let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+            selected_catalog(&ScenarioConfig::from_args(&args))
+        };
+        let names = |runs: Vec<ScenarioRun>| -> Vec<(EngineKind, String)> {
+            runs.into_iter()
+                .map(|r| (r.engine, r.scenario.name))
+                .collect()
+        };
+        assert_eq!(select(&["bin", "--smoke"]).unwrap().len(), 15);
+        assert_eq!(
+            names(select(&["bin", "--only", "lossy-link"]).unwrap()),
+            vec![(EngineKind::Sss, "lossy-link".to_string())]
+        );
+        assert_eq!(
+            names(select(&["bin", "--engine", "walter"]).unwrap()),
+            vec![(EngineKind::Walter, "partition-heal".to_string())]
+        );
+        for empty in [
+            &["bin", "--only", "no-such-scenario"][..],
+            &["bin", "--only", "lossy-link", "--engine", "2pc"],
+        ] {
+            let message = select(empty).unwrap_err();
+            assert!(
+                message.contains("lossy-link, mc-abort-overtakes-prepare,")
+                    && message.matches("partition-heal").count() == 1,
+                "unexpected message: {message}"
+            );
         }
     }
 

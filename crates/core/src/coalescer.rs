@@ -166,9 +166,11 @@ impl<W> CoalescerCore<W> {
         }
     }
 
-    /// Records a completed round: with piggybacking, its members' releases
-    /// ride the next plan (returns `None`); without it, the caller must
-    /// broadcast the returned release list immediately.
+    /// Records a completed round: with `piggyback` — what production always
+    /// passes — its members' releases ride the next plan (returns `None`);
+    /// without it, the caller must broadcast the returned release list
+    /// immediately. It is a parameter with one value in use only because
+    /// the repository benchmark pins this signature (ROADMAP item 6(c)).
     pub fn round_completed(&mut self, members: Vec<TxnId>, piggyback: bool) -> Option<Vec<TxnId>> {
         if piggyback {
             self.pending_release.extend(members);

@@ -16,9 +16,13 @@ pub const DEFAULT_CONFIRM_EPOCH: usize = 32;
 /// How long a round leader waits between consecutive grouped confirmation
 /// rounds of one burst before launching the next (under-full) round, letting
 /// more committers join and giving piggybacked releases a carrier. Applied
-/// only *after* the leader's first round — a lone committer on an idle
-/// coordinator still confirms immediately, so uncontended latency is
-/// unchanged. Only meaningful when `confirm_epoch_max > 1`.
+/// only *after* the leader's first round, so a lone committer's round is
+/// immediate — but its return is not: the leader is the committing client's
+/// own thread, the release it queued after its round makes the next plan
+/// `Linger`, and the client sleeps this long before flushing the release and
+/// returning (see the `node::confirm` module docs). An uncontended update
+/// therefore costs one round plus this constant; ROADMAP item 1 deletes it.
+/// Only meaningful when `confirm_epoch_max > 1`.
 pub const CONFIRM_LINGER: Duration = Duration::from_micros(800);
 
 /// Worker threads per node draining the priority mailbox.
@@ -139,14 +143,10 @@ pub struct SssConfig {
     /// 1` disable grouping entirely and reproduce the per-transaction
     /// confirmation round of the base protocol. Grouping is self-clocking:
     /// a round covers whatever pre-committed while the previous round was
-    /// in flight (up to this bound), so idle clusters pay no added latency
-    /// and loaded ones amortize one broadcast over the whole window.
+    /// in flight (up to this bound), so loaded coordinators amortize one
+    /// broadcast over the whole window; what it costs a lone committer is
+    /// [`CONFIRM_LINGER`].
     pub confirm_epoch_max: usize,
-    /// Whether `ReleaseExternal` and read-only `Remove` traffic piggybacks
-    /// on the next grouped `ConfirmExternal` round instead of travelling as
-    /// dedicated messages. Only meaningful when `confirm_epoch_max > 1`;
-    /// disable for A/B measurement of the piggyback alone.
-    pub piggyback: bool,
     /// Optional observability hub: when set, client sessions carry a
     /// phase trace through every transaction (spans recorded into the
     /// hub's per-node trace rings and per-phase latency histograms). When
@@ -178,7 +178,6 @@ impl SssConfig {
             storage_shards: sss_storage::DEFAULT_SHARDS,
             delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
             confirm_epoch_max: DEFAULT_CONFIRM_EPOCH,
-            piggyback: true,
             observability: None,
             scheduler: None,
         }
@@ -237,13 +236,6 @@ impl SssConfig {
         self
     }
 
-    /// Enables or disables piggybacking release/remove traffic on grouped
-    /// confirmation rounds.
-    pub fn piggyback(mut self, enabled: bool) -> Self {
-        self.piggyback = enabled;
-        self
-    }
-
     /// Attaches an observability hub: sessions trace protocol phases into
     /// its rings and histograms (see [`sss_obs::ObsHub`]).
     pub fn observability(mut self, hub: Arc<ObsHub>) -> Self {
@@ -279,7 +271,6 @@ mod tests {
         assert!(cfg.latency.is_zero());
         assert_eq!(cfg.replica_map().degree(), 2);
         assert_eq!(cfg.confirm_epoch_max, DEFAULT_CONFIRM_EPOCH);
-        assert!(cfg.piggyback);
     }
 
     #[test]

@@ -17,16 +17,26 @@
 //! The coalescer is *self-clocking*: the first committer to arrive while no
 //! round is in flight becomes the **leader** and drives rounds until the
 //! queue drains; committers arriving while a round is in flight enqueue and
-//! wait for their round's result. An idle cluster therefore pays zero added
-//! latency (a lone committer leads a singleton round immediately — exactly
-//! the base protocol), while a loaded one amortizes one broadcast over the
-//! whole window. Rounds on a fast network complete well before a window's
-//! worth of committers can arrive, so between the rounds of one burst —
-//! never before the first — the leader lingers for
-//! [`CONFIRM_LINGER`] to let the next round fill (and to
-//! give completed members' piggybacked releases a carrier). The wait for a
-//! queued committer is therefore bounded by one in-flight round plus one
+//! wait for their round's result. A lone committer leads a singleton round
+//! immediately — exactly the base protocol's round — while a loaded
+//! coordinator amortizes one broadcast over the whole window. Rounds on a
+//! fast network complete well before a window's worth of committers can
+//! arrive, so between the rounds of one burst — never before the first —
+//! the leader lingers for [`CONFIRM_LINGER`] to let the next round fill (and
+//! to give completed members' piggybacked releases a carrier). The wait for
+//! a queued committer is therefore bounded by one in-flight round plus one
 //! linger.
+//!
+//! The *leader* pays the linger even when it is alone. It is the committing
+//! client's own thread, and it returns to its client only when the loop
+//! exits: after its own round the confirm queue is empty but the release it
+//! just queued is not, so the next plan is `Linger`, and the thread sleeps
+//! [`CONFIRM_LINGER`] before flushing that release and returning. An
+//! uncontended update therefore costs one round **plus the linger** — the
+//! benchmark's `update_p50_us` is ≈ 1 ms on `commit_path` (one client per
+//! coordinator, wall clock, one process pinned to one CPU of a 2-vCPU shared
+//! VM) and 857 µs on `net_delay` (virtual time: 800 µs + one 55 µs hop).
+//! ROADMAP item 1 (an ack-clocked coalescer) deletes the sleep.
 //!
 //! Membership push and the leader's exit check run under the same lock, so a
 //! committer either enqueues before the leader's final emptiness check (and
@@ -123,15 +133,16 @@ impl SssNode {
     fn run_confirm_rounds(&self) {
         let all_nodes = self.config().nodes;
         let window = self.config().confirm_epoch_max.max(1);
-        let piggyback = self.config().piggyback;
-        // The leader lingers briefly between rounds of a burst (never before
-        // its first round, so a lone committer on an idle coordinator pays
-        // nothing): rounds complete much faster than transactions arrive, and
-        // without the pause every round would carry only the one or two
-        // commits that happened to land while the previous round was in
-        // flight. The pause lets a window's worth of committers accumulate —
-        // and gives completed members' piggybacked releases a carrier — at a
-        // bounded latency cost for the queued members.
+        // The leader lingers briefly between rounds of a burst, never before
+        // its first round: rounds complete much faster than transactions
+        // arrive, and without the pause every round would carry only the one
+        // or two commits that happened to land while the previous round was
+        // in flight. The pause lets a window's worth of committers accumulate
+        // — and gives completed members' piggybacked releases a carrier — at
+        // a bounded latency cost for the queued members. A lone leader pays
+        // it too, *after* its round: its own queued release makes the next
+        // plan `Linger`, so this thread sleeps once before the flush and the
+        // return to its client (see the module docs).
         let mut lingered = false;
         let mut first_round = true;
         loop {
@@ -210,23 +221,11 @@ impl SssNode {
             // answered: their parked readers may now be released. On success
             // and failure alike (a timed-out confirmation must still release,
             // or readers would stay parked forever — same as the base
-            // protocol's failure-path release). With piggybacking the release
-            // rides the next round; without it, it is flushed immediately as
-            // its own broadcast (the A/B arm isolating the grouping win).
+            // protocol's failure-path release). The release rides the
+            // leader's next plan: the next round's `release` list, or the
+            // standalone flush once the queue drained.
             let members: Vec<TxnId> = batch.iter().map(|p| p.txn).collect();
-            if let Some(now) = self
-                .confirm
-                .state
-                .lock()
-                .round_completed(members, piggyback)
-            {
-                let _ = self.transport().multicast(
-                    self.id(),
-                    (0..all_nodes).map(NodeId),
-                    SssMessage::ReleaseExternal { txns: now },
-                    Priority::High,
-                );
-            }
+            self.confirm.state.lock().round_completed(members, true);
             for member in batch {
                 member.waiter.send(ok);
             }

@@ -268,10 +268,7 @@ impl SssNode {
         // multicast — instead of travelling as dedicated messages. Bounded
         // delay: the leader is actively looping, so the remove is sent at
         // the next round boundary.
-        if self.config.confirm_epoch_max > 1
-            && self.config.piggyback
-            && self.queue_remove_on_next_round(txn)
-        {
+        if self.config.confirm_epoch_max > 1 && self.queue_remove_on_next_round(txn) {
             return;
         }
         let mut targets = self.replicas.replicas_of_all(read_keys.iter());

@@ -48,10 +48,6 @@ impl TransactionEngine for SssEngine {
         Some(self.cluster().mailbox_totals())
     }
 
-    fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
-        Some(&sss_core::SssMessage::KIND_LABELS)
-    }
-
     fn observability(&self) -> Option<Arc<ObsHub>> {
         self.cluster().observability()
     }
@@ -100,10 +96,6 @@ impl<P: Protocol> TransactionEngine for BaselineCluster<P> {
 
     fn mailbox_totals(&self) -> Option<MailboxStats> {
         Some(BaselineCluster::mailbox_totals(self))
-    }
-
-    fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
-        Some(P::MESSAGE_KIND_LABELS)
     }
 
     fn observability(&self) -> Option<Arc<ObsHub>> {

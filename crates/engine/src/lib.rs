@@ -47,7 +47,7 @@ pub use traits::{EngineSession, TransactionEngine, TxnOutcome};
 
 pub use sss_core::DEFAULT_CONFIRM_EPOCH;
 pub use sss_faults::{FaultInjector, FaultPlan};
-pub use sss_net::{MailboxStats, DEFAULT_DELIVERY_BATCH, MESSAGE_KIND_SLOTS};
+pub use sss_net::MailboxStats;
 pub use sss_obs::{
     chrome_trace_json, Histogram, MetricsRegistry, MetricsSnapshot, NodeLiveness, ObsHub, Phase,
     TraceSpan, WatchdogConfig, WatchdogCore, WatchdogVerdict,

@@ -82,7 +82,6 @@ impl EngineKind {
             storage_shards: sss_storage::DEFAULT_SHARDS,
             delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
             confirm_epoch: DEFAULT_CONFIRM_EPOCH,
-            piggyback: true,
             observability: false,
             injector: None,
             scheduler: None,
@@ -142,7 +141,6 @@ pub struct EngineBuilder {
     storage_shards: usize,
     delivery_batch: usize,
     confirm_epoch: usize,
-    piggyback: bool,
     observability: bool,
     injector: Option<Arc<FaultInjector>>,
     scheduler: Option<SchedulerHandle>,
@@ -176,13 +174,6 @@ impl EngineBuilder {
     /// round (`<= 1` disables grouping). The baselines have no such round.
     pub fn confirm_epoch(mut self, window: usize) -> Self {
         self.confirm_epoch = window;
-        self
-    }
-
-    /// Sets whether SSS piggybacks `ReleaseExternal`/`Remove` traffic on
-    /// grouped confirmation rounds. The baselines have no such traffic.
-    pub fn piggyback(mut self, enabled: bool) -> Self {
-        self.piggyback = enabled;
         self
     }
 
@@ -250,7 +241,6 @@ impl EngineBuilder {
             storage_shards: self.storage_shards,
             delivery_batch: self.delivery_batch,
             confirm_epoch_max: self.confirm_epoch,
-            piggyback: self.piggyback,
             scheduler: self.scheduler,
         }
     }

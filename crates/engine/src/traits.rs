@@ -140,14 +140,6 @@ pub trait TransactionEngine: Send + Sync {
         None
     }
 
-    /// Labels of the per-kind message counters in
-    /// [`sss_net::MailboxStats::per_kind`], indexed by counter slot, if the
-    /// engine classifies its traffic. `None` means the per-kind slots are
-    /// unattributed and should be ignored.
-    fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
-        None
-    }
-
     /// The observability hub the engine was built with, if tracing is on:
     /// per-phase latency histograms, trace rings and the metrics registry
     /// (see [`sss_obs::ObsHub`]). `None` when the engine was built without
@@ -186,10 +178,6 @@ impl<E: TransactionEngine + ?Sized> TransactionEngine for Box<E> {
         (**self).mailbox_totals()
     }
 
-    fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
-        (**self).message_kind_labels()
-    }
-
     fn observability(&self) -> Option<Arc<sss_obs::ObsHub>> {
         (**self).observability()
     }
@@ -222,10 +210,6 @@ impl<E: TransactionEngine + Send + Sync + ?Sized> TransactionEngine for Arc<E> {
 
     fn mailbox_totals(&self) -> Option<sss_net::MailboxStats> {
         (**self).mailbox_totals()
-    }
-
-    fn message_kind_labels(&self) -> Option<&'static [&'static str]> {
-        (**self).message_kind_labels()
     }
 
     fn observability(&self) -> Option<Arc<sss_obs::ObsHub>> {

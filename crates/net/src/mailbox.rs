@@ -254,7 +254,7 @@ impl MailboxStats {
 
     /// `true` when the snapshot is internally consistent: no class has
     /// observed more dequeues than enqueues. Snapshots taken through
-    /// [`Mailbox::stats`] always are; the benchmark harness asserts it.
+    /// [`Mailbox::stats`] always are; the interleaving harness asserts it.
     pub fn is_coherent(&self) -> bool {
         self.enqueued
             .iter()

@@ -8,9 +8,9 @@
 //!
 //! [`Histogram::merge`] is an element-wise add, which makes it associative
 //! and commutative — per-client histograms can be merged in any order (or
-//! grouping) and always produce the same aggregate, a property the harness
-//! relies on for deterministic multi-trial reports (and which the property
-//! tests in this module pin down).
+//! grouping) and always produce the same aggregate, a property merged
+//! reports rely on to be deterministic (and which the property tests in
+//! this module pin down).
 
 /// Sub-buckets per power-of-two octave; also the count of exact unit
 /// buckets at the bottom of the range.
@@ -22,8 +22,8 @@ pub const SUB_BUCKETS: usize = 16;
 /// [`SUB_BUCKETS`] buckets; the top octave is capped by the width of `u64`.
 pub const NUM_BUCKETS: usize = 61 * SUB_BUCKETS;
 
-/// A fixed-size log-bucketed histogram of `u64` samples (the harness
-/// records latencies in microseconds).
+/// A fixed-size log-bucketed histogram of `u64` samples (the hub records
+/// latencies in microseconds).
 #[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Box<[u64; NUM_BUCKETS]>,

@@ -23,7 +23,8 @@ use crate::metrics::{Counter, MetricsRegistry, SharedHistogram};
 
 /// A protocol phase a transaction can spend time in. One flat enum covers
 /// every engine; [`Phase::for_engine`] lists which subset an engine's spans
-/// can use (the span taxonomy CI validates trace coverage against).
+/// can use (the span taxonomy `sss-workload`'s `obs_determinism` test
+/// validates trace coverage against).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Reading the transaction's read set (all engines).
@@ -72,7 +73,8 @@ impl Phase {
         Phase::Execute,
     ];
 
-    /// Stable snake_case label used in traces and the throughput JSON.
+    /// Stable snake_case label used in traces and in the repository
+    /// benchmark's `core.phase.*` metric names.
     pub fn label(self) -> &'static str {
         match self {
             Phase::Read => "read",

@@ -6,11 +6,16 @@
 //! release/remove traffic. Grouping changes *which messages carry* the
 //! confirmation barrier, never what any transaction observes.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use sss_engine::{EngineBuilder, FaultInjector, DEFAULT_CONFIRM_EPOCH};
-use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
-use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
+use sss_engine::{EngineBuilder, FaultInjector, MailboxStats, SimRuntime, DEFAULT_CONFIRM_EPOCH};
+use sss_workload::scenario::{
+    run_scenario_on, run_scenario_sim_on, ChaosScenario, ScenarioExpectations,
+};
+use sss_workload::{
+    EngineKind, FaultPlan, LinkFault, LinkSelector, TransactionEngine, WorkloadSpec,
+};
 
 fn scenario(seed: u64) -> ChaosScenario {
     let spec = WorkloadSpec::new(3)
@@ -67,21 +72,6 @@ fn sss_scenario_summary_is_identical_across_epoch_windows() {
     assert_eq!(singleton.read_only_aborts, 0);
 }
 
-/// Same property for the piggybacking A/B arm: grouped confirmation with
-/// releases and removes sent standalone (piggyback off) matches the fully
-/// piggybacked default bit-for-bit.
-#[test]
-fn sss_scenario_summary_is_identical_with_piggyback_off() {
-    let standalone = run_with_tuning(|b| b.piggyback(false), 23);
-    let piggybacked = run_with_tuning(|b| b.piggyback(true), 23);
-    assert_eq!(
-        standalone.summary(),
-        piggybacked.summary(),
-        "release/remove piggybacking must not change the SSS outcome summary"
-    );
-    assert_eq!(standalone.read_only_aborts, 0);
-}
-
 /// Grouping composes with delivery batching: sweeping both knobs together
 /// still yields one bit-identical summary.
 #[test]
@@ -95,4 +85,85 @@ fn sss_scenario_summary_is_identical_across_combined_sweeps() {
             "batch {batch} x epoch window {window} changed the SSS outcome summary"
         );
     }
+}
+
+/// Mailbox counters of one fault-free simulated run (4 nodes × 4 clients ×
+/// 25 updates-mostly transactions, seed 1) at confirmation window `window`,
+/// population included. Under the simulator the counts are a function of
+/// the seed alone, so the comparisons below are exact.
+fn simulated_message_counts(window: usize) -> MailboxStats {
+    let spec = WorkloadSpec::new(4)
+        .clients_per_node(4)
+        .total_keys(256)
+        .read_only_percent(10)
+        .seed(1);
+    let scenario = ChaosScenario::new("epoch-message-economy", spec).ops_per_client(25);
+    let sim = SimRuntime::new(1);
+    let injector = FaultInjector::new(scenario.faults.clone());
+    let engine: Arc<Box<dyn TransactionEngine>> = Arc::new(
+        scenario
+            .engine(EngineKind::Sss, &injector)
+            .confirm_epoch(window)
+            .scheduler(sim.handle())
+            .build(),
+    );
+    let outcome = run_scenario_sim_on(&sim, &engine, &injector, &scenario);
+    sim.wait_quiescent();
+    assert!(
+        outcome.passed(),
+        "window {window}: {:?}",
+        outcome.violations
+    );
+    assert_eq!(outcome.committed, 400);
+    let totals = engine.mailbox_totals().expect("SSS counts its mailboxes");
+    assert!(
+        MailboxStats::conserves(&MailboxStats::default(), &totals),
+        "window {window}: mailbox books do not balance: {totals:?}"
+    );
+    assert_eq!(
+        totals.per_kind.iter().sum::<u64>(),
+        totals.total_enqueued() + totals.local_delivered,
+        "window {window}: every send is attributed to exactly one kind"
+    );
+    totals
+}
+
+/// What grouping is *for*: the default window sends strictly fewer
+/// `ConfirmExternal`s, fewer `ReleaseExternal`s and fewer messages per
+/// committed transaction than the per-transaction rounds of window 1 — and
+/// the same seed reproduces every count.
+#[test]
+fn grouped_confirmation_sends_fewer_messages_than_per_transaction_rounds() {
+    let kind = |label: &str| {
+        sss_core::SssMessage::KIND_LABELS
+            .iter()
+            .position(|l| *l == label)
+            .expect("a protocol message kind")
+    };
+    let singleton = simulated_message_counts(1);
+    let grouped = simulated_message_counts(DEFAULT_CONFIRM_EPOCH);
+    for label in ["ConfirmExternal", "ReleaseExternal"] {
+        let (one, many) = (
+            singleton.per_kind[kind(label)],
+            grouped.per_kind[kind(label)],
+        );
+        assert!(
+            many < one,
+            "{label}: grouped {many} vs per-transaction {one}"
+        );
+    }
+    // Both runs committed the same 400 transactions, so fewer messages is
+    // fewer messages per transaction.
+    let sent = |stats: &MailboxStats| stats.total_enqueued() + stats.local_delivered;
+    assert!(
+        sent(&grouped) < sent(&singleton),
+        "grouped {} vs per-transaction {} messages for 400 commits",
+        sent(&grouped),
+        sent(&singleton)
+    );
+    assert_eq!(
+        grouped,
+        simulated_message_counts(DEFAULT_CONFIRM_EPOCH),
+        "the same seed must reproduce every count"
+    );
 }

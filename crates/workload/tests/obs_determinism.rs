@@ -7,11 +7,13 @@
 //! the baselines (whose retry counts are timing-dependent with or without
 //! tracing, as in the sharding determinism suite). The traced runs must
 //! also actually record spans — the flag is not allowed to be a silent
-//! no-op.
+//! no-op — and the spans must cover exactly the engine's documented phase
+//! taxonomy (`Phase::for_engine`).
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-use sss_engine::FaultInjector;
+use sss_engine::{EngineBuilder, FaultInjector, Phase, DEFAULT_CONFIRM_EPOCH};
 use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
 use sss_workload::{
     EngineKind, FaultPlan, LinkFault, LinkSelector, TransactionEngine, WorkloadSpec,
@@ -42,29 +44,41 @@ fn run(
     scenario: &ChaosScenario,
     observability: bool,
 ) -> sss_workload::ScenarioOutcome {
+    let (outcome, phases) = run_tuned(kind, scenario, |b| b.observability(observability));
+    assert_eq!(
+        !phases.is_empty(),
+        observability,
+        "{kind:?} (observability={observability}) recorded spans for {phases:?}"
+    );
+    outcome
+}
+
+/// Runs `scenario` on `kind` built with `tune` applied to the scenario's
+/// builder; returns the outcome and the labels of the phases the engine's
+/// hub recorded spans for (empty with tracing off).
+fn run_tuned(
+    kind: EngineKind,
+    scenario: &ChaosScenario,
+    tune: impl FnOnce(EngineBuilder) -> EngineBuilder,
+) -> (sss_workload::ScenarioOutcome, BTreeSet<&'static str>) {
     let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = scenario
-        .engine(kind, &injector)
-        .observability(observability)
-        .build();
+    let builder = tune(scenario.engine(kind, &injector));
+    let engine = builder.clone().build();
     let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
     injector.disarm();
     assert!(
         outcome.passed(),
-        "{kind:?} (observability={observability}) violated expectations: {:?}",
+        "{builder:?} violated expectations: {:?}",
         outcome.violations
     );
-    match engine.observability() {
-        Some(hub) => {
-            assert!(observability, "hub present despite tracing off");
-            assert!(
-                hub.spans_recorded() > 0,
-                "{kind:?} ran with tracing on but recorded no spans"
-            );
-        }
-        None => assert!(!observability, "tracing on but no hub retrievable"),
-    }
-    outcome
+    let phases: BTreeSet<&'static str> = engine
+        .observability()
+        .map(|hub| hub.drain_spans())
+        .unwrap_or_default()
+        .iter()
+        .map(|span| span.phase.label())
+        .collect();
+    (outcome, phases)
 }
 
 fn expectations(kind: EngineKind) -> (ScenarioExpectations, usize) {
@@ -112,4 +126,34 @@ fn baseline_chaos_outcome_is_identical_with_tracing_on_and_off() {
         assert_eq!(traced.stuck, untraced.stuck, "{kind:?} stuck flag");
         assert_eq!(traced.consistency, untraced.consistency, "{kind:?} checker");
     }
+}
+
+/// Every engine's traced run covers its documented span taxonomy exactly:
+/// every phase of `Phase::for_engine`, nothing outside it. SSS's `release`
+/// is a separate wait only on the per-transaction confirmation path
+/// (window 1); at the default window the release rides the next round.
+#[test]
+fn traced_spans_cover_exactly_the_engine_taxonomy() {
+    let traced = |kind: EngineKind, window: usize| {
+        let (expect, replication) = expectations(kind);
+        let scenario = scenario(31, expect, replication);
+        run_tuned(kind, &scenario, |b| {
+            b.observability(true).confirm_epoch(window)
+        })
+        .1
+    };
+    let taxonomy = |kind: EngineKind| -> BTreeSet<&'static str> {
+        let phases = Phase::for_engine(kind.label()).iter();
+        phases.map(|phase| phase.label()).collect()
+    };
+    for kind in EngineKind::ALL {
+        assert_eq!(traced(kind, 1), taxonomy(kind), "{kind:?}, window 1");
+    }
+    let mut grouped = taxonomy(EngineKind::Sss);
+    grouped.remove(Phase::Release.label());
+    assert_eq!(
+        traced(EngineKind::Sss, DEFAULT_CONFIRM_EPOCH),
+        grouped,
+        "SSS, default window"
+    );
 }
