@@ -9,13 +9,16 @@
 //!
 //! * `--seeds N` — number of consecutive seeds to sweep (default 200).
 //! * `--base-seed N` — first seed (default 1).
-//! * `--only NAME` — only run catalog entries with this scenario name.
+//! * `--only NAME` — sweep only the catalog entries with this scenario name
+//!   (every seed runs one of them).
 //! * `--threads N` — worker threads (default: available parallelism).
 //! * `--print-corpus` — instead of sweeping, replay the committed
 //!   seed-replay corpus and print each entry's current fingerprint (paste
 //!   into `replay_corpus` when intentionally re-recording).
 //!
-//! Exits non-zero if any seed fails either gate.
+//! Exits 1 if any seed fails either gate, 2 if there is nothing to sweep
+//! (`--only` names no scenario, or `--seeds 0`; the valid scenario names
+//! are listed).
 
 use sss_bench::sim_sweep::{replay_corpus, run_corpus_entry, run_sim_sweep, SimSweepConfig};
 
@@ -38,8 +41,8 @@ fn main() {
         return;
     }
     let config = SimSweepConfig::from_args(&args);
-    let report = run_sim_sweep(&config).unwrap_or_else(|error| {
-        eprintln!("invalid scenario in catalog: {error}");
+    let report = run_sim_sweep(&config).unwrap_or_else(|message| {
+        eprintln!("{message}");
         std::process::exit(2);
     });
     print!("{}", report.render());

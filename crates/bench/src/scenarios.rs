@@ -351,15 +351,21 @@ pub fn selected_catalog(config: &ScenarioConfig) -> Result<Vec<ScenarioRun>, Str
             && config.engine.map_or(true, |engine| run.engine == engine)
     };
     if !catalog.iter().any(selected) {
-        let names: BTreeSet<&str> = catalog.iter().map(|r| r.scenario.name.as_str()).collect();
         return Err(format!(
             "no catalog entry matches --only {} --engine {} (scenarios: {})",
             config.only.as_deref().unwrap_or("*"),
             config.engine.map_or("*", |engine| engine.label()),
-            Vec::from_iter(names).join(", ")
+            scenario_names(&catalog)
         ));
     }
     Ok(catalog.into_iter().filter(selected).collect())
+}
+
+/// The distinct scenario names of `catalog`, comma-separated: what a
+/// selection that ran nothing is answered with.
+pub(crate) fn scenario_names(catalog: &[ScenarioRun]) -> String {
+    let names: BTreeSet<&str> = catalog.iter().map(|r| r.scenario.name.as_str()).collect();
+    Vec::from_iter(names).join(", ")
 }
 
 /// Runs `catalog` (see [`selected_catalog`]), returning each entry's result

@@ -3,8 +3,9 @@
 //!
 //! Each seed selects both the workload/fault streams and the simulator's
 //! task-interleaving RNG, and runs one catalog entry (round-robin over the
-//! catalog, so a 200-seed sweep covers every scenario many times with
-//! distinct seeds). Every run is executed **twice** and the sweep asserts:
+//! catalog, or over the entries `--only NAME` selects, so a 200-seed sweep
+//! covers every scenario many times with distinct seeds). Every run is
+//! executed **twice** and the sweep asserts:
 //!
 //! * **checker-clean** — the scenario passed all of its expectations,
 //!   including the `sss-consistency` verdict on the recorded history, and
@@ -32,7 +33,7 @@ use sss_engine::EngineKind;
 use sss_workload::scenario::{run_scenario_sim, ScenarioOutcome};
 use sss_workload::SpecError;
 
-use crate::scenarios::{scenario_catalog, ScenarioConfig, ScenarioRun};
+use crate::scenarios::{scenario_names, selected_catalog, ScenarioConfig, ScenarioRun};
 
 /// Configuration of one seed sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +42,8 @@ pub struct SimSweepConfig {
     pub seeds: u64,
     /// First seed of the sweep.
     pub base_seed: u64,
-    /// Only run catalog entries whose scenario name equals this filter.
+    /// Sweep only the catalog entries whose scenario name equals this
+    /// filter: every seed runs one of them.
     pub only: Option<String>,
     /// Worker threads running simulations concurrently (each simulation is
     /// single-threaded; seeds are independent).
@@ -74,15 +76,19 @@ impl SimSweepConfig {
     }
 }
 
-/// The smoke-scale chaos catalog seeded for `seed`: every SSS scenario plus
+/// The smoke-scale chaos catalog seeded for `seed` — every SSS scenario plus
 /// the baselines' partition-heal entries, with both the workload and fault
-/// streams derived from `seed`.
-fn catalog_for(seed: u64) -> Vec<ScenarioRun> {
-    scenario_catalog(&ScenarioConfig {
+/// streams derived from `seed` — narrowed to the scenario named `only`.
+///
+/// # Errors
+///
+/// [`selected_catalog`]'s message when `only` names no scenario.
+fn catalog_for(seed: u64, only: Option<&str>) -> Result<Vec<ScenarioRun>, String> {
+    selected_catalog(&ScenarioConfig {
         smoke: true,
         seed,
         check_determinism: false,
-        only: None,
+        only: only.map(str::to_string),
         engine: None,
         observability: false,
         trace_out: None,
@@ -231,28 +237,48 @@ fn run_seed(seed: u64, run: &ScenarioRun) -> Result<SeedRunResult, SpecError> {
     })
 }
 
-/// Runs the sweep: seeds `base_seed .. base_seed + seeds`, each assigned one
-/// catalog entry round-robin, each run twice (checker gate + replay gate),
-/// fanned out over `threads` workers.
+/// The (seed, catalog entry) pairs [`run_sim_sweep`] runs.
 ///
 /// # Errors
 ///
-/// Returns the [`SpecError`] of the first structurally invalid scenario.
-pub fn run_sim_sweep(config: &SimSweepConfig) -> Result<SweepReport, SpecError> {
-    let started = Instant::now();
-    let mut jobs: Vec<(u64, ScenarioRun)> = Vec::new();
+/// A sweep of nothing — `only` names no scenario, or zero seeds — yields a
+/// message listing the catalog's scenario names (a gate must fail, not pass
+/// on zero runs); a structurally invalid scenario yields its [`SpecError`].
+fn sweep_jobs(config: &SimSweepConfig) -> Result<Vec<(u64, ScenarioRun)>, String> {
+    let only = config.only.as_deref();
+    if config.seeds == 0 {
+        let catalog = catalog_for(config.base_seed, None)?;
+        return Err(format!(
+            "--seeds 0 sweeps nothing (scenarios: {})",
+            scenario_names(&catalog)
+        ));
+    }
+    let mut jobs = Vec::new();
     for i in 0..config.seeds {
         let seed = config.base_seed + i;
-        let mut entries = catalog_for(seed);
+        let mut entries = catalog_for(seed, only)?;
         let entry = entries.swap_remove(i as usize % entries.len());
-        if let Some(name) = &config.only {
-            if &entry.scenario.name != name {
-                continue;
-            }
-        }
-        entry.scenario.spec.validate()?;
+        entry
+            .scenario
+            .spec
+            .validate()
+            .map_err(|error| format!("invalid scenario in catalog: {error}"))?;
         jobs.push((seed, entry));
     }
+    Ok(jobs)
+}
+
+/// Runs the sweep: seeds `base_seed .. base_seed + seeds`, each assigned one
+/// of the selected catalog entries round-robin, each run twice (checker gate
+/// + replay gate), fanned out over `threads` workers.
+///
+/// # Errors
+///
+/// A sweep that selects nothing, or a structurally invalid scenario: the
+/// message to print before exiting 2.
+pub fn run_sim_sweep(config: &SimSweepConfig) -> Result<SweepReport, String> {
+    let started = Instant::now();
+    let jobs = sweep_jobs(config)?;
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<SeedRunResult>> = Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|scope| {
@@ -402,9 +428,10 @@ pub fn replay_corpus() -> Vec<CorpusEntry> {
 /// Returns the [`SpecError`] of a structurally invalid scenario (corpus
 /// construction bugs surface here).
 pub fn run_corpus_entry(entry: &CorpusEntry) -> Result<ScenarioOutcome, SpecError> {
-    let run = catalog_for(entry.seed)
+    let run = catalog_for(entry.seed, Some(entry.scenario))
+        .unwrap_or_else(|message| panic!("corpus entry {}: {message}", entry.name))
         .into_iter()
-        .find(|r| r.engine == entry.engine && r.scenario.name == entry.scenario)
+        .find(|r| r.engine == entry.engine)
         .unwrap_or_else(|| panic!("corpus entry {} names no catalog scenario", entry.name));
     run_scenario_sim(run.engine, &run.scenario, entry.seed)
 }
@@ -440,32 +467,80 @@ mod tests {
     fn corpus_entries_name_catalog_scenarios() {
         for entry in replay_corpus() {
             assert!(
-                catalog_for(entry.seed)
-                    .iter()
-                    .any(|r| r.engine == entry.engine && r.scenario.name == entry.scenario),
+                catalog_for(entry.seed, Some(entry.scenario))
+                    .is_ok_and(|runs| runs.iter().any(|r| r.engine == entry.engine)),
                 "corpus entry {} names no catalog scenario",
                 entry.name
             );
         }
     }
 
+    fn sweep(seeds: u64, only: Option<&str>) -> SimSweepConfig {
+        SimSweepConfig {
+            seeds,
+            base_seed: 1,
+            only: only.map(str::to_string),
+            threads: 1,
+        }
+    }
+
+    /// `(seed, engine, scenario)` of every job, no runs.
+    fn picks(config: &SimSweepConfig) -> Vec<(u64, EngineKind, String)> {
+        sweep_jobs(config)
+            .expect("the selection is not empty")
+            .into_iter()
+            .map(|(seed, run)| (seed, run.engine, run.scenario.name))
+            .collect()
+    }
+
     #[test]
     fn round_robin_covers_the_whole_catalog() {
-        let len = catalog_for(1).len() as u64;
-        let config = SimSweepConfig {
-            seeds: len,
-            base_seed: 1,
-            only: None,
-            threads: 1,
-        };
-        // Job construction only (no runs): every catalog entry is assigned
-        // exactly once across one catalog-length stretch of seeds.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..config.seeds {
-            let entries = catalog_for(config.base_seed + i);
-            let entry = &entries[i as usize % entries.len()];
-            seen.insert((entry.engine, entry.scenario.name.clone()));
+        let catalog = catalog_for(1, None).unwrap();
+        // Seed `base + i` runs entry `i mod len` of the whole catalog: every
+        // entry exactly once across one catalog-length stretch of seeds.
+        let expected: Vec<_> = catalog
+            .iter()
+            .zip(1u64..)
+            .map(|(run, seed)| (seed, run.engine, run.scenario.name.clone()))
+            .collect();
+        assert_eq!(picks(&sweep(catalog.len() as u64, None)), expected);
+        let distinct: std::collections::HashSet<_> = expected
+            .iter()
+            .map(|(_, engine, name)| (*engine, name))
+            .collect();
+        assert_eq!(distinct.len(), catalog.len());
+    }
+
+    /// `--only` narrows the catalog *before* the round-robin, so `--seeds N
+    /// --only X` is N seeds of X, not the few of N that happened to land
+    /// on it.
+    #[test]
+    fn only_sweeps_every_seed_over_the_named_scenario() {
+        let picked = picks(&sweep(6, Some("pause-during-commit")));
+        assert_eq!(
+            picked.iter().map(|(seed, ..)| *seed).collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5, 6]
+        );
+        assert!(picked
+            .iter()
+            .all(|(_, _, name)| name == "pause-during-commit"));
+        // Several engines run `partition-heal`: the seeds rotate over them.
+        let engines: std::collections::HashSet<_> = picks(&sweep(6, Some("partition-heal")))
+            .into_iter()
+            .map(|(_, engine, _)| engine)
+            .collect();
+        assert!(engines.len() > 1);
+    }
+
+    /// A sweep of nothing is an error naming the catalog, not zero seeds
+    /// that are "all checker-clean".
+    #[test]
+    fn an_empty_sweep_is_an_error_listing_the_catalog() {
+        for empty in [sweep(3, Some("no-such-scenario")), sweep(0, None)] {
+            let message = run_sim_sweep(&empty).expect_err("nothing to sweep");
+            for name in ["control", "lossy-link", "pause-during-commit"] {
+                assert!(message.contains(name), "{message}");
+            }
         }
-        assert_eq!(seen.len(), len as usize);
     }
 }

@@ -19,6 +19,8 @@
 //! SSS *is* externally consistent and that the intentionally weaker Walter
 //! engine admits the anomalies PSI allows.
 
+#![deny(missing_docs)]
+
 mod checks;
 mod dsg;
 mod history;

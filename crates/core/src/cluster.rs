@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sss_faults::{FaultInjector, FaultInterposer};
 use sss_net::{NodeHost, TransportConfig};
-use sss_vclock::NodeId;
+use sss_vclock::{runtime, NodeId};
 
 use crate::config::{SssConfig, LATENCY_SEED, WORKERS_PER_NODE};
 use crate::error::SssError;
@@ -44,9 +44,7 @@ pub struct SssCluster {
     config: SssConfig,
     host: NodeHost<SssMessage>,
     nodes: Vec<Arc<SssNode>>,
-    /// Recovery tasks spawned by the restart hook (threaded runtime only;
-    /// under the simulator recovery runs as a non-daemon sim task whose
-    /// completion quiescence already waits for). Joined at shutdown.
+    /// Recovery rounds spawned by the restart hook. Joined at shutdown.
     recovery_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -117,25 +115,16 @@ impl SssCluster {
                     node.on_crash();
                 } else {
                     transport.mailbox(NodeId(index)).restart();
-                    match &hook_scheduler {
-                        Some(scheduler) => {
-                            // Non-daemon sim task: quiescence waits for the
-                            // recovery round, so a seeded run always replays
-                            // it to completion.
-                            let _ = scheduler.spawn_task(
-                                format!("sss-recovery-{index}"),
-                                false,
-                                Box::new(move || node.recover_from_peers()),
-                            );
-                        }
-                        None => {
-                            let handle = std::thread::Builder::new()
-                                .name(format!("sss-recovery-{index}"))
-                                .spawn(move || node.recover_from_peers())
-                                .expect("failed to spawn recovery task");
-                            hook_recovery.lock().push(handle);
-                        }
-                    }
+                    // Not a daemon: under the simulator quiescence waits
+                    // for the recovery round, so a seeded run always replays
+                    // it to completion.
+                    let handle = runtime::spawn(
+                        hook_scheduler.as_ref(),
+                        format!("sss-recovery-{index}"),
+                        false,
+                        move || node.recover_from_peers(),
+                    );
+                    hook_recovery.lock().push(handle);
                 }
             }));
         }

@@ -56,6 +56,8 @@
 //! # }
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod adapter;
 mod cluster;
 pub mod coalescer;

@@ -36,6 +36,8 @@
 //! assert!(outcome.is_committed());
 //! ```
 
+#![deny(missing_docs)]
+
 mod bindings;
 mod profile;
 mod registry;

@@ -42,6 +42,8 @@
 //! counterexample for each; the traces convert into chaos regression
 //! scenarios via [`chaos`].
 
+#![deny(missing_docs)]
+
 pub mod chaos;
 pub mod checker;
 pub mod interleave;

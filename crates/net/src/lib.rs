@@ -38,6 +38,18 @@
 //! invisible to the fault layer: interposers are consulted per message, so
 //! a batch faults exactly like the equivalent sequence of single sends.
 //!
+//! # One way to block
+//!
+//! A worker on an empty mailbox, a worker behind a pause or crash gate and a
+//! requester on a [`ReplyReceiver`] all block on a
+//! [`Signal`](sss_vclock::runtime::Signal) and are woken through it, and
+//! workers start through [`runtime::spawn`](sss_vclock::runtime::spawn): a
+//! condvar and a thread normally, a parked task and a spawned task under the
+//! simulator, with nothing in this crate telling the two apart. Mailboxes
+//! (and their gates) are built with the transport's scheduler handle,
+//! because host threads close and resume them; reply channels are not,
+//! because both of their ends run on tasks.
+//!
 //! # The cluster chassis
 //!
 //! [`NodeHost`] puts the pieces together once for every engine: it creates

@@ -1,7 +1,7 @@
 //! Priority mailboxes: one queue per message class, drained by worker threads.
 //!
-//! All queues of a mailbox live behind a single mutex with one condition
-//! variable, which buys three properties the earlier channel-per-class
+//! All queues of a mailbox live behind a single mutex with one
+//! [`Signal`], which buys three properties the earlier channel-per-class
 //! implementation lacked:
 //!
 //! * **Wakeups are immediate for every class.** A worker parked on an empty
@@ -19,33 +19,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Condvar, Mutex};
-use sss_vclock::runtime::SchedulerHandle;
-
-/// Write-once slot for an optional simulation scheduler, shared by the
-/// blocking primitives of this crate. When set (the transport attaches it at
-/// construction under a simulated runtime), waiters park on the scheduler
-/// instead of a condvar and producers wake through it, so a simulated
-/// mailbox never blocks a real thread outside the scheduler's control.
-#[derive(Debug, Default)]
-pub(crate) struct SchedCell(OnceLock<SchedulerHandle>);
-
-impl SchedCell {
-    pub(crate) fn set(&self, scheduler: SchedulerHandle) {
-        let _ = self.0.set(scheduler);
-    }
-
-    pub(crate) fn get(&self) -> Option<&SchedulerHandle> {
-        self.0.get()
-    }
-
-    /// Wakes every task parked on the scheduler, if one is attached.
-    pub(crate) fn wake(&self) {
-        if let Some(scheduler) = self.0.get() {
-            scheduler.wake();
-        }
-    }
-}
+use parking_lot::Mutex;
+use sss_vclock::runtime::{SchedulerHandle, Signal};
 
 /// Default number of messages a worker drains per mailbox wakeup (the K of
 /// [`Mailbox::pop_batch`]); engines expose it as a tuning knob
@@ -71,22 +46,16 @@ pub const MESSAGE_KIND_SLOTS: usize = 8;
 /// backlog in priority order. Closing the mailbox overrides the pause so
 /// shutdown can never deadlock on a paused node.
 ///
-/// Waiters park on a condition variable while paused; [`PauseControl::resume`]
+/// Waiters block on a [`Signal`] while paused; [`PauseControl::resume`]
 /// (and a mailbox close) wakes them, so a paused node burns no CPU and its
 /// resume latency is one wakeup, not a poll interval.
 #[derive(Debug, Default)]
 pub struct PauseControl {
     paused: AtomicBool,
-    /// Guards the pause-state transitions observed by parked waiters; held
-    /// only while flipping `paused` or parking, never across user code. The
-    /// guarded count is the number of threads currently parked on the gate,
-    /// which gives tests a deadline-based way to wait for "worker reached
-    /// the gate" instead of sleeping and hoping.
-    waiters: Mutex<usize>,
-    resumed: Condvar,
-    /// Simulation scheduler, when the owning mailbox runs under one:
-    /// waiters park on it instead of `resumed`.
-    sched: SchedCell,
+    /// Guards the pause-state transitions observed by blocked waiters; held
+    /// only while flipping `paused` or blocking, never across user code.
+    transition: Mutex<()>,
+    resumed: Signal,
 }
 
 impl PauseControl {
@@ -95,9 +64,18 @@ impl PauseControl {
         PauseControl::default()
     }
 
+    /// A control whose waiters and wakers run under `scheduler` (see
+    /// [`Mailbox::with_scheduler`]).
+    fn with_scheduler(scheduler: Option<SchedulerHandle>) -> Self {
+        PauseControl {
+            resumed: Signal::new(scheduler),
+            ..PauseControl::default()
+        }
+    }
+
     /// Stops the associated mailbox from handing out messages.
     pub fn pause(&self) {
-        let _guard = self.waiters.lock();
+        let _guard = self.transition.lock();
         self.paused.store(true, Ordering::Release);
     }
 
@@ -105,11 +83,10 @@ impl PauseControl {
     /// parked worker.
     pub fn resume(&self) {
         {
-            let _guard = self.waiters.lock();
+            let _guard = self.transition.lock();
             self.paused.store(false, Ordering::Release);
         }
         self.resumed.notify_all();
-        self.sched.wake();
     }
 
     /// `true` while paused.
@@ -117,48 +94,29 @@ impl PauseControl {
         self.paused.load(Ordering::Acquire)
     }
 
-    /// Parks the calling thread until the control is resumed or `closed`
-    /// becomes true. The flag is re-checked under the waiter lock, so a
-    /// resume (or a close that calls [`PauseControl::wake_all`] after
-    /// setting the flag) can never be missed.
-    ///
-    /// `crashed` is the owning mailbox's crash flag: a crash-stopped node's
-    /// workers idle on the same gate (a restart calls
-    /// [`PauseControl::wake_all`] to release them), so pause and crash share
-    /// one parking spot.
-    pub(crate) fn block_while_paused(&self, closed: &AtomicBool, crashed: &AtomicBool) {
-        let gated = || {
-            (self.paused.load(Ordering::Acquire) || crashed.load(Ordering::Acquire))
-                && !closed.load(Ordering::Acquire)
-        };
-        if let Some(scheduler) = self.sched.get() {
-            // Simulated: park the task; resume/close wake it to re-check.
-            // Single-token execution makes the check-then-park race-free.
-            while gated() {
-                scheduler.park(None);
-            }
-            return;
-        }
-        let mut guard = self.waiters.lock();
-        *guard += 1;
+    /// Blocks the calling worker while `gated` holds — the owning mailbox's
+    /// "paused or crashed, and not closed". The predicate is re-checked
+    /// under the transition lock, so a resume (or a restart or close, which
+    /// call [`PauseControl::wake_all`] after setting their flag) can never
+    /// be missed. Pause and crash share this one parking spot.
+    pub(crate) fn block_while(&self, gated: impl Fn() -> bool) {
+        let mut guard = self.transition.lock();
         while gated() {
-            self.resumed.wait(&mut guard);
+            self.resumed.wait(&mut guard, None);
         }
-        *guard -= 1;
     }
 
     /// Number of threads currently parked on the pause gate (test hook).
     #[cfg(test)]
     fn parked(&self) -> usize {
-        *self.waiters.lock()
+        self.resumed.waiting()
     }
 
     /// Wakes every parked waiter without changing the pause state; called by
     /// [`Mailbox::close`] so a close always unblocks paused workers.
     pub(crate) fn wake_all(&self) {
-        drop(self.waiters.lock());
+        drop(self.transition.lock());
         self.resumed.notify_all();
-        self.sched.wake();
     }
 }
 
@@ -336,9 +294,6 @@ struct MailboxState<M> {
     dequeued: [u64; 3],
     enqueue_ops: u64,
     dequeue_ops: u64,
-    /// Threads currently parked on `ready` waiting for traffic; lets tests
-    /// wait for "popper is parked" with a deadline instead of sleeping.
-    waiters: usize,
 }
 
 impl<M> MailboxState<M> {
@@ -380,7 +335,9 @@ impl<M> MailboxState<M> {
 /// closed, after which pops drain remaining messages and then return `None`.
 pub struct Mailbox<M> {
     state: Mutex<MailboxState<M>>,
-    ready: Condvar,
+    /// Notified on every push that enqueued something and on crash, restart
+    /// and close; only poppers wait on it.
+    ready: Signal,
     closed: AtomicBool,
     /// `true` while the owning node is crash-stopped: pushes are silently
     /// dropped (the wire cannot tell a crashed machine from a slow one) and
@@ -388,9 +345,6 @@ pub struct Mailbox<M> {
     /// reversible — [`Mailbox::restart`] clears it.
     crashed: AtomicBool,
     pause: Arc<PauseControl>,
-    /// Simulation scheduler, when this mailbox runs under one: poppers park
-    /// on it instead of `ready`, pushers wake through it.
-    sched: SchedCell,
     /// Optional delivery filter consulted on every popped message, *outside*
     /// the queue lock: `false` means the message is consumed (it counts as
     /// dequeued) but never handed to the caller. The transport's
@@ -406,6 +360,15 @@ pub type PopFilter<M> = Arc<dyn Fn(&M) -> bool + Send + Sync>;
 impl<M: Send> Mailbox<M> {
     /// Creates an empty, open mailbox.
     pub fn new() -> Self {
+        Mailbox::with_scheduler(None)
+    }
+
+    /// Creates an empty, open mailbox whose poppers block, and whose state
+    /// changes (push, resume, crash, restart, close) wake them, under
+    /// `scheduler`. The transport passes its simulation scheduler here: a
+    /// mailbox is also closed, and its pause gate resumed, by host threads
+    /// that have no scheduler of their own to find the parked tasks with.
+    pub fn with_scheduler(scheduler: Option<SchedulerHandle>) -> Self {
         Mailbox {
             state: Mutex::new(MailboxState {
                 queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -413,13 +376,11 @@ impl<M: Send> Mailbox<M> {
                 dequeued: [0; 3],
                 enqueue_ops: 0,
                 dequeue_ops: 0,
-                waiters: 0,
             }),
-            ready: Condvar::new(),
+            ready: Signal::new(scheduler.clone()),
             closed: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
-            pause: Arc::new(PauseControl::new()),
-            sched: SchedCell::default(),
+            pause: Arc::new(PauseControl::with_scheduler(scheduler)),
             filter: OnceLock::new(),
         }
     }
@@ -467,7 +428,6 @@ impl<M: Send> Mailbox<M> {
         // Wake parked poppers so they migrate from the ready queue to the
         // crash gate (mirrors how a pause landing mid-park re-gates).
         self.ready.notify_all();
-        self.sched.wake();
     }
 
     /// Clears a crash-stop: pushes are accepted again and parked workers
@@ -477,7 +437,6 @@ impl<M: Send> Mailbox<M> {
         self.crashed.store(false, Ordering::Release);
         self.pause.wake_all();
         self.ready.notify_all();
-        self.sched.wake();
     }
 
     /// `true` while crash-stopped (between [`Mailbox::crash`] and
@@ -486,18 +445,9 @@ impl<M: Send> Mailbox<M> {
         self.crashed.load(Ordering::Acquire)
     }
 
-    /// Attaches a simulation scheduler (write-once; later calls are no-ops).
-    /// From then on blocked poppers park on the scheduler — which models
-    /// them as cooperative tasks the simulator can account for — and every
-    /// state change (push, resume, close) wakes parked tasks through it.
-    pub fn set_scheduler(&self, scheduler: SchedulerHandle) {
-        self.pause.sched.set(Arc::clone(&scheduler));
-        self.sched.set(scheduler);
-    }
-
-    /// The simulation scheduler attached to this mailbox, if any.
+    /// The simulation scheduler this mailbox was built with, if any.
     pub fn scheduler(&self) -> Option<SchedulerHandle> {
-        self.sched.get().cloned()
+        self.ready.scheduler().cloned()
     }
 
     /// The pause gate of this mailbox, shared with fault injectors. Pushes
@@ -547,15 +497,12 @@ impl<M: Send> Mailbox<M> {
             1 => self.ready.notify_one(),
             _ => self.ready.notify_all(),
         }
-        if pushed > 0 {
-            self.sched.wake();
-        }
         true
     }
 
     /// The one blocking loop behind [`Mailbox::pop`] and
     /// [`Mailbox::pop_batch`]: waits out pause and crash gates, then `take`s
-    /// from the queues under their lock, parking until there is something
+    /// from the queues under their lock, blocking until there is something
     /// to take. `None` once the mailbox is closed and drained.
     fn wait_and_take<T>(
         &self,
@@ -566,7 +513,7 @@ impl<M: Send> Mailbox<M> {
             // injection); the close flag overrides both so shutdown always
             // drains.
             if self.gated() {
-                self.pause.block_while_paused(&self.closed, &self.crashed);
+                self.pause.block_while(|| self.gated());
                 continue;
             }
             let mut state = self.state.lock();
@@ -580,22 +527,7 @@ impl<M: Send> Mailbox<M> {
                 if self.closed.load(Ordering::Acquire) {
                     return None;
                 }
-                match self.sched.get() {
-                    None => {
-                        state.waiters += 1;
-                        self.ready.wait(&mut state);
-                        state.waiters -= 1;
-                    }
-                    Some(scheduler) => {
-                        // Simulated: release the lock and park the task;
-                        // single-token execution means no push can slip in
-                        // between the empty check and the park.
-                        let scheduler = Arc::clone(scheduler);
-                        drop(state);
-                        scheduler.park(None);
-                        break;
-                    }
-                }
+                self.ready.wait(&mut state, None);
             }
         }
     }
@@ -664,7 +596,7 @@ impl<M: Send> Mailbox<M> {
     /// fast-path cost when not paused is one atomic load.
     pub fn pause_point(&self) {
         if self.gated() {
-            self.pause.block_while_paused(&self.closed, &self.crashed);
+            self.pause.block_while(|| self.gated());
         }
     }
 
@@ -698,7 +630,6 @@ impl<M: Send> Mailbox<M> {
         drop(self.state.lock());
         self.ready.notify_all();
         self.pause.wake_all();
-        self.sched.wake();
     }
 
     /// `true` once [`Mailbox::close`] has been called.
@@ -719,7 +650,7 @@ impl<M: Send> Mailbox<M> {
     /// Number of threads currently parked on the ready queue (test hook).
     #[cfg(test)]
     fn parked_poppers(&self) -> usize {
-        self.state.lock().waiters
+        self.ready.waiting()
     }
 
     /// Coherent snapshot of the mailbox traffic counters (taken under the

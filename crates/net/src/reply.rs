@@ -5,10 +5,13 @@
 //! §III-C). The reply channel therefore supports *multiple* producers; the
 //! consumer keeps the first reply and ignores the rest.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use sss_vclock::{runtime, NodeId};
+use parking_lot::Mutex;
+use sss_vclock::runtime::{self, Signal};
+use sss_vclock::NodeId;
 
 /// Error returned by [`ReplyReceiver::try_recv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,86 +45,112 @@ pub enum Gather {
     TimedOut,
 }
 
+/// What the two halves share: a bounded queue that knows who is still
+/// attached to it.
+#[derive(Debug)]
+struct Channel<T> {
+    state: Mutex<ChannelState<T>>,
+    capacity: usize,
+    /// Notified on every delivered reply and on every sender drop; only the
+    /// receiver waits on it. Built without a scheduler handle: requesters
+    /// and repliers both run on simulation tasks (or both on threads).
+    changed: Signal,
+}
+
+#[derive(Debug)]
+struct ChannelState<T> {
+    queue: VecDeque<T>,
+    senders: usize,
+    receiver_alive: bool,
+}
+
 /// Sending half of a reply channel. Cloneable so that a request can be
 /// fanned out to every replica of a key.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ReplySender<T> {
-    inner: Sender<T>,
+    channel: Arc<Channel<T>>,
 }
 
 impl<T> ReplySender<T> {
     /// Delivers a reply. Returns `false` if the requester already went away
     /// or the channel is full (a faster replica already answered and the
-    /// buffer is exhausted) — both are benign for the protocol.
+    /// buffer is exhausted) — both are benign for the protocol. Never
+    /// blocks.
     pub fn send(&self, value: T) -> bool {
-        let delivered = self.inner.try_send(value).is_ok();
-        if delivered {
-            if let Some(scheduler) = runtime::current() {
-                scheduler.wake();
+        {
+            let mut state = self.channel.state.lock();
+            if !state.receiver_alive || state.queue.len() >= self.channel.capacity {
+                return false;
             }
+            state.queue.push_back(value);
         }
-        delivered
+        self.channel.changed.notify_one();
+        true
+    }
+}
+
+impl<T> Clone for ReplySender<T> {
+    fn clone(&self) -> Self {
+        self.channel.state.lock().senders += 1;
+        ReplySender {
+            channel: Arc::clone(&self.channel),
+        }
     }
 }
 
 impl<T> Drop for ReplySender<T> {
     fn drop(&mut self) {
-        // Under simulation a receiver may be parked waiting for either a
-        // reply or disconnection; dropping the last sender is the
-        // disconnect signal, so every sender drop wakes parked tasks.
-        if let Some(scheduler) = runtime::current() {
-            scheduler.wake();
-        }
+        self.channel.state.lock().senders -= 1;
+        // Dropping the last sender is the disconnect the receiver may be
+        // waiting for. Every drop notifies, not only the last: under the
+        // simulator a notify lets every parked task re-check, and these
+        // are part of the recorded interleavings.
+        self.channel.changed.notify_all();
     }
 }
 
 /// Receiving half of a reply channel.
 #[derive(Debug)]
 pub struct ReplyReceiver<T> {
-    inner: Receiver<T>,
+    channel: Arc<Channel<T>>,
+}
+
+impl<T> Drop for ReplyReceiver<T> {
+    fn drop(&mut self) {
+        self.channel.state.lock().receiver_alive = false;
+    }
 }
 
 impl<T> ReplyReceiver<T> {
-    /// Waits for the first reply, up to `timeout`.
+    /// Waits for the first reply, up to `timeout` (virtual time under a
+    /// simulation scheduler).
     ///
     /// Returns `None` on timeout or if every sender was dropped without
     /// replying (e.g. the target node was shut down).
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        if let Some(scheduler) = runtime::current() {
-            // Simulated: poll-and-park against the virtual clock instead of
-            // blocking the OS thread. Senders and sender drops wake us.
-            let deadline = scheduler.now() + timeout;
-            loop {
-                match self.inner.try_recv() {
-                    Ok(v) => return Some(v),
-                    Err(TryRecvError::Disconnected) => return None,
-                    Err(TryRecvError::Empty) => {}
-                }
-                if scheduler.now() >= deadline {
-                    return None;
-                }
-                scheduler.park(Some(deadline));
-            }
-        }
-        match self.inner.recv_timeout(timeout) {
-            Ok(v) => Some(v),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.recv_until(Some(runtime::now() + timeout))
     }
 
     /// Waits for the first reply without a timeout. Returns `None` if all
     /// senders disconnected without replying.
     pub fn recv(&self) -> Option<T> {
-        if let Some(scheduler) = runtime::current() {
-            loop {
-                match self.inner.try_recv() {
-                    Ok(v) => return Some(v),
-                    Err(TryRecvError::Disconnected) => return None,
-                    Err(TryRecvError::Empty) => scheduler.park(None),
-                }
+        self.recv_until(None)
+    }
+
+    fn recv_until(&self, deadline: Option<Instant>) -> Option<T> {
+        let mut state = self.channel.state.lock();
+        let mut timed_out = false;
+        loop {
+            if let Some(value) = state.queue.pop_front() {
+                return Some(value);
             }
+            // Checked after the queue on every round, so a reply or a
+            // disconnect that raced with the deadline still counts.
+            if state.senders == 0 || timed_out {
+                return None;
+            }
+            timed_out = self.channel.changed.wait(&mut state, deadline);
         }
-        self.inner.recv().ok()
     }
 
     /// Collects the first reply of each of `expected` distinct senders,
@@ -142,11 +171,10 @@ impl<T> ReplyReceiver<T> {
         sender: impl Fn(&T) -> Option<NodeId>,
         mut accept: impl FnMut(T) -> bool,
     ) -> Gather {
-        let deadline = runtime::now() + timeout;
+        let deadline = Some(runtime::now() + timeout);
         let mut seen: Vec<NodeId> = Vec::with_capacity(expected);
         while seen.len() < expected {
-            let remaining = deadline.saturating_duration_since(runtime::now());
-            let Some(reply) = self.recv_timeout(remaining) else {
+            let Some(reply) = self.recv_until(deadline) else {
                 return Gather::TimedOut;
             };
             match sender(&reply) {
@@ -162,10 +190,12 @@ impl<T> ReplyReceiver<T> {
 
     /// Non-blocking poll for a reply.
     pub fn try_recv(&self) -> Result<T, ReplyTryRecvError> {
-        self.inner.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => ReplyTryRecvError::Empty,
-            TryRecvError::Disconnected => ReplyTryRecvError::Disconnected,
-        })
+        let mut state = self.channel.state.lock();
+        match state.queue.pop_front() {
+            Some(value) => Ok(value),
+            None if state.senders == 0 => Err(ReplyTryRecvError::Disconnected),
+            None => Err(ReplyTryRecvError::Empty),
+        }
     }
 }
 
@@ -179,8 +209,19 @@ impl<T> ReplyReceiver<T> {
 /// Panics if `capacity` is zero.
 pub fn reply_channel<T>(capacity: usize) -> (ReplySender<T>, ReplyReceiver<T>) {
     assert!(capacity > 0, "reply channel capacity must be non-zero");
-    let (tx, rx) = bounded(capacity);
-    (ReplySender { inner: tx }, ReplyReceiver { inner: rx })
+    let channel = Arc::new(Channel {
+        state: Mutex::new(ChannelState {
+            queue: VecDeque::new(),
+            senders: 1,
+            receiver_alive: true,
+        }),
+        capacity,
+        changed: Signal::default(),
+    });
+    let sender = ReplySender {
+        channel: Arc::clone(&channel),
+    };
+    (sender, ReplyReceiver { channel })
 }
 
 #[cfg(test)]
@@ -224,6 +265,68 @@ mod tests {
         assert!(tx.send(1));
         assert!(!tx.send(2));
         assert_eq!(rx.recv(), Some(1));
+    }
+
+    #[test]
+    fn a_full_channel_refuses_without_blocking() {
+        let (tx, rx) = reply_channel(1);
+        assert!(tx.send(1));
+        // Returns at all: a blocking send would hang here, nobody receives.
+        assert!(!tx.send(2));
+        assert_eq!(rx.recv(), Some(1));
+        assert!(tx.send(3), "a received reply frees its slot");
+        assert_eq!(rx.try_recv(), Ok(3));
+    }
+
+    #[test]
+    fn a_send_after_the_receiver_is_dropped_returns_false() {
+        let (tx, rx) = reply_channel(2);
+        let clone = tx.clone();
+        drop(rx);
+        assert!(!tx.send(1));
+        assert!(!clone.send(2));
+    }
+
+    #[test]
+    fn recv_returns_none_once_the_last_cloned_sender_drops() {
+        let (tx, rx) = reply_channel::<u8>(2);
+        let clones = [tx.clone(), tx.clone()];
+        let changed = Arc::clone(&rx.channel);
+        let receiver = std::thread::spawn(move || rx.recv());
+        let blocked = || {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while changed.changed.waiting() == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            changed.changed.waiting() == 1
+        };
+        // A dropped sender wakes the receiver, which goes back to waiting
+        // for as long as another sender could still reply.
+        assert!(blocked());
+        drop(tx);
+        let [first, last] = clones;
+        drop(first);
+        assert!(blocked());
+        assert!(!receiver.is_finished());
+        drop(last);
+        assert_eq!(receiver.join().unwrap(), None);
+    }
+
+    #[test]
+    fn recv_timeout_times_out_then_delivers() {
+        let (tx, rx) = reply_channel(1);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), None);
+        let waiting = Arc::clone(&rx.channel);
+        let replier = std::thread::spawn(move || {
+            // Reply only once the receiver is blocked, so the wake-up path
+            // is the one exercised.
+            while waiting.changed.waiting() == 0 {
+                std::thread::yield_now();
+            }
+            assert!(tx.send(7u8));
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Some(7));
+        replier.join().unwrap();
     }
 
     /// `(sender, positive?)` replies, gathered by sender.

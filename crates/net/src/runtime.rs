@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use sss_vclock::NodeId;
+use sss_vclock::{runtime, NodeId};
 
 use crate::mailbox::{Mailbox, DEFAULT_DELIVERY_BATCH};
 use crate::transport::Envelope;
@@ -94,9 +94,8 @@ impl NodeRuntime {
     {
         assert!(workers > 0, "a node needs at least one worker thread");
         let batch = batch.max(1);
-        // Under a simulation scheduler (attached to the mailbox by the
-        // transport) workers become daemon tasks of the simulator: same
-        // loop, but scheduled cooperatively and idle-parked at quiescence.
+        // Under the mailbox's simulation scheduler workers are daemon tasks:
+        // same loop, idle-parked at quiescence.
         let scheduler = mailbox.scheduler();
         let handles = (0..workers)
             .map(|w| {
@@ -115,13 +114,7 @@ impl NodeRuntime {
                         }
                     }
                 };
-                match &scheduler {
-                    Some(scheduler) => scheduler.spawn_task(name, true, Box::new(body)),
-                    None => std::thread::Builder::new()
-                        .name(name)
-                        .spawn(body)
-                        .expect("failed to spawn node worker"),
-                }
+                runtime::spawn(scheduler.as_ref(), name, true, body)
             })
             .collect();
         let close_mailbox = Arc::new(move || mailbox.close());

@@ -435,13 +435,8 @@ impl<M: Send + Clone + 'static> ChannelTransport<M> {
     pub fn new(config: TransportConfig) -> Self {
         assert!(config.nodes > 0, "cluster must have at least one node");
         let mailboxes: Vec<Arc<Mailbox<Envelope<M>>>> = (0..config.nodes)
-            .map(|_| Arc::new(Mailbox::new()))
+            .map(|_| Arc::new(Mailbox::with_scheduler(config.scheduler.clone())))
             .collect();
-        if let Some(scheduler) = &config.scheduler {
-            for mailbox in &mailboxes {
-                mailbox.set_scheduler(Arc::clone(scheduler));
-            }
-        }
         let wire = Wire {
             latency: config.latency,
             interposer: config.interposer,

@@ -271,3 +271,136 @@ mod timers_contract {
         );
     }
 }
+
+/// The contract of the stack's one way to block,
+/// `sss_vclock::runtime::Signal` (with `runtime::spawn` beside it), checked
+/// on both of its runtimes: as threads on a condvar and as tasks parked on a
+/// `SimRuntime`.
+mod signal_contract {
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
+
+    use parking_lot::Mutex;
+    use sss_sim::SimRuntime;
+    use sss_vclock::runtime::{self, Signal};
+
+    /// Polls `cond` on the current runtime's clock until it holds; `false`
+    /// after a generous bound. A sleep is the one blocking point that lets
+    /// simulated waiters run without notifying anything.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        for _ in 0..100_000 {
+            if cond() {
+                return true;
+            }
+            runtime::sleep(Duration::from_micros(50));
+        }
+        cond()
+    }
+
+    /// Permits to take, and how many waiters have taken one and left.
+    #[derive(Default)]
+    struct Gate {
+        permits: usize,
+        passed: usize,
+    }
+
+    fn spawn_waiter(name: &str, gate: &Arc<(Mutex<Gate>, Signal)>) -> JoinHandle<()> {
+        let gate = Arc::clone(gate);
+        runtime::spawn(None, name.to_string(), false, move || {
+            let (state, signal) = &*gate;
+            let mut state = state.lock();
+            while state.permits == 0 {
+                signal.wait(&mut state, None);
+            }
+            state.permits -= 1;
+            state.passed += 1;
+        })
+    }
+
+    /// Runs on the runtime under test (a thread, or a simulation task) and
+    /// returns the waiters it spawned, all of which have finished.
+    fn check(horizon: Duration) -> Vec<JoinHandle<()>> {
+        let gate = Arc::new((Mutex::new(Gate::default()), Signal::default()));
+        let (state, signal) = &*gate;
+        let mut waiters = vec![spawn_waiter("a", &gate), spawn_waiter("b", &gate)];
+
+        // `waiting` counts the blocked: both, then whoever is left.
+        assert!(eventually(|| signal.waiting() == 2));
+        // One permit and `notify_one`: at least one waiter wakes to take it
+        // (a second may wake too, find nothing, and block again).
+        state.lock().permits = 1;
+        signal.notify_one();
+        assert!(eventually(|| state.lock().passed == 1));
+        assert!(eventually(|| signal.waiting() == 1));
+
+        // `notify_all` reaches every waiter.
+        waiters.push(spawn_waiter("c", &gate));
+        assert!(eventually(|| signal.waiting() == 2));
+        state.lock().permits = 2;
+        signal.notify_all();
+        assert!(eventually(|| state.lock().passed == 3));
+        assert_eq!(signal.waiting(), 0);
+
+        // Nobody notifies: the wait ends at the deadline, on this runtime's
+        // clock, and says so.
+        let mut state = state.lock();
+        let deadline = runtime::now() + horizon;
+        while !signal.wait(&mut state, Some(deadline)) {}
+        assert!(runtime::now() >= deadline);
+        // A deadline already reached does not block at all.
+        assert!(signal.wait(&mut state, Some(deadline)));
+        waiters
+    }
+
+    #[test]
+    fn threaded() {
+        for waiter in check(Duration::from_millis(20)) {
+            waiter.join().expect("waiter exits cleanly");
+        }
+    }
+
+    #[test]
+    fn simulated() {
+        let sim = SimRuntime::new(9);
+        let wall = Instant::now();
+        let hour = Duration::from_secs(3600);
+        for waiter in sim.block_on("check", move || check(hour)) {
+            waiter.join().expect("waiter exits cleanly");
+        }
+        assert!(sim.virtual_elapsed() >= hour, "the deadline was virtual");
+        assert!(
+            wall.elapsed() < Duration::from_secs(60),
+            "and nobody slept through it on the wall clock"
+        );
+    }
+
+    /// The `Mailbox::close` / injector-`resume` case: the notifier is a host
+    /// thread with no scheduler installed, so the waiter is only reachable
+    /// through the handle the signal was built with.
+    #[test]
+    fn a_host_thread_notify_reaches_a_simulated_waiter() {
+        let sim = SimRuntime::new(9);
+        let shared = Arc::new((Mutex::new(false), Signal::new(Some(sim.handle()))));
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            // A daemon, like a node worker: parked with no deadline at
+            // quiescence is idling, not a deadlock.
+            runtime::spawn(Some(&sim.handle()), "waiter".into(), true, move || {
+                let (open, signal) = &*shared;
+                let mut open = open.lock();
+                while !*open {
+                    signal.wait(&mut open, None);
+                }
+            })
+        };
+        sim.start();
+        sim.wait_quiescent();
+        let (open, signal) = &*shared;
+        assert_eq!(signal.waiting(), 1);
+        assert!(runtime::current().is_none());
+        *open.lock() = true;
+        signal.notify_all();
+        waiter.join().expect("the waiter saw the notify and left");
+    }
+}

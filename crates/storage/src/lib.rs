@@ -15,7 +15,10 @@
 //! * [`SvStore`] — the single-version repository used by the 2PC baseline
 //!   and ROCOCO,
 //! * [`LockTable`] — shared/exclusive locks with bounded (timeout)
-//!   acquisition, as used during the 2PC prepare phase,
+//!   acquisition, as used during the 2PC prepare phase; the only thing in
+//!   this crate that blocks, on one
+//!   [`Signal`](sss_vclock::runtime::Signal) per shard, so the wait and its
+//!   time-out run in virtual time under the simulator,
 //! * [`ReplicaMap`] — the key→nodes lookup function assumed by the paper
 //!   ("we assume the existence of a local look-up function that matches keys
 //!   with nodes").

@@ -6,32 +6,23 @@
 //! the timeout to 1ms on a cluster whose messages take ~20µs.
 //!
 //! The table is hash-partitioned into fixed-arity shards, each with its own
-//! mutex and condition variable: acquisitions on different shards proceed in
-//! parallel, and a release only wakes the waiters parked on its own shard
+//! mutex and [`Signal`]: acquisitions on different shards proceed in
+//! parallel, and a release only wakes the waiters blocked on its own shard
 //! (instead of every waiter in the table). Timeout semantics are per
 //! acquisition and unchanged by sharding — a request gives up once its
-//! deadline passes, re-checking one final time for a release that raced
-//! with the timeout.
+//! deadline passes (virtual time under a simulation scheduler), re-checking
+//! one final time for a release that raced with the timeout.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
-use sss_vclock::runtime::{self, SchedulerHandle};
+use parking_lot::Mutex;
+use sss_vclock::runtime::{self, Signal};
 
 use crate::key::Key;
 use crate::shard;
 use crate::txn_id::TxnId;
-
-/// Wakes parked simulation tasks after a release, when running under a
-/// simulation scheduler (no-op otherwise). The threaded path uses per-shard
-/// condvars; the simulated path parks tasks on the scheduler instead.
-fn wake_sim() {
-    if let Some(scheduler) = runtime::current() {
-        scheduler.wake();
-    }
-}
 
 /// The mode of a lock request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,12 +86,14 @@ impl LockEntry {
 }
 
 /// One hash partition of the table: its own entry map, its own mutex, and
-/// its own condition variable (so a release wakes only this shard's
-/// waiters).
+/// its own signal (so a release wakes only this shard's waiters). The
+/// signal carries no scheduler handle: lock tables are only touched from
+/// handlers, which run on simulation tasks when there is a simulation.
 #[derive(Debug, Default)]
 struct LockShard {
     entries: Mutex<HashMap<Key, LockEntry>>,
-    released: Condvar,
+    /// Notified on every release that freed something.
+    released: Signal,
     /// Requests that could not be granted on first check and had to wait
     /// (monotonic) — the per-shard contention signal of [`LockTableStats`].
     contended: AtomicU64,
@@ -222,13 +215,11 @@ impl LockTable {
     /// same transaction (including reading a key it already write-locked)
     /// always succeeds immediately.
     pub fn acquire(&self, txn: TxnId, key: &Key, kind: LockKind, timeout: Duration) -> bool {
-        if let Some(scheduler) = runtime::current() {
-            return self.acquire_sim(&scheduler, txn, key, kind, timeout);
-        }
-        let deadline = Instant::now() + timeout;
+        let deadline = runtime::now() + timeout;
         let shard = self.shard(key);
         let mut entries = shard.entries.lock();
         let mut first_check = true;
+        let mut timed_out = false;
         loop {
             let entry = entries.entry(key.clone()).or_default();
             if entry.can_grant(txn, kind) {
@@ -236,68 +227,17 @@ impl LockTable {
                 self.granted.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
-            if first_check {
-                shard.contended.fetch_add(1, Ordering::Relaxed);
-                first_check = false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
+            // Checked after the grant test on every round: a release that
+            // raced with the timeout still wins.
+            if timed_out {
                 self.timeouts.fetch_add(1, Ordering::Relaxed);
                 return false;
-            }
-            if shard
-                .released
-                .wait_until(&mut entries, deadline)
-                .timed_out()
-            {
-                // Re-check once more before giving up: a release may have
-                // raced with the timeout.
-                let entry = entries.entry(key.clone()).or_default();
-                if entry.can_grant(txn, kind) {
-                    entry.grant(txn, kind);
-                    self.granted.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        }
-    }
-
-    /// [`LockTable::acquire`] under a simulation scheduler: the waiter
-    /// parks as a cooperative task with a virtual-clock deadline, and a
-    /// release (which calls [`wake_sim`]) makes it runnable again. Timeout
-    /// semantics are identical — the deadline is just virtual.
-    fn acquire_sim(
-        &self,
-        scheduler: &SchedulerHandle,
-        txn: TxnId,
-        key: &Key,
-        kind: LockKind,
-        timeout: Duration,
-    ) -> bool {
-        let deadline = scheduler.now() + timeout;
-        let shard = self.shard(key);
-        let mut first_check = true;
-        loop {
-            {
-                let mut entries = shard.entries.lock();
-                let entry = entries.entry(key.clone()).or_default();
-                if entry.can_grant(txn, kind) {
-                    entry.grant(txn, kind);
-                    self.granted.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
             }
             if first_check {
                 shard.contended.fetch_add(1, Ordering::Relaxed);
                 first_check = false;
             }
-            if scheduler.now() >= deadline {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            scheduler.park(Some(deadline));
+            timed_out = shard.released.wait(&mut entries, Some(deadline));
         }
     }
 
@@ -343,7 +283,6 @@ impl LockTable {
                     entries.remove(key);
                 }
                 shard.released.notify_all();
-                wake_sim();
             }
         }
     }
@@ -368,7 +307,6 @@ impl LockTable {
             });
             if any {
                 shard.released.notify_all();
-                wake_sim();
             }
         }
     }

@@ -16,8 +16,8 @@
 //!
 //! **Threaded (default).** No scheduler is installed anywhere. The free
 //! functions [`now`] and [`sleep`] fall through to [`Instant::now`] and
-//! [`std::thread::sleep`]; mailboxes and lock tables block on their
-//! condvars. Behavior is byte-identical to the pre-abstraction code.
+//! [`std::thread::sleep`], a [`Signal`] is a condition variable and
+//! [`spawn`] starts an OS thread.
 //!
 //! **Simulated.** A [`SimScheduler`] implementation (the `SimRuntime` in
 //! `sss-sim`) owns a virtual clock and a seeded run queue. Node workers and
@@ -27,9 +27,19 @@
 //! the scheduler installed in thread-local storage (see [`current`]), so
 //! deep call sites — a lock-table wait inside a prepare handler, a protocol
 //! timeout in a session — discover the simulation without any plumbing.
-//! Blocking primitives created on host threads (mailboxes, transports) are
-//! additionally handed an explicit [`SchedulerHandle`] at construction so
-//! host-side operations such as `close()` can wake parked tasks.
+//!
+//! # Block until X or a deadline
+//!
+//! Everything that blocks — a worker on an empty or paused mailbox, a
+//! client on a reply, a prepare handler on a held lock — waits on a
+//! [`Signal`] with its own mutex held and is woken through the same
+//! `Signal`; everything that starts a worker goes through [`spawn`]. Both
+//! find the scheduler by one rule: **the handle given at construction (or
+//! to the call), else the one installed on the calling thread**. A
+//! primitive that host threads also touch — a mailbox is closed by the
+//! thread tearing the cluster down, a pause gate is resumed by the fault
+//! injector's timer — is therefore built with the handle; one that only
+//! tasks touch (a reply channel, a lock table) needs nothing.
 //!
 //! # Run this at time T
 //!
@@ -52,6 +62,7 @@
 //! protocol code reads time through [`now`].
 
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -189,6 +200,128 @@ pub fn sleep(duration: Duration) {
     match current() {
         Some(scheduler) => scheduler.sleep(duration),
         None => std::thread::sleep(duration),
+    }
+}
+
+/// The scheduler a blocking primitive runs under: `given` (the handle it was
+/// built with) if any, else the one installed on the calling thread.
+fn resolve(given: Option<&SchedulerHandle>) -> Option<SchedulerHandle> {
+    given.cloned().or_else(current)
+}
+
+/// Starts `body` as a worker named `name`: a cooperative task of the
+/// scheduler found by the module's rule (`scheduler`, else the calling
+/// thread's), otherwise an OS thread. `daemon` is
+/// [`SimScheduler::spawn_task`]'s flag and means nothing to a thread.
+///
+/// # Panics
+///
+/// Panics if the operating system refuses the thread.
+pub fn spawn(
+    scheduler: Option<&SchedulerHandle>,
+    name: String,
+    daemon: bool,
+    body: impl FnOnce() + Send + 'static,
+) -> JoinHandle<()> {
+    match resolve(scheduler) {
+        Some(scheduler) => scheduler.spawn_task(name, daemon, Box::new(body)),
+        None => std::thread::Builder::new()
+            .name(name)
+            .spawn(body)
+            .expect("failed to spawn a worker thread"),
+    }
+}
+
+/// The one way to block until a condition holds or a deadline passes.
+///
+/// Used like a condition variable: the state a waiter tests lives behind
+/// the caller's own [`parking_lot::Mutex`]; the waiter holds that lock,
+/// tests, and calls [`Signal::wait`] in a loop; whoever changes the state
+/// does so under the same lock and then notifies. Without a scheduler (see
+/// the module's rule) a wait *is* a condvar wait. Under one it releases the
+/// lock, [`SimScheduler::park`]s the task and takes the lock again, and a
+/// notify is a [`SimScheduler::wake`] — which today makes every parked task
+/// of the simulation re-check, not only this signal's.
+///
+/// Waits may return spuriously on either runtime. A notify reaches waiters
+/// of both kinds, so a host thread may wait on what a task notifies.
+#[derive(Debug, Default)]
+pub struct Signal {
+    scheduler: Option<SchedulerHandle>,
+    condvar: parking_lot::Condvar,
+    waiting: AtomicUsize,
+}
+
+impl Signal {
+    /// A signal under `scheduler`; with `None`, under whatever scheduler
+    /// the calling thread of each operation has installed.
+    pub fn new(scheduler: Option<SchedulerHandle>) -> Self {
+        Signal {
+            scheduler,
+            ..Signal::default()
+        }
+    }
+
+    /// The scheduler this signal was built with.
+    pub fn scheduler(&self) -> Option<&SchedulerHandle> {
+        self.scheduler.as_ref()
+    }
+
+    /// Releases `guard`, blocks until notified or until `deadline` (an
+    /// instant of [`now`]'s clock), and re-acquires it. Returns `true` when
+    /// the deadline has been reached — at once, without blocking, if it
+    /// already had been on entry.
+    pub fn wait<T>(
+        &self,
+        guard: &mut parking_lot::MutexGuard<'_, T>,
+        deadline: Option<Instant>,
+    ) -> bool {
+        // Relaxed: a gauge for tests and reports; the caller's mutex is
+        // what orders the wait against the notifier.
+        self.waiting.fetch_add(1, Ordering::Relaxed);
+        let timed_out = match (resolve(self.scheduler.as_ref()), deadline) {
+            (None, None) => {
+                self.condvar.wait(guard);
+                false
+            }
+            (None, Some(deadline)) => self.condvar.wait_until(guard, deadline).timed_out(),
+            (Some(scheduler), _) => {
+                let expired = || deadline.is_some_and(|deadline| scheduler.now() >= deadline);
+                expired() || {
+                    // Only one task runs at a time, so nothing can change
+                    // the state between the caller's test and this park.
+                    parking_lot::MutexGuard::unlocked(guard, || scheduler.park(deadline));
+                    expired()
+                }
+            }
+        };
+        self.waiting.fetch_sub(1, Ordering::Relaxed);
+        timed_out
+    }
+
+    /// Wakes one waiter (under a scheduler: every parked task).
+    pub fn notify_one(&self) {
+        self.condvar.notify_one();
+        self.wake_tasks();
+    }
+
+    /// Wakes every waiter.
+    pub fn notify_all(&self) {
+        self.condvar.notify_all();
+        self.wake_tasks();
+    }
+
+    fn wake_tasks(&self) {
+        if let Some(scheduler) = resolve(self.scheduler.as_ref()) {
+            scheduler.wake();
+        }
+    }
+
+    /// Threads and tasks currently inside [`Signal::wait`]. A waiter counts
+    /// from before it releases the caller's lock, so once a test has seen
+    /// it here a notify sent after taking that lock cannot be lost.
+    pub fn waiting(&self) -> usize {
+        self.waiting.load(Ordering::Relaxed)
     }
 }
 
@@ -509,6 +642,18 @@ mod tests {
         base: Instant,
         offset: Duration,
         slept: AtomicU64,
+        spawned: AtomicU64,
+    }
+
+    impl Stub {
+        fn at(offset: Duration) -> Arc<Stub> {
+            Arc::new(Stub {
+                base: Instant::now(),
+                offset,
+                slept: AtomicU64::new(0),
+                spawned: AtomicU64::new(0),
+            })
+        }
     }
 
     impl SimScheduler for Stub {
@@ -533,6 +678,7 @@ mod tests {
             _daemon: bool,
             f: Box<dyn FnOnce() + Send>,
         ) -> JoinHandle<()> {
+            self.spawned.fetch_add(1, Ordering::Relaxed);
             std::thread::Builder::new().name(name).spawn(f).unwrap()
         }
     }
@@ -547,12 +693,9 @@ mod tests {
 
     #[test]
     fn enter_installs_and_restores_the_scheduler() {
-        let base = Instant::now();
-        let stub: SchedulerHandle = Arc::new(Stub {
-            base,
-            offset: Duration::from_secs(1000),
-            slept: AtomicU64::new(0),
-        });
+        let stub = Stub::at(Duration::from_secs(1000));
+        let base = stub.base;
+        let stub: SchedulerHandle = stub;
         assert!(current().is_none());
         enter(&stub, || {
             assert!(current().is_some());
@@ -564,14 +707,61 @@ mod tests {
 
     #[test]
     fn sleep_routes_to_the_installed_scheduler() {
-        let stub = Arc::new(Stub {
-            base: Instant::now(),
-            offset: Duration::ZERO,
-            slept: AtomicU64::new(0),
-        });
+        let stub = Stub::at(Duration::ZERO);
         let handle: SchedulerHandle = Arc::clone(&stub) as SchedulerHandle;
         enter(&handle, || sleep(Duration::from_nanos(42)));
         assert_eq!(stub.slept.load(Ordering::Relaxed), 42);
+    }
+
+    #[test]
+    fn spawn_finds_the_scheduler_given_first_then_the_threads_own_else_starts_a_thread() {
+        let (given, own) = (Stub::at(Duration::ZERO), Stub::at(Duration::ZERO));
+        let given_handle: SchedulerHandle = Arc::clone(&given) as SchedulerHandle;
+        let own_handle: SchedulerHandle = Arc::clone(&own) as SchedulerHandle;
+        let name = || std::thread::current().name().map(str::to_string);
+        let spawn_named = |scheduler: Option<&SchedulerHandle>| {
+            let (tell, told) = std::sync::mpsc::channel();
+            spawn(scheduler, "worker".into(), true, move || {
+                tell.send(name()).unwrap()
+            })
+            .join()
+            .unwrap();
+            told.recv().unwrap()
+        };
+        assert_eq!(spawn_named(None).as_deref(), Some("worker"));
+        enter(&own_handle, || {
+            spawn_named(None);
+            spawn_named(Some(&given_handle));
+        });
+        let spawned = |stub: &Stub| stub.spawned.load(Ordering::Relaxed);
+        assert_eq!((spawned(&own), spawned(&given)), (1, 1));
+    }
+
+    /// The race a condvar exists to close: the notifier acts after the
+    /// waiter tested its predicate but before the waiter blocks.
+    #[test]
+    fn a_notify_between_the_predicate_check_and_the_wait_is_not_lost() {
+        let shared = Arc::new((parking_lot::Mutex::new(false), Signal::default()));
+        let (checked, wait_checked) = std::sync::mpsc::channel();
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (ready, signal) = &*shared;
+                let mut ready = ready.lock();
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !*ready {
+                    // The predicate is tested; only now may the notifier
+                    // start, and it gets the lock when `wait` releases it.
+                    checked.send(()).unwrap();
+                    assert!(!signal.wait(&mut ready, Some(deadline)), "lost");
+                }
+            })
+        };
+        wait_checked.recv().unwrap();
+        let (ready, signal) = &*shared;
+        *ready.lock() = true;
+        signal.notify_one();
+        waiter.join().expect("the waiter was woken, not timed out");
     }
 
     #[test]
@@ -650,16 +840,8 @@ mod tests {
 
     #[test]
     fn enter_restores_on_nesting() {
-        let a: SchedulerHandle = Arc::new(Stub {
-            base: Instant::now(),
-            offset: Duration::from_secs(1),
-            slept: AtomicU64::new(0),
-        });
-        let b: SchedulerHandle = Arc::new(Stub {
-            base: Instant::now(),
-            offset: Duration::from_secs(2),
-            slept: AtomicU64::new(0),
-        });
+        let a: SchedulerHandle = Stub::at(Duration::from_secs(1));
+        let b: SchedulerHandle = Stub::at(Duration::from_secs(2));
         enter(&a, || {
             let outer = now();
             enter(&b, || {

@@ -30,6 +30,8 @@
 //! detector, and verifies the run with the `sss-consistency` checker. See
 //! [`run_scenario`].
 
+#![deny(missing_docs)]
+
 mod driver;
 mod generator;
 mod report;

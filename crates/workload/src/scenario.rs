@@ -34,7 +34,8 @@ use sss_engine::{
     TransactionEngine, WatchdogConfig, WatchdogCore, WatchdogVerdict,
 };
 use sss_storage::{Key, TxnId, Value};
-use sss_vclock::{runtime, NodeId};
+use sss_vclock::runtime::{self, Signal};
+use sss_vclock::NodeId;
 
 use crate::generator::{TxnTemplate, WorkloadGenerator};
 use crate::spec::{SpecError, WorkloadSpec};
@@ -834,7 +835,7 @@ pub fn run_scenario_sim_on(
     let tallies: Arc<Mutex<Vec<ClientTally>>> = Arc::new(Mutex::new(Vec::new()));
 
     // One driver task spawns every client as its own foreground task and
-    // parks until all of them have finished. Spawning from *inside* the
+    // waits until all of them have finished. Spawning from *inside* the
     // simulation (rather than from the host thread) keeps the spawn order
     // — and therefore the scheduler's seeded interleaving — deterministic.
     {
@@ -845,9 +846,7 @@ pub fn run_scenario_sim_on(
         let recorder = Arc::clone(&recorder);
         let tallies = Arc::clone(&tallies);
         sim.block_on("clients", move || {
-            let scheduler = runtime::current().expect("driver runs on a simulation task");
-            let total = scenario.spec.total_clients();
-            let remaining = Arc::new(AtomicU64::new(total as u64));
+            let finished = Arc::new(Signal::default());
             for node in 0..scenario.spec.nodes {
                 for client in 0..scenario.spec.clients_per_node {
                     let engine = Arc::clone(&engine);
@@ -856,31 +855,25 @@ pub fn run_scenario_sim_on(
                     let abort = Arc::clone(&abort);
                     let recorder = Arc::clone(&recorder);
                     let tallies = Arc::clone(&tallies);
-                    let remaining = Arc::clone(&remaining);
-                    scheduler.spawn_task(
-                        format!("client-{node}-{client}"),
-                        false,
-                        Box::new(move || {
-                            let tally = run_client(
-                                engine.as_ref().as_ref(),
-                                &scenario,
-                                node,
-                                client,
-                                &progress,
-                                &abort,
-                                &recorder,
-                            );
-                            tallies.lock().push(tally);
-                            remaining.fetch_sub(1, Ordering::SeqCst);
-                            if let Some(scheduler) = runtime::current() {
-                                scheduler.wake();
-                            }
-                        }),
-                    );
+                    let finished = Arc::clone(&finished);
+                    runtime::spawn(None, format!("client-{node}-{client}"), false, move || {
+                        let tally = run_client(
+                            engine.as_ref().as_ref(),
+                            &scenario,
+                            node,
+                            client,
+                            &progress,
+                            &abort,
+                            &recorder,
+                        );
+                        tallies.lock().push(tally);
+                        finished.notify_all();
+                    });
                 }
             }
-            while remaining.load(Ordering::SeqCst) > 0 {
-                scheduler.park(None);
+            let mut tallies = tallies.lock();
+            while tallies.len() < scenario.spec.total_clients() {
+                finished.wait(&mut tallies, None);
             }
         });
     }
