@@ -188,12 +188,18 @@ impl WalterNode {
                 .unwrap_or(false)
         });
         if conflict {
+            // The refusal carries this node's clock, which covers the
+            // version that won (`handle_decide` installs before it merges):
+            // the loser's next snapshot must include it, or a client whose
+            // node hears of the winner from nobody else retries from the
+            // same stale snapshot forever.
+            let proposed = state.node_vc.clone();
             drop(state);
             self.locks.release_all(txn);
             reply.send(VoteReply {
                 from: self.id,
                 ok: false,
-                proposed: snapshot,
+                proposed,
             });
             return;
         }
@@ -371,6 +377,8 @@ impl Protocol for Walter {
             |vote| {
                 if vote.ok {
                     commit_vc.merge(&vote.proposed);
+                } else {
+                    session.local().observe(&vote.proposed);
                 }
                 vote.ok
             },
@@ -505,6 +513,33 @@ mod tests {
         }
         let vote = rx.recv().unwrap();
         assert!(!vote.ok, "stale writer must lose first-committer-wins");
+        cluster.shutdown();
+    }
+
+    /// A writer that loses first-committer-wins learns the winner's clock
+    /// from the refusal. Its node is neither a replica of the key nor the
+    /// winner's coordinator and no other traffic spreads clocks, so nothing
+    /// else would ever move its snapshot past the winning version.
+    #[test]
+    fn a_refused_writer_catches_up_in_a_quiet_cluster() {
+        let cluster = WalterCluster::start(BaselineConfig::new(3));
+        let k = (0..)
+            .map(|i| Key::new(format!("quiet-{i}")))
+            .find(|k| cluster.shared.placement.replicas(k) == [NodeId(0), NodeId(1)])
+            .expect("some key lives on nodes 0 and 1 only");
+        assert!(cluster
+            .session(0)
+            .update(&[], &[(k.clone(), Value::from_u64(1))])
+            .is_some());
+        let mut outsider = cluster.session(2);
+        let attempts = (1..=200)
+            .find(|_| {
+                outsider
+                    .update(std::slice::from_ref(&k), &[(k.clone(), Value::from_u64(2))])
+                    .is_some()
+            })
+            .expect("the outsider never commits: every retry reuses its stale snapshot");
+        assert_eq!(attempts, 2, "one refusal is enough to catch up");
         cluster.shutdown();
     }
 }

@@ -5,9 +5,12 @@
 //! arguments through this module rather than hand-rolling another copy of
 //! the argument loop.
 
+use std::time::{Duration, Instant};
+
 use crate::figures::{
     fig3_throughput, fig4a_max_throughput, fig4b_latency, fig5_breakdown, fig6_rococo,
-    fig7_locality, fig8_read_only_size, BenchScale, FigureTable,
+    fig7_locality, fig8_read_only_size, json_string, BenchScale, FigureTable, FIGURE_PROFILE,
+    FIGURE_SEED,
 };
 
 /// `true` if `flag` (e.g. `--smoke`) appears in `args`.
@@ -124,20 +127,90 @@ impl FigureSelection {
     }
 }
 
+/// Where a full `figures` run appends its record: the repository root.
+const FIGURES_RECORD: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_figures.json");
+
 /// The whole body of the `figures` binary: parse `--only NAME` and the scale
-/// from the process arguments, run the selected sweeps, print the tables.
-/// Exits with status 2 on an unknown figure name.
+/// from the process arguments, run the selected sweeps, print the tables —
+/// standard output is a function of the scale alone, byte for byte. A full
+/// run (no `--only`) then appends one record to `BENCH_figures.json` at the
+/// repository root; a selected run only prints. Exits with status 2 on an
+/// unknown figure name.
 pub fn figure_main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = BenchScale::from_args(&args);
-    let figures = FigureSelection::select(parse_value(&args, "--only").as_deref()).unwrap_or_else(
-        |message| {
-            eprintln!("{message}");
-            std::process::exit(2);
-        },
-    );
+    let only = parse_value(&args, "--only");
+    let figures = FigureSelection::select(only.as_deref()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    let started = Instant::now();
+    let mut tables = Vec::new();
     for table in figures.iter().flat_map(|figure| figure.tables(scale)) {
         println!("{}", table.render());
+        tables.push(table);
+    }
+    if only.is_none() {
+        let record = figures_record(scale, &tables, started.elapsed());
+        let history = std::fs::read_to_string(FIGURES_RECORD).unwrap_or_default();
+        std::fs::write(FIGURES_RECORD, with_record(&history, &record))
+            .unwrap_or_else(|e| panic!("failed to write {FIGURES_RECORD}: {e}"));
+        eprintln!("appended a record to {FIGURES_RECORD}");
+    }
+}
+
+/// Standard output of `program args`, trimmed; "unknown" if it cannot run.
+fn output_of(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|output| output.status.success())
+        .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// One `BENCH_figures.json` record, on one line: where and when the run
+/// happened, what fixes its numbers (scale, seed, network profile — the
+/// tables are a function of these), what it cost, and every table.
+fn figures_record(scale: BenchScale, tables: &[FigureTable], wall: Duration) -> String {
+    let tables: Vec<String> = tables.iter().map(FigureTable::to_json).collect();
+    format!(
+        "{{\"git_rev\":{},\"date\":{},\"scale\":{},\"seed\":{FIGURE_SEED},\
+         \"net_profile\":{},\"ops_per_client\":{},\"host_cores\":{},\"wall_s\":{:.1},\
+         \"tables\":[{}]}}",
+        json_string(&output_of(
+            "git",
+            &[
+                "-C",
+                env!("CARGO_MANIFEST_DIR"),
+                "describe",
+                "--always",
+                "--dirty"
+            ]
+        )),
+        json_string(&output_of("date", &["-u", "+%Y-%m-%d"])),
+        json_string(scale.label()),
+        json_string(&format!("{FIGURE_PROFILE:?}")),
+        scale.ops_per_client(),
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        wall.as_secs_f64(),
+        tables.join(","),
+    )
+}
+
+/// `history` — a JSON array with one record per line, or nothing yet — with
+/// `record` appended: earlier records are kept, never overwritten.
+fn with_record(history: &str, record: &str) -> String {
+    let earlier = history
+        .trim()
+        .strip_prefix('[')
+        .and_then(|rest| rest.strip_suffix(']'))
+        .map_or("", str::trim);
+    if earlier.is_empty() {
+        format!("[\n{record}\n]\n")
+    } else {
+        format!("[\n{earlier},\n{record}\n]\n")
     }
 }
 
@@ -170,6 +243,26 @@ mod tests {
         );
         let message = FigureSelection::select(Some("fig9")).unwrap_err();
         assert!(message.contains("fig9") && message.contains("fig3, fig4a, fig4b"));
+    }
+
+    #[test]
+    fn a_record_is_appended_to_the_history_not_written_over_it() {
+        let record = figures_record(BenchScale::Quick, &[], Duration::from_millis(1500));
+        assert!(record.starts_with("{\"git_rev\":\""), "{record}");
+        assert!(
+            record.contains("\"scale\":\"quick (reduced)\",\"seed\":42,")
+                && record.contains("\"net_profile\":\"CloudlabLike\",")
+                && record.ends_with("\"wall_s\":1.5,\"tables\":[]}"),
+            "{record}"
+        );
+        let one = with_record("", "{\"n\":[1]}");
+        assert_eq!(one, "[\n{\"n\":[1]}\n]\n");
+        let two = with_record(&one, "{\"n\":[2]}");
+        assert_eq!(two, "[\n{\"n\":[1]},\n{\"n\":[2]}\n]\n");
+        assert_eq!(
+            with_record(&two, "{}"),
+            "[\n{\"n\":[1]},\n{\"n\":[2]},\n{}\n]\n"
+        );
     }
 
     #[test]

@@ -1,23 +1,24 @@
 //! The paper's evaluation (§V) as runnable sweeps, and the verification
 //! tiers that run whole clusters.
 //!
-//! * [`harness`] builds engines exclusively through the `sss-engine`
-//!   registry ([`EngineKind::build`](sss_engine::EngineKind::build)) and
-//!   drives them with the `sss-workload` closed-loop driver, so that one
-//!   code path runs every engine under identical conditions — the same
-//!   methodology as the paper, which re-implemented every competitor on the
-//!   same software infrastructure. This crate defines **no** engine
-//!   adapters of its own; those live with the engines (`sss-core`,
-//!   `sss-baselines`) behind the `sss-engine` trait surface.
+//! Everything here runs a workload one way: as an `sss-workload` scenario
+//! (`run_scenario` on threads, `run_scenario_sim` in virtual time) against
+//! an engine the `sss-engine` registry built — one closed-loop client, one
+//! runner body, one history recorder and checker for every engine, the same
+//! methodology as the paper, which re-implemented every competitor on the
+//! same software infrastructure. This crate defines **no** engine adapters
+//! and no driver of its own.
+//!
 //! * [`figures`] encodes each figure of the evaluation section as a
-//!   parameter sweep returning printable rows. The `figures` binary is a
-//!   thin wrapper around these functions; `cargo bench` runs
-//!   reduced-scale end-to-end transactions on the same engines (component
-//!   micro-benchmarks live in the crates owning the components).
+//!   parameter sweep returning printable rows. Every point is a seeded,
+//!   checker-verified run under the deterministic simulator on the
+//!   CloudLab-like network profile, so a table is byte-identical per seed
+//!   on any host; a full run of the `figures` binary appends its tables to
+//!   `BENCH_figures.json` at the repository root.
 //!
 //! Absolute numbers differ from the paper (the paper uses a 20-node
-//! InfiniBand cluster; this repository runs an in-process cluster on one
-//! machine), but the sweeps preserve the comparisons the paper draws:
+//! InfiniBand cluster; this repository simulates a cluster in one
+//! process), but the sweeps preserve the comparisons the paper draws:
 //! which engine wins in which regime, and how the gaps move as the read-only
 //! share, the node count, the locality and the read-set size change.
 //!
@@ -40,11 +41,9 @@
 
 pub mod cli;
 pub mod figures;
-pub mod harness;
 pub mod scenarios;
 pub mod sim_sweep;
 
-pub use harness::{run_engine, run_engine_with_profile};
 pub use sim_sweep::{run_sim_sweep, SimSweepConfig, SweepReport};
 pub use sss_engine::{EngineKind, NetProfile};
 

@@ -16,9 +16,9 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use sss_engine::{EngineKind, FaultInjector, TraceSpan, TransactionEngine};
+use sss_engine::{EngineKind, TraceSpan};
 use sss_workload::scenario::{
-    run_scenario, run_scenario_on, ChaosScenario, ScenarioExpectations, ScenarioOutcome,
+    run_scenario_tuned, ChaosScenario, ScenarioExpectations, ScenarioOutcome,
 };
 use sss_workload::{FaultPlan, LinkFault, LinkSelector, SpecError, WorkloadSpec};
 
@@ -280,24 +280,14 @@ pub fn scenario_catalog(config: &ScenarioConfig) -> Vec<ScenarioRun> {
             scenario,
         })
         .collect();
-    for (engine, expect) in [
-        (
-            EngineKind::TwoPc,
-            ScenarioExpectations::serializable_baseline(),
-        ),
-        (EngineKind::Walter, ScenarioExpectations::weak_baseline()),
-        (
-            EngineKind::Rococo,
-            ScenarioExpectations::serializable_baseline(),
-        ),
-    ] {
+    for engine in [EngineKind::TwoPc, EngineKind::Walter, EngineKind::Rococo] {
         let faulted = scenario("partition-heal", config.smoke, config.seed)
             .faults(FaultPlan::new(config.seed).partition(
                 [0],
                 Duration::from_millis(5),
                 Duration::from_millis(40),
             ))
-            .expect(expect);
+            .expect(ScenarioExpectations::of(engine));
         // ROCOCO runs unreplicated, as in the paper's comparison.
         let faulted = if engine == EngineKind::Rococo {
             faulted.replication(1)
@@ -381,11 +371,19 @@ pub fn run_catalog_traced(
     config: &ScenarioConfig,
     catalog: Vec<ScenarioRun>,
 ) -> Result<(Vec<CatalogResult>, Vec<TraceGroup>), SpecError> {
+    // With observability on, the engine is built with an obs hub whose
+    // trace rings are drained after the run.
+    let run_entry = |run: &ScenarioRun| {
+        run_scenario_tuned(run.engine, &run.scenario, None, |builder| {
+            builder.observability(config.observability)
+        })
+    };
     let mut results = Vec::new();
     let mut trace_groups = Vec::new();
     for run in catalog {
-        let (outcome, spans) = run_entry(config, &run)?;
-        if let Some(spans) = spans {
+        let (outcome, engine) = run_entry(&run)?;
+        if let Some(hub) = engine.observability() {
+            let spans = hub.drain_spans();
             if !spans.is_empty() {
                 trace_groups.push((
                     format!("{} {}", run.engine.label(), run.scenario.name),
@@ -393,6 +391,8 @@ pub fn run_catalog_traced(
                 ));
             }
         }
+        // Shut the cluster down before a re-run boots its own.
+        drop(engine);
         // Crash-window scenarios are excluded from the *threaded*
         // determinism re-run: which reads sit parked on the node at the
         // wall-clock instant the crash fires is scheduling-dependent, so
@@ -403,7 +403,7 @@ pub fn run_catalog_traced(
             && run.engine == EngineKind::Sss
             && run.scenario.faults.crashes.is_empty()
         {
-            let (replay, _) = run_entry(config, &run)?;
+            let (replay, _) = run_entry(&run)?;
             Some(replay.summary() == outcome.summary())
         } else {
             None
@@ -415,28 +415,6 @@ pub fn run_catalog_traced(
         });
     }
     Ok((results, trace_groups))
-}
-
-/// Runs one catalog entry; with observability on, the engine is built with
-/// an obs hub and the trace rings are drained after the run.
-fn run_entry(
-    config: &ScenarioConfig,
-    run: &ScenarioRun,
-) -> Result<(ScenarioOutcome, Option<Vec<TraceSpan>>), SpecError> {
-    if !config.observability {
-        return Ok((run_scenario(run.engine, &run.scenario)?, None));
-    }
-    let scenario = &run.scenario;
-    scenario.spec.validate()?;
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = scenario
-        .engine(run.engine, &injector)
-        .observability(true)
-        .build();
-    let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
-    injector.disarm();
-    let spans = engine.observability().map(|hub| hub.drain_spans());
-    Ok((outcome, spans))
 }
 
 /// Renders the catalog results as an aligned report.

@@ -88,17 +88,9 @@ pub struct SssEngineSession {
 
 impl SssEngineSession {
     /// Runs one update transaction reading `read_keys` and writing
-    /// `writes`; returns `Some((latency, internal_latency))` on commit.
-    pub fn run_update(
-        &mut self,
-        read_keys: &[Key],
-        writes: &[(Key, Value)],
-    ) -> Option<(Duration, Duration)> {
-        self.run_update_observed(read_keys, writes).0
-    }
-
-    /// [`SssEngineSession::run_update`] that also reports the value each
-    /// read observed (parallel to `read_keys`), for history recording.
+    /// `writes`; returns `Some((latency, internal_latency))` on commit, and
+    /// the value each read observed (parallel to `read_keys`), for history
+    /// recording.
     pub fn run_update_observed(
         &mut self,
         read_keys: &[Key],
@@ -138,13 +130,8 @@ impl SssEngineSession {
 
     /// Runs one read-only transaction over `read_keys`; returns
     /// `Some((latency, latency))` on commit (read-only transactions have no
-    /// internal/external split).
-    pub fn run_read_only(&mut self, read_keys: &[Key]) -> Option<(Duration, Duration)> {
-        self.run_read_only_observed(read_keys).0
-    }
-
-    /// [`SssEngineSession::run_read_only`] that also reports the observed
-    /// values (parallel to `read_keys`), for history recording.
+    /// internal/external split), and the observed values (parallel to
+    /// `read_keys`), for history recording.
     pub fn run_read_only_observed(
         &mut self,
         read_keys: &[Key],
@@ -177,9 +164,10 @@ mod tests {
         let engine = SssEngine::start(2, 1);
         let mut session = engine.open_session(0);
         let writes = vec![(Key::new("a"), Value::from_u64(1))];
-        assert!(session.run_update(&[], &writes).is_some());
+        assert!(session.run_update_observed(&[], &writes).0.is_some());
         let (latency, internal) = session
-            .run_read_only(&[Key::new("a")])
+            .run_read_only_observed(&[Key::new("a")])
+            .0
             .expect("read-only never aborts");
         assert_eq!(latency, internal);
         assert_eq!(engine.node_count(), 2);

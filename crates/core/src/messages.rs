@@ -235,7 +235,9 @@ pub enum SssMessage {
 }
 
 impl SssMessage {
-    /// The network priority class of this message.
+    /// The network priority class of this message: the one place that
+    /// knows it (every send goes through `SssNode::{send, multicast,
+    /// send_batch}`, which ask here).
     ///
     /// `Remove`, `Decide` and `RegisterForward` unblock external commits and
     /// are therefore prioritized, mirroring the paper's optimized network

@@ -62,7 +62,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sss_net::{reply_channel, Priority, ReplySender, TransportExt};
+use sss_net::{reply_channel, ReplySender};
 use sss_storage::TxnId;
 use sss_vclock::{NodeId, VectorClock};
 
@@ -166,19 +166,15 @@ impl SssNode {
                     first_round = false;
                     lingered = false;
                     if !remove.is_empty() {
-                        let _ = self.transport().multicast(
-                            self.id(),
+                        let _ = self.multicast(
                             (0..all_nodes).map(NodeId),
                             SssMessage::Remove { txns: remove },
-                            Priority::High,
                         );
                     }
                     if !release.is_empty() {
-                        let _ = self.transport().multicast(
-                            self.id(),
+                        let _ = self.multicast(
                             (0..all_nodes).map(NodeId),
                             SssMessage::ReleaseExternal { txns: release },
-                            Priority::High,
                         );
                     }
                     continue;
@@ -206,15 +202,7 @@ impl SssNode {
                 remove,
                 reply,
             };
-            let sent = self
-                .transport()
-                .multicast(
-                    self.id(),
-                    (0..all_nodes).map(NodeId),
-                    confirm,
-                    Priority::High,
-                )
-                .is_ok();
+            let sent = self.multicast((0..all_nodes).map(NodeId), confirm).is_ok();
             let ok = sent && collect_acks(&receiver, round, all_nodes);
 
             // The round is complete and its members' clients are about to be

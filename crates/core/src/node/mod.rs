@@ -23,7 +23,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sss_net::{reply_channel, ChannelTransport, Envelope, NodeService, Priority, TransportExt};
+use sss_net::{
+    reply_channel, ChannelTransport, Envelope, NodeService, Priority, Transport, TransportError,
+    TransportExt,
+};
 use sss_storage::{Key, LockTable, MvStore, ReplicaMap, TxnId};
 use sss_vclock::{NodeId, VectorClock};
 
@@ -147,13 +150,7 @@ impl SssNode {
         if !peers.is_empty() {
             let (reply, receiver) = reply_channel(peers.len());
             let sent = self
-                .transport
-                .multicast(
-                    self.id,
-                    peers.iter().copied(),
-                    SssMessage::StateQuery { reply },
-                    Priority::High,
-                )
+                .multicast(peers.iter().copied(), SssMessage::StateQuery { reply })
                 .is_ok();
             if sent {
                 let mut merged = VectorClock::new(self.config.nodes);
@@ -217,8 +214,36 @@ impl SssNode {
         &self.replicas
     }
 
-    pub(crate) fn transport(&self) -> &Arc<ChannelTransport<SssMessage>> {
-        &self.transport
+    /// Sends `message` from this node to `to`. Every SSS send goes through
+    /// this, [`SssNode::multicast`] or [`SssNode::send_batch`], which ask
+    /// the message for its priority class ([`SssMessage::priority`]): no
+    /// send site names one.
+    pub(crate) fn send(&self, to: NodeId, message: SssMessage) -> Result<(), TransportError> {
+        let priority = message.priority();
+        self.transport.send(self.id, to, message, priority)
+    }
+
+    /// Sends a copy of `message` from this node to every node in `targets`.
+    pub(crate) fn multicast(
+        &self,
+        targets: impl IntoIterator<Item = NodeId>,
+        message: SssMessage,
+    ) -> Result<(), TransportError> {
+        let priority = message.priority();
+        self.transport
+            .multicast(self.id, targets, message, priority)
+    }
+
+    /// Sends `batch` from this node to `to` as one delivery batch. Its
+    /// messages share one priority class (an envelope batch has one).
+    pub(crate) fn send_batch(
+        &self,
+        to: NodeId,
+        batch: Vec<SssMessage>,
+    ) -> Result<(), TransportError> {
+        let priority = batch.first().map_or(Priority::Normal, SssMessage::priority);
+        debug_assert!(batch.iter().all(|message| message.priority() == priority));
+        self.transport.send_batch(self.id, to, batch, priority)
     }
 
     pub(crate) fn counters(&self) -> &NodeCounters {
@@ -275,12 +300,7 @@ impl SssNode {
         targets.extend(extra);
         targets.sort();
         targets.dedup();
-        let _ = self.transport.multicast(
-            self.id,
-            targets,
-            SssMessage::Remove { txns: vec![txn] },
-            Priority::High,
-        );
+        let _ = self.multicast(targets, SssMessage::Remove { txns: vec![txn] });
     }
 
     /// Garbage-collects old versions on this node, keeping the configured

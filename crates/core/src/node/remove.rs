@@ -1,6 +1,5 @@
 //! `Remove` handling and transitive forwarding (paper §III-C).
 
-use sss_net::{Priority, Transport};
 use sss_storage::TxnId;
 use sss_vclock::NodeId;
 
@@ -52,12 +51,7 @@ impl SssNode {
         };
         if already_completed {
             for target in targets {
-                let _ = self.transport().send(
-                    self.id(),
-                    target,
-                    SssMessage::Remove { txns: vec![txn] },
-                    Priority::High,
-                );
+                let _ = self.send(target, SssMessage::Remove { txns: vec![txn] });
             }
         }
     }

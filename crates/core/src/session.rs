@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sss_net::{reply_channel, Gather, Priority, Transport, TransportExt};
+use sss_net::{reply_channel, Gather};
 use sss_obs::{ObsHub, Phase, TxnTrace};
 use sss_storage::{Key, TxnId, Value};
 use sss_vclock::{NodeId, VectorClock};
@@ -147,13 +147,7 @@ fn remote_read(
         is_update,
         reply,
     };
-    node.transport()
-        .multicast(
-            node.id(),
-            replicas.iter().copied(),
-            message,
-            Priority::Normal,
-        )
+    node.multicast(replicas.iter().copied(), message)
         .map_err(|_| SssError::ClusterShutdown)?;
     receiver
         .recv_timeout(READ_TIMEOUT)
@@ -310,13 +304,7 @@ impl UpdateTransaction {
             write_set: write_set.clone(),
             reply: vote_reply,
         };
-        node.transport()
-            .multicast(
-                node.id(),
-                participants.iter().copied(),
-                prepare,
-                Priority::Normal,
-            )
+        node.multicast(participants.iter().copied(), prepare)
             .map_err(|_| SssError::ClusterShutdown)?;
 
         let mut commit_vc = self.vc.clone();
@@ -389,13 +377,11 @@ impl UpdateTransaction {
         // Decides behind it.
         let own_batch = per_dest.remove(&node.id());
         for (target, batch) in per_dest {
-            node.transport()
-                .send_batch(node.id(), target, batch, Priority::High)
+            node.send_batch(target, batch)
                 .map_err(|_| SssError::ClusterShutdown)?;
         }
         if let Some(batch) = own_batch {
-            node.transport()
-                .send_batch(node.id(), node.id(), batch, Priority::High)
+            node.send_batch(node.id(), batch)
                 .map_err(|_| SssError::ClusterShutdown)?;
         }
 
@@ -445,13 +431,11 @@ impl UpdateTransaction {
             // harmless.
             let confirmed = node.confirm_external_grouped(self.id, commit_vc);
             if !confirmed {
-                let _ = node.transport().multicast(
-                    node.id(),
+                let _ = node.multicast(
                     write_replicas.iter().copied(),
                     SssMessage::ReleaseExternal {
                         txns: vec![self.id],
                     },
-                    Priority::High,
                 );
             }
             timed_out || !confirmed
@@ -466,12 +450,7 @@ impl UpdateTransaction {
                 remove: Vec::new(),
                 reply: confirm_reply,
             };
-            let _ = node.transport().multicast(
-                node.id(),
-                (0..all_nodes).map(NodeId),
-                confirm,
-                Priority::High,
-            );
+            let _ = node.multicast((0..all_nodes).map(NodeId), confirm);
             let failed = timed_out || !collect_acks(&confirm_receiver, self.id, all_nodes);
 
             // Release phase: the confirmation round is done (the client
@@ -483,13 +462,11 @@ impl UpdateTransaction {
             if let Some(trace) = trace.as_mut() {
                 trace.enter(Phase::Release);
             }
-            let _ = node.transport().multicast(
-                node.id(),
+            let _ = node.multicast(
                 write_replicas.iter().copied(),
                 SssMessage::ReleaseExternal {
                     txns: vec![self.id],
                 },
-                Priority::High,
             );
             failed
         };

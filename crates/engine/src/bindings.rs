@@ -54,14 +54,6 @@ impl TransactionEngine for SssEngine {
 }
 
 impl EngineSession for SssEngineSession {
-    fn run_update(&mut self, read_keys: &[Key], writes: &[(Key, Value)]) -> TxnOutcome {
-        TxnOutcome::from_timings(SssEngineSession::run_update(self, read_keys, writes))
-    }
-
-    fn run_read_only(&mut self, read_keys: &[Key]) -> TxnOutcome {
-        TxnOutcome::from_timings(SssEngineSession::run_read_only(self, read_keys))
-    }
-
     fn run_update_observed(
         &mut self,
         read_keys: &[Key],
@@ -127,14 +119,6 @@ fn timed(
 }
 
 impl<P: Protocol> EngineSession for BaselineSession<P> {
-    fn run_update(&mut self, read_keys: &[Key], writes: &[(Key, Value)]) -> TxnOutcome {
-        self.run_update_observed(read_keys, writes).0
-    }
-
-    fn run_read_only(&mut self, read_keys: &[Key]) -> TxnOutcome {
-        self.run_read_only_observed(read_keys).0
-    }
-
     fn run_update_observed(
         &mut self,
         read_keys: &[Key],

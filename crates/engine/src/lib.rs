@@ -24,8 +24,8 @@
 //! sits above both and contributes only the trait impls and the builder.
 //! That keeps the dependency graph acyclic — the engine crates know nothing
 //! about the registry — while still giving every consumer (`sss-workload`'s
-//! driver, `sss-bench`'s figure sweeps, the examples and the integration
-//! tests) a single construction path:
+//! scenario runner, `sss-bench`'s sweeps on it, the examples and the
+//! integration tests) a single construction path:
 //!
 //! ```rust
 //! use sss_engine::{EngineKind, NetProfile};

@@ -54,7 +54,7 @@ impl EngineKind {
     /// [`EngineBuilder`].
     ///
     /// This is the only way the rest of the workspace constructs an engine
-    /// — the workload driver, the figure sweeps, the examples and the
+    /// — the scenario runner, the figure sweeps, the examples and the
     /// integration tests all go through it, so adding an engine means adding
     /// a variant here and an arm in [`EngineBuilder::build`].
     ///

@@ -48,43 +48,32 @@ impl TxnOutcome {
 /// writes).
 pub trait EngineSession: Send {
     /// Executes one update transaction that reads every key in `read_keys`
-    /// and writes `writes`.
-    fn run_update(&mut self, read_keys: &[Key], writes: &[(Key, Value)]) -> TxnOutcome;
-
-    /// Executes one read-only transaction over `read_keys`.
-    fn run_read_only(&mut self, read_keys: &[Key]) -> TxnOutcome;
-
-    /// Like [`EngineSession::run_update`], but also returns the value each
-    /// read observed (parallel to `read_keys`), so a history recorder can
-    /// attribute observations to writers. Engines that cannot report read
-    /// values fall back to unattributed (`None`) observations — histories
-    /// stay checkable, just with less evidence.
+    /// and writes `writes`; also returns the value each read observed
+    /// (parallel to `read_keys`; empty on an abort), so a history recorder
+    /// can attribute observations to writers.
     fn run_update_observed(
         &mut self,
         read_keys: &[Key],
         writes: &[(Key, Value)],
-    ) -> (TxnOutcome, Vec<Option<Value>>) {
-        let outcome = self.run_update(read_keys, writes);
-        (outcome, vec![None; read_keys.len()])
+    ) -> (TxnOutcome, Vec<Option<Value>>);
+
+    /// Executes one read-only transaction over `read_keys`; also returns
+    /// the observed values (parallel to `read_keys`; empty on an abort).
+    fn run_read_only_observed(&mut self, read_keys: &[Key]) -> (TxnOutcome, Vec<Option<Value>>);
+
+    /// [`EngineSession::run_update_observed`] without the observed values.
+    fn run_update(&mut self, read_keys: &[Key], writes: &[(Key, Value)]) -> TxnOutcome {
+        self.run_update_observed(read_keys, writes).0
     }
 
-    /// Like [`EngineSession::run_read_only`], but also returns the observed
-    /// values (parallel to `read_keys`).
-    fn run_read_only_observed(&mut self, read_keys: &[Key]) -> (TxnOutcome, Vec<Option<Value>>) {
-        let outcome = self.run_read_only(read_keys);
-        (outcome, vec![None; read_keys.len()])
+    /// [`EngineSession::run_read_only_observed`] without the observed
+    /// values.
+    fn run_read_only(&mut self, read_keys: &[Key]) -> TxnOutcome {
+        self.run_read_only_observed(read_keys).0
     }
 }
 
 impl<S: EngineSession + ?Sized> EngineSession for Box<S> {
-    fn run_update(&mut self, read_keys: &[Key], writes: &[(Key, Value)]) -> TxnOutcome {
-        (**self).run_update(read_keys, writes)
-    }
-
-    fn run_read_only(&mut self, read_keys: &[Key]) -> TxnOutcome {
-        (**self).run_read_only(read_keys)
-    }
-
     fn run_update_observed(
         &mut self,
         read_keys: &[Key],

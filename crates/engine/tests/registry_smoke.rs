@@ -6,10 +6,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sss_engine::{EngineKind, FaultInjector, NetProfile, TransactionEngine, TxnOutcome};
+use sss_engine::{EngineKind, NetProfile, SimRuntime, TransactionEngine, TxnOutcome};
 use sss_storage::{Key, Value};
-use sss_workload::scenario::{run_scenario_sim_on, ChaosScenario, ScenarioExpectations};
-use sss_workload::{FaultPlan, WorkloadSpec};
 
 #[test]
 fn every_engine_kind_builds_and_commits_through_the_factory() {
@@ -146,35 +144,46 @@ fn every_engine_pays_the_net_profile() {
 }
 
 /// `EngineKind::build` / `build_sim` are shorthands, not a second path: an
-/// engine from the builder with no options set replays a seeded scenario
-/// bit-identically to one from the shorthand, for every kind.
+/// engine from the builder with nothing but the profile set behaves
+/// bit-identically to one from the shorthand, for every kind. One client
+/// per node in turn, in virtual time, so everything the probe returns —
+/// observed values, commit latencies, the clock, every mailbox counter — is
+/// a function of how the engine was built.
 #[test]
 fn the_builder_with_no_options_is_the_shorthand() {
+    let keys: Vec<Key> = (0..6).map(|i| Key::new(format!("same-{i}"))).collect();
+    let probe = |sim: Arc<SimRuntime>, engine: Box<dyn TransactionEngine>| {
+        let engine = Arc::new(engine);
+        let seen = {
+            let (engine, keys) = (Arc::clone(&engine), keys.clone());
+            sim.block_on("probe", move || {
+                let mut seen = Vec::new();
+                for round in 0..4 {
+                    for node in 0..engine.nodes() {
+                        let mut session = engine.session(node);
+                        let value = Value::from_u64(round);
+                        let writes: Vec<_> =
+                            keys.iter().map(|k| (k.clone(), value.clone())).collect();
+                        seen.push(session.run_update_observed(&keys, &writes));
+                        seen.push(session.run_read_only_observed(&keys));
+                    }
+                }
+                seen
+            })
+        };
+        sim.wait_quiescent();
+        assert!(seen.iter().all(|(outcome, _)| outcome.is_committed()));
+        (seen, sim.virtual_elapsed(), engine.mailbox_totals())
+    };
     for kind in EngineKind::ALL {
-        let expect = match kind {
-            EngineKind::Sss => ScenarioExpectations::sss(),
-            EngineKind::Walter => ScenarioExpectations::weak_baseline(),
-            _ => ScenarioExpectations::serializable_baseline(),
-        };
-        let spec = WorkloadSpec::new(3)
-            .clients_per_node(2)
-            .total_keys(24)
-            .read_only_percent(40)
-            .seed(19);
-        let scenario = ChaosScenario::new("builder-vs-shorthand", spec)
-            .ops_per_client(12)
-            .expect(expect);
-        let run = |sim: Arc<sss_engine::SimRuntime>, engine: Box<dyn TransactionEngine>| {
-            let injector = FaultInjector::new(FaultPlan::new(19));
-            let outcome = run_scenario_sim_on(&sim, &Arc::new(engine), &injector, &scenario);
-            sim.wait_quiescent();
-            assert!(outcome.passed(), "{kind}: {:?}", outcome.violations);
-            (outcome.summary(), outcome.fingerprint())
-        };
-        let (sim, shorthand) = kind.build_sim(3, 2, NetProfile::Instant, 5);
-        let from_shorthand = run(sim, shorthand);
-        let sim = sss_engine::SimRuntime::new(5);
-        let built = kind.builder(3, 2).scheduler(sim.handle()).build();
-        assert_eq!(from_shorthand, run(sim, built), "{kind}");
+        let (sim, shorthand) = kind.build_sim(3, 2, NetProfile::CloudlabLike, 5);
+        let from_shorthand = probe(sim, shorthand);
+        let sim = SimRuntime::new(5);
+        let built = kind
+            .builder(3, 2)
+            .profile(NetProfile::CloudlabLike)
+            .scheduler(sim.handle())
+            .build();
+        assert_eq!(from_shorthand, probe(sim, built), "{kind}");
     }
 }

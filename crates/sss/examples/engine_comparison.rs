@@ -3,46 +3,51 @@
 //! ROCOCO) and prints a side-by-side summary — a miniature version of the
 //! paper's Figure 3 / Figure 6 experiments.
 //!
-//! Every engine is constructed through the engine layer's registry
-//! (`EngineKind::build`) and driven by the engine-agnostic closed-loop
-//! driver: the example contains no engine-specific code at all.
+//! Every engine is constructed through the engine layer's registry and
+//! driven by the workspace's one runner, `run_scenario`: the same
+//! closed-loop client, fixed operation count, history recorder and
+//! consistency checker for all four, on threads. The example contains no
+//! engine-specific code at all.
 //!
 //! Run with: `cargo run --release --example engine_comparison`
 
-use std::time::Duration;
-
-use sss::engine::{EngineKind, NetProfile};
-use sss::workload::{populate, run_workload, KeySelection, WorkloadSpec};
+use sss::engine::EngineKind;
+use sss::workload::{run_scenario, ChaosScenario, ScenarioExpectations, WorkloadSpec};
 
 fn main() {
     let spec = WorkloadSpec::new(4)
         .clients_per_node(4)
         .total_keys(1_024)
-        .read_only_percent(80)
-        .key_selection(KeySelection::Uniform)
-        .duration(Duration::from_millis(400));
+        .read_only_percent(80);
 
     println!(
         "workload: {} nodes, {} clients/node, {} keys, {}% read-only\n",
         spec.nodes, spec.clients_per_node, spec.total_keys, spec.read_only_percent
     );
     println!(
-        "{:<8} {:>12} {:>10} {:>12} {:>12}",
-        "engine", "commits/s", "abort%", "committed", "p99 (µs)"
+        "{:<8} {:>12} {:>10} {:>12} {:>14} {:>12}",
+        "engine", "commits/s", "abort%", "committed", "upd p99 (µs)", "checker"
     );
     for kind in EngineKind::ALL {
         // Replication 2 for the replicated engines; ROCOCO ignores the
         // degree (the paper always compares it without replication).
-        let engine = kind.build(spec.nodes, 2, NetProfile::Instant);
-        populate(engine.as_ref(), &spec);
-        let report = run_workload(engine.as_ref(), &spec);
+        let scenario = ChaosScenario::new("engine-comparison", spec.clone())
+            .ops_per_client(500)
+            .expect(ScenarioExpectations::of(kind));
+        let outcome = run_scenario(kind, &scenario).expect("the spec is valid");
+        assert!(outcome.passed(), "{kind}: {:?}", outcome.violations);
         println!(
-            "{:<8} {:>12.0} {:>9.1}% {:>12} {:>12.0}",
-            report.engine,
-            report.throughput(),
-            report.abort_rate() * 100.0,
-            report.committed,
-            report.latency.p99.as_secs_f64() * 1e6,
+            "{:<8} {:>12.0} {:>9.1}% {:>12} {:>14.0} {:>12}",
+            outcome.engine,
+            outcome.throughput(),
+            outcome.abort_rate() * 100.0,
+            outcome.committed,
+            outcome.update_latency.value_at_quantile(0.99) as f64 / 1e3,
+            if outcome.consistency.is_some() {
+                "ok"
+            } else {
+                "unchecked"
+            },
         );
     }
     println!(

@@ -20,7 +20,8 @@
 //!   [`workload`] runs them with post-run consistency verification.
 //! * [`storage`] — multi-version and single-version node-local stores, lock
 //!   table, replica placement.
-//! * [`workload`] — YCSB-style closed-loop workload generator and driver.
+//! * [`workload`] — YCSB-style workload generator and the one scenario
+//!   runner (closed-loop clients on threads or in virtual time).
 //! * [`consistency`] — history recording and external-consistency checking.
 //!
 //! ## Quickstart

@@ -153,12 +153,9 @@ impl WorkloadGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn spec() -> WorkloadSpec {
-        WorkloadSpec::new(4)
-            .total_keys(50)
-            .duration(Duration::from_millis(1))
+        WorkloadSpec::new(4).total_keys(50)
     }
 
     #[test]

@@ -1,49 +1,46 @@
-//! YCSB-style workload generation and closed-loop benchmark driving.
+//! YCSB-style workload generation and the one way to run a workload.
 //!
 //! The paper's evaluation (§V) uses YCSB ported to a key-value store with
 //! two transaction profiles: *update* transactions that read and write two
 //! keys, and *read-only* transactions that read two or more keys. Clients
-//! are colocated with processing nodes, issue transactions in a closed loop
-//! (a client only issues a new request when the previous one returned), keys
-//! are chosen uniformly at random (optionally with a local-access bias), and
-//! every reported number is the average of several trials.
+//! are colocated with processing nodes and issue transactions in a closed
+//! loop (a client only issues a new request when the previous one
+//! returned); keys are chosen uniformly at random, optionally with a
+//! local-access bias.
 //!
 //! This crate reproduces that methodology in an engine-agnostic way:
 //!
 //! * [`WorkloadSpec`] describes the mix (read-only percentage, transaction
-//!   sizes, key count, locality, clients per node, duration),
+//!   sizes, key count, locality, clients per node, seed),
 //! * [`WorkloadGenerator`] produces the per-client operation stream,
-//! * the driver runs against the engine layer's
-//!   [`TransactionEngine`] / [`EngineSession`] traits (owned by the
-//!   `sss-engine` crate, whose `EngineKind` registry builds every engine),
-//! * [`populate`] pre-loads the key space and [`run_workload`] drives the
-//!   closed loop, collecting a [`WorkloadReport`] (throughput, abort rate,
-//!   latency percentiles, and the internal/external commit latency split
-//!   used by Figure 5).
-
-//! ## Chaos scenarios
+//! * the [`scenario`] layer runs it. A [`ChaosScenario`] pairs a spec with
+//!   an operation count per client, a replication degree, a network
+//!   profile, an `sss-faults` fault plan (empty for a plain measurement)
+//!   and expected-outcome assertions. **One closed-loop client and one
+//!   runner body** execute it against any engine of the `sss-engine`
+//!   registry — on threads ([`run_scenario`]) or under the deterministic
+//!   simulator in virtual time ([`run_scenario_sim`]) — recording every
+//!   commit in a history the `sss-consistency` checker verifies and every
+//!   committed update's latency (with SSS's internal/external split, the
+//!   paper's Figure 5) in histograms on the [`ScenarioOutcome`].
+//!   [`run_scenario_tuned`] is the prologue both go through; a harness that
+//!   sweeps an engine tuning value or wants the engine back afterwards
+//!   calls it directly.
 //!
-//! Beyond the throughput-oriented driver, the [`scenario`] layer runs
-//! *chaos scenarios*: a [`ChaosScenario`] pairs a [`WorkloadSpec`] with an
-//! `sss-faults` fault plan and expected-outcome assertions, executes a
-//! fixed-operation closed loop with history recording and a stuck-run
-//! detector, and verifies the run with the `sss-consistency` checker. See
-//! [`run_scenario`].
+//! There is no second, duration-based driver: the chaos catalog, the seed
+//! sweeps, the determinism suites, `sss-bench`'s figure sweeps and the
+//! repository benchmark's correctness gate are all scenarios.
 
 #![deny(missing_docs)]
 
-mod driver;
 mod generator;
-mod report;
 pub mod scenario;
 mod spec;
 
-pub use driver::{populate, run_trials, run_workload};
 pub use generator::{TxnTemplate, WorkloadGenerator};
-pub use report::{LatencySummary, WorkloadReport};
 pub use scenario::{
-    run_scenario, run_scenario_on, run_scenario_sim, run_scenario_sim_on, ChaosScenario,
-    ScenarioExpectations, ScenarioOutcome,
+    run_scenario, run_scenario_sim, run_scenario_tuned, ChaosScenario, ScenarioExpectations,
+    ScenarioOutcome,
 };
 pub use spec::{KeySelection, SpecError, WorkloadSpec};
 

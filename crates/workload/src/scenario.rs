@@ -1,14 +1,20 @@
-//! Chaos scenarios: a workload, a fault plan, and expected-outcome
-//! assertions, executed with history recording and a stuck-run detector.
+//! The one way this workspace runs a workload: a [`ChaosScenario`] — a
+//! workload, a fault plan (empty for a plain measurement) and
+//! expected-outcome assertions — executed by one closed-loop client and one
+//! runner body on threads ([`run_scenario`]) or in virtual time
+//! ([`run_scenario_sim`]), with history recording, update-latency
+//! histograms and a stuck-run detector. The chaos catalog, the seed sweeps,
+//! the determinism suites, the figure sweeps of `sss-bench` and the
+//! repository benchmark's correctness gate all go through it.
 //!
-//! A [`ChaosScenario`] runs a *fixed-operation* closed loop (every client
-//! commits a fixed number of transactions, retrying aborted updates with
-//! the same template) instead of the duration-based loop of the benchmark
-//! driver. That makes the outcome summary deterministic: with every
+//! A scenario runs a *fixed-operation* closed loop: every client commits a
+//! fixed number of transactions, retrying an aborted one with the same
+//! template. That makes the outcome summary deterministic: with every
 //! transaction eventually committing, the committed/aborted counts and the
 //! read-only mix depend only on the seeded generator streams — not on
 //! thread scheduling — so the same seed and the same [`FaultPlan`] produce
-//! a bit-identical [`ScenarioOutcome::summary`].
+//! a bit-identical [`ScenarioOutcome::summary`]. Under the simulator the
+//! whole run is a function of the seed, latencies and throughput included.
 //!
 //! Every committed transaction is recorded in an `sss-consistency`
 //! [`History`]: written values encode the writer's driver-level transaction
@@ -21,17 +27,18 @@
 //! failure under any scenario is therefore a protocol bug, not a harness
 //! artifact.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use sss_consistency::{
     check_all, History, HistoryRecorder, ReadRecord, TxnKind, TxnRecord, WriteRecord,
 };
 use sss_engine::{
-    chrome_trace_json, EngineBuilder, EngineKind, FaultInjector, FaultPlan, NetProfile, SimRuntime,
-    TransactionEngine, WatchdogConfig, WatchdogCore, WatchdogVerdict,
+    chrome_trace_json, EngineBuilder, EngineKind, FaultInjector, FaultPlan, Histogram, NetProfile,
+    SimRuntime, TransactionEngine, TxnOutcome, WatchdogConfig, WatchdogCore, WatchdogVerdict,
 };
 use sss_storage::{Key, TxnId, Value};
 use sss_vclock::runtime::{self, Signal};
@@ -60,6 +67,17 @@ pub struct ScenarioExpectations {
 }
 
 impl ScenarioExpectations {
+    /// What `kind` promises on a crash-free run: everything for SSS,
+    /// consistency and liveness for the serializable baselines, liveness
+    /// for Walter.
+    pub fn of(kind: EngineKind) -> Self {
+        match kind {
+            EngineKind::Sss => Self::sss(),
+            EngineKind::TwoPc | EngineKind::Rococo => Self::serializable_baseline(),
+            EngineKind::Walter => Self::weak_baseline(),
+        }
+    }
+
     /// The full set of guarantees SSS claims under any safety-preserving
     /// fault plan.
     pub fn sss() -> Self {
@@ -111,9 +129,7 @@ impl ScenarioExpectations {
 pub struct ChaosScenario {
     /// Scenario name used in reports ("partition-heal", ...).
     pub name: String,
-    /// The workload shape (nodes, clients, keys, read-only mix, seed). The
-    /// spec's `duration`/`trials` fields are ignored — scenarios run a
-    /// fixed number of operations per client instead.
+    /// The workload shape (nodes, clients, keys, read-only mix, seed).
     pub spec: WorkloadSpec,
     /// Committed transactions each client must produce.
     pub ops_per_client: usize,
@@ -234,7 +250,7 @@ pub struct ScenarioOutcome {
     pub diagnostics: Option<String>,
     /// Chrome-trace JSON of the engine's trace rings, dumped when the
     /// detector fired on an observability-enabled engine (see
-    /// [`run_scenario_on`]). Scheduling-dependent, so excluded from
+    /// [`run_scenario_tuned`]). Scheduling-dependent, so excluded from
     /// [`ScenarioOutcome::summary`].
     pub trace_dump: Option<String>,
     /// Consistency-checker verdict: `None` when unchecked, `Some(Ok(()))`
@@ -245,14 +261,46 @@ pub struct ScenarioOutcome {
     pub violations: Vec<String>,
     /// The recorded history (including population), for further checking.
     pub history: History,
-    /// Wall-clock duration of the measured phase.
+    /// Duration of the measured phase, from the armed plan to the last
+    /// client's last commit, on [`runtime::now`]'s clock: wall time on
+    /// threads, virtual time under the simulator.
     pub elapsed: Duration,
+    /// Client-observed latency of every committed update transaction, begin
+    /// to external commit, in nanoseconds of the same clock. Like
+    /// `elapsed` and the retry counts, the two histograms are excluded from
+    /// [`ScenarioOutcome::summary`] and [`ScenarioOutcome::fingerprint`] —
+    /// and like them, a function of the seed under the simulator.
+    pub update_latency: Histogram,
+    /// The part of each `update_latency` sample spent before the internal
+    /// commit. SSS answers its client only at external commit, so the
+    /// difference is the wait for that (the paper's Figure 5); the other
+    /// engines report the two as equal.
+    pub internal_latency: Histogram,
 }
 
 impl ScenarioOutcome {
     /// `true` when every expectation held and the run was not stuck.
     pub fn passed(&self) -> bool {
         !self.stuck && self.violations.is_empty()
+    }
+
+    /// Committed transactions per second of [`ScenarioOutcome::elapsed`].
+    pub fn throughput(&self) -> f64 {
+        if self.elapsed.is_zero() {
+            0.0
+        } else {
+            self.committed as f64 / self.elapsed.as_secs_f64()
+        }
+    }
+
+    /// Share of transaction attempts that aborted and were retried
+    /// (0.0 - 1.0), read-only and update attempts alike.
+    pub fn abort_rate(&self) -> f64 {
+        let aborted = self.read_only_aborts + self.update_retries;
+        match self.committed + aborted {
+            0 => 0.0,
+            attempts => aborted as f64 / attempts as f64,
+        }
     }
 
     /// FNV-1a fingerprint of the deterministic projection of the run: the
@@ -354,23 +402,39 @@ fn client_origin(client_index: usize) -> NodeId {
     NodeId(client_index + 1)
 }
 
+/// What one client contributes to the [`ScenarioOutcome`].
+#[derive(Default)]
 struct ClientTally {
     committed: u64,
     committed_read_only: u64,
     aborted: u64,
     read_only_aborts: u64,
     update_retries: u64,
+    update_latency: Histogram,
+    internal_latency: Histogram,
+}
+
+/// What the clients of one run, the task that joins them and the watchdog
+/// share.
+struct Run {
+    engine: Arc<dyn TransactionEngine>,
+    scenario: ChaosScenario,
+    recorder: HistoryRecorder,
+    /// Transactions committed so far: what the watchdog watches.
+    progress: AtomicU64,
+    /// Raised by the watchdog: every client gives up.
+    abort: AtomicBool,
+    /// One entry per finished client (its panic, if it died of one);
+    /// `finished` is notified on every push.
+    tallies: Mutex<Vec<std::thread::Result<ClientTally>>>,
+    finished: Signal,
 }
 
 /// Populates the key space with attributable seed values, recording the
-/// population transactions in `recorder`.
-fn populate_recorded<E: TransactionEngine + ?Sized>(
-    engine: &E,
-    spec: &WorkloadSpec,
-    recorder: &HistoryRecorder,
-) {
-    let mut session = engine.session(0);
-    let keys: Vec<Key> = WorkloadGenerator::all_keys(spec).collect();
+/// population transactions.
+fn populate_recorded(run: &Run) {
+    let mut session = run.engine.session(0);
+    let keys: Vec<Key> = WorkloadGenerator::all_keys(&run.scenario.spec).collect();
     for (chunk_index, chunk) in keys.chunks(64).enumerate() {
         let id = TxnId::new(NodeId(0), chunk_index as u64);
         let writes: Vec<(Key, Value)> = chunk
@@ -381,19 +445,13 @@ fn populate_recorded<E: TransactionEngine + ?Sized>(
         let started = runtime::now();
         for _ in 0..16 {
             if session.run_update(&[], &writes).is_committed() {
-                recorder.record(TxnRecord {
+                run.recorder.record(TxnRecord {
                     id,
                     kind: TxnKind::Update,
                     started,
                     finished: runtime::now(),
                     reads: Vec::new(),
-                    writes: writes
-                        .iter()
-                        .map(|(k, v)| WriteRecord {
-                            key: k.clone(),
-                            value: v.clone(),
-                        })
-                        .collect(),
+                    writes: write_records(&writes),
                 });
                 break;
             }
@@ -401,11 +459,14 @@ fn populate_recorded<E: TransactionEngine + ?Sized>(
     }
 }
 
-/// One closed-loop client: commits `ops_per_client` transactions from its
-/// seeded generator stream, retrying aborted updates, recording every
-/// commit. Shared between the threaded runner (one OS thread per client)
-/// and the simulation runner (one cooperative task per client); timestamps
-/// come from [`runtime::now`], so they are virtual under simulation.
+fn write_records(writes: &[(Key, Value)]) -> Vec<WriteRecord> {
+    let record = |(key, value): &(Key, Value)| WriteRecord {
+        key: key.clone(),
+        value: value.clone(),
+    };
+    writes.iter().map(record).collect()
+}
+
 /// Attempt-scaled pause before retrying an aborted transaction. Under the
 /// simulator an immediate retry re-runs at the same virtual instant, so two
 /// conflicting updates can abort each other in a loop without virtual time
@@ -421,112 +482,95 @@ fn retry_pause(attempts: u32) {
     runtime::Backoff::linear(Duration::from_micros(50), Duration::from_millis(2)).pause(attempts);
 }
 
-fn run_client<E: TransactionEngine + ?Sized>(
-    engine: &E,
-    scenario: &ChaosScenario,
-    node: usize,
-    client: usize,
-    progress: &AtomicU64,
-    abort: &AtomicBool,
-    recorder: &HistoryRecorder,
-) -> ClientTally {
+/// The one closed-loop client ("a client issues a new request only when the
+/// previous one has returned", paper §V): commits `ops_per_client`
+/// transactions from its seeded generator stream, retrying an aborted one
+/// with the same template, recording every commit (and an update's
+/// latency). An OS thread on the threaded runtime, a cooperative task under
+/// the simulator; every instant comes from [`runtime::now`], so it is
+/// virtual there.
+fn run_client(run: &Run, node: usize, client: usize) -> ClientTally {
+    let scenario = &run.scenario;
     let spec = &scenario.spec;
-    let client_index = node * spec.clients_per_node + client;
     let mut generator = WorkloadGenerator::new(spec, NodeId(node), client);
-    let mut session = engine.session(node);
-    let origin = client_origin(client_index);
-    let mut tally = ClientTally {
-        committed: 0,
-        committed_read_only: 0,
-        aborted: 0,
-        read_only_aborts: 0,
-        update_retries: 0,
-    };
+    let mut session = run.engine.session(node);
+    let origin = client_origin(node * spec.clients_per_node + client);
+    let mut tally = ClientTally::default();
     for op in 0..scenario.ops_per_client {
         let id = TxnId::new(origin, op as u64);
         let template = generator.next_txn();
+        let read_only = template.is_read_only();
+        let keys = template.keys();
+        // The generator's values are replaced by writer-encoded ones so
+        // that observed reads stay attributable.
+        let writes: Vec<(Key, Value)> = match &template {
+            TxnTemplate::ReadOnly { .. } => Vec::new(),
+            TxnTemplate::Update { keys, .. } => keys
+                .iter()
+                .enumerate()
+                .map(|(slot, key)| (key.clone(), encode_writer(id, slot as u64)))
+                .collect(),
+        };
         let mut attempts: u32 = 0;
         loop {
-            if abort.load(Ordering::Relaxed) || attempts >= scenario.retry_cap {
+            if run.abort.load(Ordering::Relaxed) || attempts >= scenario.retry_cap {
                 tally.aborted += 1;
                 break;
             }
             attempts += 1;
             let started = runtime::now();
-            match &template {
-                TxnTemplate::ReadOnly { keys } => {
-                    let (outcome, observed) = session.run_read_only_observed(keys);
-                    if !outcome.is_committed() {
-                        tally.read_only_aborts += 1;
-                        retry_pause(attempts);
-                        continue;
-                    }
-                    let reads = keys
-                        .iter()
-                        .zip(observed)
-                        .map(|(key, value)| ReadRecord {
-                            key: key.clone(),
-                            observed_writer: value.as_ref().and_then(decode_writer),
-                            value,
-                        })
-                        .collect();
-                    recorder.record(TxnRecord {
-                        id,
-                        kind: TxnKind::ReadOnly,
-                        started,
-                        finished: runtime::now(),
-                        reads,
-                        writes: Vec::new(),
-                    });
-                    tally.committed += 1;
-                    tally.committed_read_only += 1;
-                    progress.fetch_add(1, Ordering::Relaxed);
-                    break;
+            let (outcome, observed) = if read_only {
+                session.run_read_only_observed(keys)
+            } else {
+                session.run_update_observed(keys, &writes)
+            };
+            let TxnOutcome::Committed {
+                latency,
+                internal_latency,
+            } = outcome
+            else {
+                if read_only {
+                    tally.read_only_aborts += 1;
+                } else {
+                    tally.update_retries += 1;
                 }
-                TxnTemplate::Update { keys, .. } => {
-                    // The generator's values are replaced by writer-encoded
-                    // ones so that observed reads stay attributable.
-                    let writes: Vec<(Key, Value)> = keys
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, k)| (k.clone(), encode_writer(id, slot as u64)))
-                        .collect();
-                    let (outcome, observed) = session.run_update_observed(keys, &writes);
-                    if !outcome.is_committed() {
-                        tally.update_retries += 1;
-                        retry_pause(attempts);
-                        continue;
-                    }
-                    let reads = keys
-                        .iter()
-                        .zip(observed)
-                        .map(|(key, value)| ReadRecord {
-                            key: key.clone(),
-                            observed_writer: value.as_ref().and_then(decode_writer),
-                            value,
-                        })
-                        .collect();
-                    recorder.record(TxnRecord {
-                        id,
-                        kind: TxnKind::Update,
-                        started,
-                        finished: runtime::now(),
-                        reads,
-                        writes: writes
-                            .iter()
-                            .map(|(k, v)| WriteRecord {
-                                key: k.clone(),
-                                value: v.clone(),
-                            })
-                            .collect(),
-                    });
-                    tally.committed += 1;
-                    progress.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
+                retry_pause(attempts);
+                continue;
+            };
+            let reads = keys
+                .iter()
+                .zip(observed)
+                .map(|(key, value)| ReadRecord {
+                    key: key.clone(),
+                    observed_writer: value.as_ref().and_then(decode_writer),
+                    value,
+                })
+                .collect();
+            run.recorder.record(TxnRecord {
+                id,
+                kind: if read_only {
+                    TxnKind::ReadOnly
+                } else {
+                    TxnKind::Update
+                },
+                started,
+                finished: runtime::now(),
+                reads,
+                writes: write_records(&writes),
+            });
+            tally.committed += 1;
+            if read_only {
+                tally.committed_read_only += 1;
+            } else {
+                tally.update_latency.record(latency.as_nanos() as u64);
+                tally
+                    .internal_latency
+                    .record(internal_latency.as_nanos() as u64);
             }
+            run.progress.fetch_add(1, Ordering::Relaxed);
+            break;
         }
-        if abort.load(Ordering::Relaxed) {
+        if run.abort.load(Ordering::Relaxed) {
             // Count the remaining, never-attempted operations so the
             // totals still add up.
             tally.aborted += (scenario.ops_per_client - op - 1) as u64;
@@ -536,54 +580,177 @@ fn run_client<E: TransactionEngine + ?Sized>(
     tally
 }
 
-/// Folds per-client tallies, checker verdicts and expectation violations
-/// into the final [`ScenarioOutcome`]. Shared by the threaded and the
-/// simulation runners.
-#[allow(clippy::too_many_arguments)]
-fn finish_outcome(
-    engine_name: &str,
+/// The stuck-run watchdog of a threaded run: with no committed transaction
+/// for `stall_timeout` it raises the abort flag, so clients bail out
+/// instead of hanging forever, and returns the stall report plus — on an
+/// engine with observability on — a Chrome-trace dump of its trace rings
+/// (the last ~32k spans per node: what every in-flight transaction was
+/// doing). The `WatchdogCore` samples engine diagnostics and node liveness
+/// into a bounded history, so the report shows the run-up to the stall and
+/// can say "node 2 crashed" instead of leaving it to mailbox depths.
+fn watch_for_stall(run: &Run, done: &AtomicBool) -> Option<(String, Option<String>)> {
+    let engine = &run.engine;
+    let mut watchdog = WatchdogCore::new(WatchdogConfig {
+        stall_after: run.scenario.stall_timeout,
+        ..WatchdogConfig::default()
+    });
+    while !done.load(Ordering::Relaxed) {
+        std::thread::sleep(WATCHDOG_TICK);
+        let verdict = watchdog.observe_with(
+            run.progress.load(Ordering::Relaxed),
+            || engine.diagnostics().unwrap_or_default(),
+            || engine.node_liveness().unwrap_or_default(),
+        );
+        if verdict == WatchdogVerdict::Stalled {
+            let trace_dump = engine
+                .observability()
+                .map(|hub| chrome_trace_json(&[(engine.name().to_string(), hub.drain_spans())]));
+            run.abort.store(true, Ordering::Relaxed);
+            return Some((watchdog.report(), trace_dump));
+        }
+    }
+    None
+}
+
+/// Runs `body` to completion: as a foreground task of `sim`, else right
+/// here on the calling thread.
+fn run_within<R: Send + 'static>(
+    sim: Option<&Arc<SimRuntime>>,
+    name: &str,
+    body: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    match sim {
+        Some(sim) => sim.block_on(name, body),
+        None => body(),
+    }
+}
+
+/// The one runner body, for threads and virtual time alike: populates the
+/// key space fault-free (recorded), arms `injector`, runs every closed-loop
+/// client to completion and evaluates the scenario's expectations over what
+/// they recorded. `engine` is wired to `sim` when there is one.
+///
+/// The two runtimes differ in three places. Under the simulator the host
+/// thread only acts at quiescent points, so population and the clients run
+/// inside [`SimRuntime::block_on`]; [`runtime::spawn`] makes each client a
+/// cooperative task there and an OS thread otherwise; and a wedged run ends
+/// in the simulator's deadlock detector (a panic with a parked-task report)
+/// where a threaded one ends in the wall-clock watchdog.
+fn run_clients(
+    engine: &Arc<dyn TransactionEngine>,
+    sim: Option<&Arc<SimRuntime>>,
+    injector: &FaultInjector,
     scenario: &ChaosScenario,
-    tallies: Vec<ClientTally>,
-    stuck: bool,
-    diagnostics: Option<String>,
-    trace_dump: Option<String>,
-    history: History,
-    elapsed: Duration,
 ) -> ScenarioOutcome {
-    let mut committed = 0;
-    let mut committed_read_only = 0;
-    let mut aborted = 0;
-    let mut read_only_aborts = 0;
-    let mut update_retries = 0;
-    for tally in tallies {
-        committed += tally.committed;
-        committed_read_only += tally.committed_read_only;
-        aborted += tally.aborted;
-        read_only_aborts += tally.read_only_aborts;
-        update_retries += tally.update_retries;
+    let run = Arc::new(Run {
+        engine: Arc::clone(engine),
+        scenario: scenario.clone(),
+        recorder: HistoryRecorder::new(),
+        progress: AtomicU64::new(0),
+        abort: AtomicBool::new(false),
+        tallies: Mutex::new(Vec::new()),
+        finished: Signal::default(),
+    });
+    {
+        let run = Arc::clone(&run);
+        run_within(sim, "populate", move || populate_recorded(&run));
+    }
+    // Freeze at quiescence: the virtual arm time is then a deterministic
+    // function of the population run, so the plan's windows hit the same
+    // virtual instants on every replay — and the hold keeps the armed
+    // windows from firing (free-running the clock) while this host thread
+    // is still spawning the task below, which would make the spawn's
+    // position in the schedule a wall-clock race.
+    if let Some(sim) = sim {
+        sim.freeze();
+    }
+    injector.arm();
+
+    // One body spawns every client and waits until all of them have
+    // finished. Spawning from *inside* the simulation (rather than from the
+    // host thread) keeps the spawn order — and therefore the scheduler's
+    // seeded interleaving — deterministic.
+    let drive = {
+        let run = Arc::clone(&run);
+        move || {
+            let spec = &run.scenario.spec;
+            let started = runtime::now();
+            let mut clients = Vec::with_capacity(spec.total_clients());
+            for node in 0..spec.nodes {
+                for client in 0..spec.clients_per_node {
+                    let run = Arc::clone(&run);
+                    let name = format!("client-{node}-{client}");
+                    clients.push(runtime::spawn(None, name, false, move || {
+                        // A client that dies must still be counted, or the
+                        // wait below never ends; its panic resurfaces when
+                        // the tallies are folded.
+                        let tally =
+                            catch_unwind(AssertUnwindSafe(|| run_client(&run, node, client)));
+                        run.tallies.lock().push(tally);
+                        run.finished.notify_all();
+                    }));
+                }
+            }
+            let mut tallies = run.tallies.lock();
+            while tallies.len() < clients.len() {
+                run.finished.wait(&mut tallies, None);
+            }
+            (runtime::elapsed_since(started), clients)
+        }
+    };
+    let done = AtomicBool::new(false);
+    let (elapsed, stall) = std::thread::scope(|scope| {
+        let watchdog = sim
+            .is_none()
+            .then(|| scope.spawn(|| watch_for_stall(&run, &done)));
+        let (elapsed, clients) = run_within(sim, "clients", drive);
+        done.store(true, Ordering::Relaxed);
+        for client in clients {
+            client.join().expect("a client's panic is in its tally");
+        }
+        let stall = watchdog.and_then(|w| w.join().expect("the watchdog panicked"));
+        (elapsed, stall)
+    });
+    if let Some(sim) = sim {
+        sim.wait_quiescent();
     }
 
+    let mut total = ClientTally::default();
+    for tally in std::mem::take(&mut *run.tallies.lock()) {
+        let tally = tally.unwrap_or_else(|panic| resume_unwind(panic));
+        total.committed += tally.committed;
+        total.committed_read_only += tally.committed_read_only;
+        total.aborted += tally.aborted;
+        total.read_only_aborts += tally.read_only_aborts;
+        total.update_retries += tally.update_retries;
+        total.update_latency.merge(&tally.update_latency);
+        total.internal_latency.merge(&tally.internal_latency);
+    }
+    let history = run.recorder.snapshot();
+    let stuck = run.abort.load(Ordering::Relaxed);
+    let (diagnostics, trace_dump) = stall.unzip();
+
     let mut violations = Vec::new();
-    let consistency = if scenario.expect.external_consistency {
-        match check_all(&history) {
-            Ok(()) => Some(Ok(())),
-            Err(violation) => {
-                violations.push(format!("consistency violation: {violation}"));
-                Some(Err(violation.to_string()))
-            }
-        }
-    } else {
-        None
-    };
-    if scenario.expect.zero_read_only_aborts && read_only_aborts > 0 {
+    let consistency = scenario.expect.external_consistency.then(|| {
+        check_all(&history).map_err(|violation| {
+            violations.push(format!("consistency violation: {violation}"));
+            violation.to_string()
+        })
+    });
+    if scenario.expect.zero_read_only_aborts && total.read_only_aborts > 0 {
         violations.push(format!(
-            "read-only transactions aborted {read_only_aborts} time(s); SSS promises zero"
+            "read-only transactions aborted {} time(s); SSS promises zero",
+            total.read_only_aborts
         ));
     }
-    if scenario.expect.all_committed && (aborted > 0 || committed != scenario.expected_total()) {
+    if scenario.expect.all_committed
+        && (total.aborted > 0 || total.committed != scenario.expected_total())
+    {
         violations.push(format!(
-            "expected {} committed transactions, got {committed} ({aborted} abandoned)",
-            scenario.expected_total()
+            "expected {} committed transactions, got {} ({} abandoned)",
+            scenario.expected_total(),
+            total.committed,
+            total.aborted
         ));
     }
     if stuck {
@@ -595,28 +762,64 @@ fn finish_outcome(
 
     ScenarioOutcome {
         scenario: scenario.name.clone(),
-        engine: engine_name.to_string(),
+        engine: engine.name().to_string(),
         clients: scenario.spec.total_clients(),
         ops_per_client: scenario.ops_per_client,
-        committed,
-        committed_read_only,
-        aborted,
-        read_only_aborts,
-        update_retries,
+        committed: total.committed,
+        committed_read_only: total.committed_read_only,
+        aborted: total.aborted,
+        read_only_aborts: total.read_only_aborts,
+        update_retries: total.update_retries,
         stuck,
         diagnostics,
-        trace_dump,
+        trace_dump: trace_dump.flatten(),
         consistency,
         violations,
         history,
         elapsed,
+        update_latency: total.update_latency,
+        internal_latency: total.internal_latency,
     }
 }
 
+/// The one prologue: validates the spec, builds `kind` under the scenario's
+/// fault plan — on threads, or with `sim_seed` on a fresh deterministic
+/// simulator — runs the scenario on it and disarms the plan. `tune` sees the
+/// scenario's [`EngineBuilder`] ([`ChaosScenario::engine`]) before it boots:
+/// a harness that sweeps a tuning value or wants observability sets it
+/// there, and reads whatever it needs off the returned engine (trace spans,
+/// mailbox totals) afterwards; under the simulator the engine is quiescent
+/// by then.
+///
+/// # Errors
+///
+/// Returns the [`SpecError`] if the scenario's workload spec is invalid.
+pub fn run_scenario_tuned(
+    kind: EngineKind,
+    scenario: &ChaosScenario,
+    sim_seed: Option<u64>,
+    tune: impl FnOnce(EngineBuilder) -> EngineBuilder,
+) -> Result<(ScenarioOutcome, Arc<dyn TransactionEngine>), SpecError> {
+    scenario.spec.validate()?;
+    let sim = sim_seed.map(SimRuntime::new);
+    let injector = FaultInjector::new(scenario.faults.clone());
+    let mut builder = tune(scenario.engine(kind, &injector));
+    if let Some(sim) = &sim {
+        builder = builder.scheduler(sim.handle());
+    }
+    let engine: Arc<dyn TransactionEngine> = Arc::from(builder.build());
+    let outcome = run_clients(&engine, sim.as_ref(), &injector, scenario);
+    injector.disarm();
+    if let Some(sim) = &sim {
+        sim.wait_quiescent();
+    }
+    Ok((outcome, engine))
+}
+
 /// Builds the engine under the scenario's fault plan, populates the key
-/// space fault-free, arms the plan, runs the fixed-operation workload with
-/// history recording and the stuck-run detector, and evaluates the
-/// scenario's expectations.
+/// space fault-free, arms the plan, runs the fixed-operation workload on
+/// threads with history recording and the stuck-run detector, and evaluates
+/// the scenario's expectations.
 ///
 /// # Errors
 ///
@@ -625,148 +828,21 @@ pub fn run_scenario(
     kind: EngineKind,
     scenario: &ChaosScenario,
 ) -> Result<ScenarioOutcome, SpecError> {
-    scenario.spec.validate()?;
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = scenario.engine(kind, &injector).build();
-    let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
-    injector.disarm();
-    Ok(outcome)
+    run_scenario_tuned(kind, scenario, None, |builder| builder).map(|(outcome, _)| outcome)
 }
 
-/// [`run_scenario`] against an already-built engine — e.g.
-/// [`ChaosScenario::engine`] with [`EngineBuilder::observability`] on, so a stuck run auto-dumps its trace rings into
-/// [`ScenarioOutcome::trace_dump`]. `injector` is armed after population
-/// (pass an injector built from an empty plan for a fault-free control
-/// run).
-pub fn run_scenario_on<E: TransactionEngine + ?Sized>(
-    engine: &E,
-    injector: &Arc<FaultInjector>,
-    scenario: &ChaosScenario,
-) -> ScenarioOutcome {
-    let spec = &scenario.spec;
-    assert_eq!(
-        engine.nodes(),
-        spec.nodes,
-        "scenario spec and engine disagree on the node count"
-    );
-
-    let recorder = Arc::new(HistoryRecorder::new());
-    populate_recorded(engine, spec, &recorder);
-    injector.arm();
-
-    let start = Instant::now();
-    let progress = Arc::new(AtomicU64::new(0));
-    let abort = Arc::new(AtomicBool::new(false));
-    let done = Arc::new(AtomicBool::new(false));
-    let stuck_diagnostics: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let stuck_trace: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-
-    let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-        // Stuck-run watchdog: with no committed transaction for
-        // `stall_timeout`, capture the stall report and raise the abort flag
-        // so clients bail out instead of hanging forever. The WatchdogCore
-        // samples engine diagnostics into a bounded history, so the report
-        // shows the run-up to the stall, not just the moment it tripped.
-        {
-            let progress = Arc::clone(&progress);
-            let abort = Arc::clone(&abort);
-            let done = Arc::clone(&done);
-            let diagnostics = Arc::clone(&stuck_diagnostics);
-            let trace_dump = Arc::clone(&stuck_trace);
-            let stall_timeout = scenario.stall_timeout;
-            let engine_ref = &engine;
-            scope.spawn(move || {
-                let mut watchdog = WatchdogCore::new(WatchdogConfig {
-                    stall_after: stall_timeout,
-                    ..WatchdogConfig::default()
-                });
-                while !done.load(Ordering::Relaxed) {
-                    std::thread::sleep(WATCHDOG_TICK);
-                    let current = progress.load(Ordering::Relaxed);
-                    // Liveness rides along with the diagnostics so a stall
-                    // report can say "node 2 crashed" instead of leaving the
-                    // reader to infer it from mailbox depths.
-                    let verdict = watchdog.observe_with(
-                        current,
-                        || engine_ref.diagnostics().unwrap_or_default(),
-                        || engine_ref.node_liveness().unwrap_or_default(),
-                    );
-                    if verdict == WatchdogVerdict::Stalled {
-                        *diagnostics.lock() = Some(watchdog.report());
-                        // With observability on, auto-dump the trace rings:
-                        // the last ~32k spans per node show what every
-                        // in-flight transaction was doing when it stalled.
-                        if let Some(hub) = engine_ref.observability() {
-                            let group = (engine_ref.name().to_string(), hub.drain_spans());
-                            *trace_dump.lock() = Some(chrome_trace_json(&[group]));
-                        }
-                        abort.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
-        }
-
-        let mut handles = Vec::new();
-        for node in 0..spec.nodes {
-            for client in 0..spec.clients_per_node {
-                let progress = Arc::clone(&progress);
-                let abort = Arc::clone(&abort);
-                let recorder = Arc::clone(&recorder);
-                let engine_ref = &engine;
-                handles.push(scope.spawn(move || {
-                    run_client(
-                        *engine_ref,
-                        scenario,
-                        node,
-                        client,
-                        &progress,
-                        &abort,
-                        &recorder,
-                    )
-                }));
-            }
-        }
-
-        let tallies: Vec<ClientTally> = handles
-            .into_iter()
-            .map(|h| h.join().expect("scenario client panicked"))
-            .collect();
-        done.store(true, Ordering::Relaxed);
-        tallies
-    });
-
-    let elapsed = start.elapsed();
-    let stuck = abort.load(Ordering::Relaxed);
-    let diagnostics = stuck_diagnostics.lock().take();
-    let trace_dump = stuck_trace.lock().take();
-    finish_outcome(
-        engine.name(),
-        scenario,
-        tallies,
-        stuck,
-        diagnostics,
-        trace_dump,
-        recorder.snapshot(),
-        elapsed,
-    )
-}
-
-/// [`run_scenario`] under the deterministic simulator: one call builds a
-/// seeded [`SimRuntime`], wires the engine to it, and runs population,
-/// fault plan and every closed-loop client as cooperative tasks in virtual
-/// time. The same `(scenario, engine, seed)` triple replays the run
-/// bit-identically — [`ScenarioOutcome::summary`] and the recorded history
+/// [`run_scenario`] under the deterministic simulator: a [`SimRuntime`]
+/// seeded with `seed` runs population, fault plan and every closed-loop
+/// client as cooperative tasks in virtual time. The same `(scenario,
+/// engine, seed)` triple replays the run bit-identically —
+/// [`ScenarioOutcome::summary`], the recorded history and, beyond what
+/// [`ScenarioOutcome::fingerprint`] covers, every latency and retry count
 /// are deterministic functions of the inputs.
 ///
-/// Differences from the threaded runner:
-///
-/// * no stuck-run watchdog: a wedged run is caught by the simulator's own
-///   deadlock detector (panic with a parked-task report) instead of a
-///   wall-clock stall timeout;
-/// * [`ScenarioOutcome::elapsed`] is *virtual* time, not wall time;
-/// * history timestamps are virtual instants, so checker verdicts are
-///   reproducible.
+/// There is no stuck-run watchdog (a wedged run panics with the simulator's
+/// deadlock report instead), and [`ScenarioOutcome::elapsed`], the latency
+/// histograms and the history's timestamps are virtual, so checker verdicts
+/// are reproducible.
 ///
 /// # Errors
 ///
@@ -776,121 +852,7 @@ pub fn run_scenario_sim(
     scenario: &ChaosScenario,
     seed: u64,
 ) -> Result<ScenarioOutcome, SpecError> {
-    scenario.spec.validate()?;
-    let sim = SimRuntime::new(seed);
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let engine: Arc<Box<dyn TransactionEngine>> = Arc::new(
-        scenario
-            .engine(kind, &injector)
-            .scheduler(sim.handle())
-            .build(),
-    );
-    let outcome = run_scenario_sim_on(&sim, &engine, &injector, scenario);
-    injector.disarm();
-    sim.wait_quiescent();
-    Ok(outcome)
-}
-
-/// [`run_scenario_sim`] against an already-built engine wired to `sim`
-/// (see [`EngineBuilder::scheduler`]); `injector` is armed at the first
-/// quiescent point after population.
-pub fn run_scenario_sim_on(
-    sim: &Arc<SimRuntime>,
-    engine: &Arc<Box<dyn TransactionEngine>>,
-    injector: &Arc<FaultInjector>,
-    scenario: &ChaosScenario,
-) -> ScenarioOutcome {
-    let spec = &scenario.spec;
-    assert_eq!(
-        engine.nodes(),
-        spec.nodes,
-        "scenario spec and engine disagree on the node count"
-    );
-
-    let recorder = Arc::new(HistoryRecorder::new());
-    // Population runs as the first foreground task: message delivery and
-    // protocol waits already move in virtual time, but no fault windows are
-    // active yet (the plan is armed below, exactly like the threaded
-    // runner arms it after population).
-    {
-        let engine = Arc::clone(engine);
-        let recorder = Arc::clone(&recorder);
-        let spec = spec.clone();
-        sim.block_on("populate", move || {
-            populate_recorded(engine.as_ref().as_ref(), &spec, &recorder);
-        });
-    }
-    // Freeze at quiescence: the virtual arm time is then a deterministic
-    // function of the population run, so the plan's windows hit the same
-    // virtual instants on every replay — and the hold keeps the armed
-    // windows from firing (free-running the clock) while this host thread
-    // is still spawning the client driver below, which would make the
-    // spawn's position in the schedule a wall-clock race.
-    sim.freeze();
-    injector.arm();
-
-    let virtual_start = sim.virtual_elapsed();
-    let progress = Arc::new(AtomicU64::new(0));
-    let abort = Arc::new(AtomicBool::new(false));
-    let tallies: Arc<Mutex<Vec<ClientTally>>> = Arc::new(Mutex::new(Vec::new()));
-
-    // One driver task spawns every client as its own foreground task and
-    // waits until all of them have finished. Spawning from *inside* the
-    // simulation (rather than from the host thread) keeps the spawn order
-    // — and therefore the scheduler's seeded interleaving — deterministic.
-    {
-        let engine = Arc::clone(engine);
-        let scenario = scenario.clone();
-        let progress = Arc::clone(&progress);
-        let abort = Arc::clone(&abort);
-        let recorder = Arc::clone(&recorder);
-        let tallies = Arc::clone(&tallies);
-        sim.block_on("clients", move || {
-            let finished = Arc::new(Signal::default());
-            for node in 0..scenario.spec.nodes {
-                for client in 0..scenario.spec.clients_per_node {
-                    let engine = Arc::clone(&engine);
-                    let scenario = scenario.clone();
-                    let progress = Arc::clone(&progress);
-                    let abort = Arc::clone(&abort);
-                    let recorder = Arc::clone(&recorder);
-                    let tallies = Arc::clone(&tallies);
-                    let finished = Arc::clone(&finished);
-                    runtime::spawn(None, format!("client-{node}-{client}"), false, move || {
-                        let tally = run_client(
-                            engine.as_ref().as_ref(),
-                            &scenario,
-                            node,
-                            client,
-                            &progress,
-                            &abort,
-                            &recorder,
-                        );
-                        tallies.lock().push(tally);
-                        finished.notify_all();
-                    });
-                }
-            }
-            let mut tallies = tallies.lock();
-            while tallies.len() < scenario.spec.total_clients() {
-                finished.wait(&mut tallies, None);
-            }
-        });
-    }
-    sim.wait_quiescent();
-    let elapsed = sim.virtual_elapsed() - virtual_start;
-
-    let tallies = std::mem::take(&mut *tallies.lock());
-    finish_outcome(
-        engine.name(),
-        scenario,
-        tallies,
-        false,
-        None,
-        None,
-        recorder.snapshot(),
-        elapsed,
-    )
+    run_scenario_tuned(kind, scenario, Some(seed), |builder| builder).map(|(outcome, _)| outcome)
 }
 
 #[cfg(test)]
@@ -915,6 +877,19 @@ mod tests {
         assert_eq!(outcome.consistency, Some(Ok(())));
         assert!(outcome.history.len() as u64 > outcome.committed);
         assert!(outcome.summary().contains("consistency=ok"));
+        // Every committed update's latency is recorded, and an SSS update
+        // commits internally before its client hears of it.
+        let updates = outcome.committed - outcome.committed_read_only;
+        assert_eq!(outcome.update_latency.count(), updates);
+        assert_eq!(outcome.internal_latency.count(), updates);
+        assert!(outcome.internal_latency.sum() < outcome.update_latency.sum());
+        let per_second = outcome.committed as f64 / outcome.elapsed.as_secs_f64();
+        assert_eq!(outcome.throughput(), per_second);
+        let aborted = outcome.update_retries as f64;
+        assert_eq!(
+            outcome.abort_rate(),
+            aborted / (outcome.committed as f64 + aborted)
+        );
     }
 
     #[test]
@@ -939,6 +914,11 @@ mod tests {
             b.fingerprint(),
             "same seed must replay the full history bit-identically"
         );
+        // In virtual time the measurements replay too, not only the history.
+        assert_eq!(a.elapsed, b.elapsed);
+        assert_eq!(a.update_retries, b.update_retries);
+        assert_eq!(a.update_latency, b.update_latency);
+        assert_eq!(a.internal_latency, b.internal_latency);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Workload specification.
 
-use std::time::Duration;
-
 /// How a client chooses the keys a transaction accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeySelection {
@@ -18,11 +16,10 @@ pub enum KeySelection {
 
 /// A structurally invalid [`WorkloadSpec`].
 ///
-/// Returned by [`WorkloadSpec::validate`]; the driver and the scenario
-/// runner reject invalid specs up front instead of silently producing
-/// nonsense workloads (e.g. a locality bias above 100% that would skew
-/// every access local, or a zero-key space that would spin forever
-/// picking distinct keys).
+/// Returned by [`WorkloadSpec::validate`]; the scenario runner rejects
+/// invalid specs up front instead of silently producing nonsense workloads
+/// (e.g. a locality bias above 100% that would skew every access local, or
+/// a zero-key space that would spin forever picking distinct keys).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecError {
     /// The cluster has no nodes.
@@ -55,7 +52,9 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// A complete description of one benchmark configuration.
+/// The shape of one workload: who runs it, over which keys, in what mix.
+/// How much of it runs (operations per client) belongs to the
+/// [`ChaosScenario`](crate::ChaosScenario) that carries the spec.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Number of nodes in the cluster.
@@ -73,10 +72,6 @@ pub struct WorkloadSpec {
     pub read_only_access_count: usize,
     /// Key-selection policy.
     pub key_selection: KeySelection,
-    /// How long each trial runs.
-    pub duration: Duration,
-    /// Number of trials averaged per data point (the paper uses 5).
-    pub trials: usize,
     /// Base random seed; each client derives its own stream from it.
     pub seed: u64,
 }
@@ -94,8 +89,6 @@ impl WorkloadSpec {
             update_access_count: 2,
             read_only_access_count: 2,
             key_selection: KeySelection::Uniform,
-            duration: Duration::from_millis(500),
-            trials: 1,
             seed: 42,
         }
     }
@@ -141,18 +134,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Sets the trial duration.
-    pub fn duration(mut self, duration: Duration) -> Self {
-        self.duration = duration;
-        self
-    }
-
-    /// Sets the number of trials averaged per data point.
-    pub fn trials(mut self, trials: usize) -> Self {
-        self.trials = trials;
-        self
-    }
-
     /// Sets the base random seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -167,8 +148,8 @@ impl WorkloadSpec {
     /// Checks the spec for structural validity.
     ///
     /// The builder methods already reject some invalid values eagerly, but
-    /// specs can also be assembled field-by-field; the driver and the
-    /// scenario runner call this before running anything.
+    /// specs can also be assembled field-by-field; the scenario runner
+    /// calls this before running anything.
     ///
     /// # Errors
     ///
@@ -224,12 +205,11 @@ mod tests {
             .key_selection(KeySelection::Local {
                 local_fraction_percent: 50,
             })
-            .duration(Duration::from_millis(10))
-            .trials(3)
             .seed(7);
         assert_eq!(spec.read_only_percent, 80);
         assert_eq!(spec.read_only_access_count, 16);
-        assert_eq!(spec.trials, 3);
+        assert_eq!(spec.update_access_count, 4);
+        assert_eq!(spec.seed, 7);
         assert_eq!(spec.total_clients(), 6);
     }
 

@@ -7,8 +7,7 @@
 
 use std::time::Duration;
 
-use sss_engine::FaultInjector;
-use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
+use sss_workload::scenario::{run_scenario_tuned, ChaosScenario, ScenarioExpectations};
 use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
 fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
@@ -17,13 +16,9 @@ fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
         .total_keys(48)
         .read_only_percent(40)
         .seed(seed);
-    let expect = match kind {
-        EngineKind::Sss => ScenarioExpectations::sss(),
-        _ => ScenarioExpectations::serializable_baseline(),
-    };
     ChaosScenario::new("batch-size-probe", spec)
         .ops_per_client(30)
-        .expect(expect)
+        .expect(ScenarioExpectations::of(kind))
         .faults(
             FaultPlan::new(seed).link_fault(
                 LinkFault::on(LinkSelector::All)
@@ -35,14 +30,10 @@ fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
 }
 
 fn run_with_batch(kind: EngineKind, batch: usize, seed: u64) -> sss_workload::ScenarioOutcome {
-    let scenario = scenario(kind, seed);
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = scenario
-        .engine(kind, &injector)
-        .delivery_batch(batch)
-        .build();
-    let outcome = run_scenario_on(engine.as_ref(), &injector, &scenario);
-    injector.disarm();
+    let (outcome, _) = run_scenario_tuned(kind, &scenario(kind, seed), None, |b| {
+        b.delivery_batch(batch)
+    })
+    .expect("valid scenario");
     assert!(
         outcome.passed(),
         "{kind} with batch {batch} violated expectations: {:?}",

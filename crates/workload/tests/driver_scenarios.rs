@@ -1,140 +1,10 @@
-//! Scenario tests of the workload layer: the generated mixes match the
-//! paper's benchmark configurations and the closed-loop driver reports
-//! sensible statistics against a deliberately slow engine.
+//! Scenario tests of the workload generator: the generated mixes match the
+//! paper's benchmark configurations.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sss_storage::{Key, Value};
 use sss_vclock::NodeId;
-use sss_workload::{
-    run_workload, EngineSession, KeySelection, TransactionEngine, TxnOutcome, TxnTemplate,
-    WorkloadGenerator, WorkloadSpec,
-};
-
-/// An engine that commits everything but injects a fixed service time and
-/// aborts every Nth update, used to validate the driver's accounting.
-struct MeteredEngine {
-    inner: Arc<MeteredInner>,
-}
-
-struct MeteredInner {
-    nodes: usize,
-    service_time: Duration,
-    abort_every: u64,
-    attempts: AtomicU64,
-}
-
-impl MeteredEngine {
-    fn new(nodes: usize, service_time: Duration, abort_every: u64) -> Self {
-        MeteredEngine {
-            inner: Arc::new(MeteredInner {
-                nodes,
-                service_time,
-                abort_every,
-                attempts: AtomicU64::new(0),
-            }),
-        }
-    }
-}
-
-struct MeteredSession {
-    engine: Arc<MeteredInner>,
-}
-
-impl EngineSession for MeteredSession {
-    fn run_update(&mut self, _read_keys: &[Key], _writes: &[(Key, Value)]) -> TxnOutcome {
-        let n = self.engine.attempts.fetch_add(1, Ordering::Relaxed) + 1;
-        std::thread::sleep(self.engine.service_time);
-        if self.engine.abort_every != 0 && n % self.engine.abort_every == 0 {
-            TxnOutcome::Aborted
-        } else {
-            TxnOutcome::Committed {
-                latency: self.engine.service_time,
-                internal_latency: self.engine.service_time / 2,
-            }
-        }
-    }
-
-    fn run_read_only(&mut self, _read_keys: &[Key]) -> TxnOutcome {
-        std::thread::sleep(self.engine.service_time);
-        TxnOutcome::Committed {
-            latency: self.engine.service_time,
-            internal_latency: self.engine.service_time,
-        }
-    }
-}
-
-impl TransactionEngine for MeteredEngine {
-    fn name(&self) -> &str {
-        "metered"
-    }
-
-    fn nodes(&self) -> usize {
-        self.inner.nodes
-    }
-
-    fn session(&self, _node: usize) -> Box<dyn EngineSession> {
-        Box::new(MeteredSession {
-            engine: Arc::clone(&self.inner),
-        })
-    }
-}
-
-#[test]
-fn driver_throughput_matches_the_closed_loop_model() {
-    // 2 nodes x 2 clients in a closed loop against a 2ms service time:
-    // throughput must be close to clients / service_time and far from the
-    // open-loop extreme.
-    let engine = MeteredEngine::new(2, Duration::from_millis(2), 0);
-    let spec = WorkloadSpec::new(2)
-        .clients_per_node(2)
-        .total_keys(64)
-        .read_only_percent(50)
-        .duration(Duration::from_millis(200));
-    let report = run_workload(&engine, &spec);
-    let expected = 4.0 / 0.002; // clients / service time = 2000 tx/s
-    assert!(
-        report.throughput() > expected * 0.5,
-        "throughput {} too low",
-        report.throughput()
-    );
-    assert!(
-        report.throughput() < expected * 1.5,
-        "throughput {} too high",
-        report.throughput()
-    );
-    assert_eq!(report.aborted, 0);
-    assert!(report.latency.mean >= Duration::from_millis(2));
-    // The internal/external split recorded by the engine surfaces in the
-    // report (update transactions only).
-    assert!(report.mean_pre_commit_wait() >= Duration::from_micros(500));
-}
-
-#[test]
-fn driver_counts_aborts_without_losing_committed_work() {
-    let engine = MeteredEngine::new(1, Duration::from_micros(200), 4);
-    let spec = WorkloadSpec::new(1)
-        .clients_per_node(2)
-        .total_keys(32)
-        .read_only_percent(0)
-        .duration(Duration::from_millis(100));
-    let report = run_workload(&engine, &spec);
-    assert!(
-        report.aborted > 0,
-        "the metered engine aborts every 4th update"
-    );
-    assert!(
-        report.committed > report.aborted,
-        "most updates still commit"
-    );
-    let abort_rate = report.abort_rate();
-    assert!(
-        (0.15..0.40).contains(&abort_rate),
-        "abort rate {abort_rate} should be near 25%"
-    );
-}
+use sss_workload::{KeySelection, TxnTemplate, WorkloadGenerator, WorkloadSpec};
 
 #[test]
 fn generated_mix_matches_the_paper_profiles() {

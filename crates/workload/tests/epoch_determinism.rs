@@ -6,16 +6,11 @@
 //! release/remove traffic. Grouping changes *which messages carry* the
 //! confirmation barrier, never what any transaction observes.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use sss_engine::{EngineBuilder, FaultInjector, MailboxStats, SimRuntime, DEFAULT_CONFIRM_EPOCH};
-use sss_workload::scenario::{
-    run_scenario_on, run_scenario_sim_on, ChaosScenario, ScenarioExpectations,
-};
-use sss_workload::{
-    EngineKind, FaultPlan, LinkFault, LinkSelector, TransactionEngine, WorkloadSpec,
-};
+use sss_engine::{EngineBuilder, MailboxStats, DEFAULT_CONFIRM_EPOCH};
+use sss_workload::scenario::{run_scenario_tuned, ChaosScenario, ScenarioExpectations};
+use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
 fn scenario(seed: u64) -> ChaosScenario {
     let spec = WorkloadSpec::new(3)
@@ -42,15 +37,14 @@ fn run_with_tuning(
     tune: impl FnOnce(EngineBuilder) -> EngineBuilder,
     seed: u64,
 ) -> sss_workload::ScenarioOutcome {
-    let scenario = scenario(seed);
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let builder = tune(scenario.engine(EngineKind::Sss, &injector));
-    let engine = builder.clone().build();
-    let outcome = run_scenario_on(engine.as_ref(), &injector, &scenario);
-    injector.disarm();
+    // A copy of the tuned builder names the sweep arm in a failure message.
+    let mut built = None;
+    let tune = |builder| built.insert(tune(builder)).clone();
+    let (outcome, _) =
+        run_scenario_tuned(EngineKind::Sss, &scenario(seed), None, tune).expect("valid scenario");
     assert!(
         outcome.passed(),
-        "SSS built from {builder:?} violated expectations: {:?}",
+        "SSS built from {built:?} violated expectations: {:?}",
         outcome.violations
     );
     outcome
@@ -98,17 +92,10 @@ fn simulated_message_counts(window: usize) -> MailboxStats {
         .read_only_percent(10)
         .seed(1);
     let scenario = ChaosScenario::new("epoch-message-economy", spec).ops_per_client(25);
-    let sim = SimRuntime::new(1);
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let engine: Arc<Box<dyn TransactionEngine>> = Arc::new(
-        scenario
-            .engine(EngineKind::Sss, &injector)
-            .confirm_epoch(window)
-            .scheduler(sim.handle())
-            .build(),
-    );
-    let outcome = run_scenario_sim_on(&sim, &engine, &injector, &scenario);
-    sim.wait_quiescent();
+    let (outcome, engine) = run_scenario_tuned(EngineKind::Sss, &scenario, Some(1), |b| {
+        b.confirm_epoch(window)
+    })
+    .expect("valid scenario");
     assert!(
         outcome.passed(),
         "window {window}: {:?}",

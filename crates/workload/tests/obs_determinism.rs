@@ -13,11 +13,9 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use sss_engine::{EngineBuilder, FaultInjector, Phase, DEFAULT_CONFIRM_EPOCH};
-use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
-use sss_workload::{
-    EngineKind, FaultPlan, LinkFault, LinkSelector, TransactionEngine, WorkloadSpec,
-};
+use sss_engine::{EngineBuilder, Phase, DEFAULT_CONFIRM_EPOCH};
+use sss_workload::scenario::{run_scenario_tuned, ChaosScenario, ScenarioExpectations};
+use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
 fn scenario(seed: u64, expect: ScenarioExpectations, replication: usize) -> ChaosScenario {
     let spec = WorkloadSpec::new(3)
@@ -61,14 +59,13 @@ fn run_tuned(
     scenario: &ChaosScenario,
     tune: impl FnOnce(EngineBuilder) -> EngineBuilder,
 ) -> (sss_workload::ScenarioOutcome, BTreeSet<&'static str>) {
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let builder = tune(scenario.engine(kind, &injector));
-    let engine = builder.clone().build();
-    let outcome = run_scenario_on(engine.as_ref(), &injector, scenario);
-    injector.disarm();
+    // A copy of the tuned builder names the sweep arm in a failure message.
+    let mut built = None;
+    let tune = |builder| built.insert(tune(builder)).clone();
+    let (outcome, engine) = run_scenario_tuned(kind, scenario, None, tune).expect("valid scenario");
     assert!(
         outcome.passed(),
-        "{builder:?} violated expectations: {:?}",
+        "{built:?} violated expectations: {:?}",
         outcome.violations
     );
     let phases: BTreeSet<&'static str> = engine
@@ -82,13 +79,9 @@ fn run_tuned(
 }
 
 fn expectations(kind: EngineKind) -> (ScenarioExpectations, usize) {
-    match kind {
-        EngineKind::Sss => (ScenarioExpectations::sss(), 2),
-        EngineKind::TwoPc => (ScenarioExpectations::serializable_baseline(), 2),
-        EngineKind::Walter => (ScenarioExpectations::weak_baseline(), 2),
-        // ROCOCO runs unreplicated, as in the paper's comparison.
-        EngineKind::Rococo => (ScenarioExpectations::serializable_baseline(), 1),
-    }
+    // ROCOCO runs unreplicated, as in the paper's comparison.
+    let replication = if kind == EngineKind::Rococo { 1 } else { 2 };
+    (ScenarioExpectations::of(kind), replication)
 }
 
 /// SSS: the full outcome summary is bit-identical with tracing on and off.

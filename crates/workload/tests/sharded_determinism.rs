@@ -6,8 +6,7 @@
 
 use std::time::Duration;
 
-use sss_engine::FaultInjector;
-use sss_workload::scenario::{run_scenario_on, ChaosScenario, ScenarioExpectations};
+use sss_workload::scenario::{run_scenario_tuned, ChaosScenario, ScenarioExpectations};
 use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
 fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
@@ -16,13 +15,9 @@ fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
         .total_keys(48)
         .read_only_percent(40)
         .seed(seed);
-    let expect = match kind {
-        EngineKind::Sss => ScenarioExpectations::sss(),
-        _ => ScenarioExpectations::serializable_baseline(),
-    };
     ChaosScenario::new("shard-count-probe", spec)
         .ops_per_client(30)
-        .expect(expect)
+        .expect(ScenarioExpectations::of(kind))
         .faults(
             FaultPlan::new(seed).link_fault(
                 LinkFault::on(LinkSelector::All)
@@ -33,14 +28,10 @@ fn scenario(kind: EngineKind, seed: u64) -> ChaosScenario {
 }
 
 fn run_with_shards(kind: EngineKind, shards: usize, seed: u64) -> sss_workload::ScenarioOutcome {
-    let scenario = scenario(kind, seed);
-    let injector = FaultInjector::new(scenario.faults.clone());
-    let engine = scenario
-        .engine(kind, &injector)
-        .storage_shards(shards)
-        .build();
-    let outcome = run_scenario_on(engine.as_ref(), &injector, &scenario);
-    injector.disarm();
+    let (outcome, _) = run_scenario_tuned(kind, &scenario(kind, seed), None, |b| {
+        b.storage_shards(shards)
+    })
+    .expect("valid scenario");
     assert!(
         outcome.passed(),
         "{kind} with {shards} shard(s) violated expectations: {:?}",
