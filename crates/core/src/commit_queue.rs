@@ -61,11 +61,13 @@ impl CommitQueue {
 
     /// Inserts a transaction with its proposed vector clock as *pending*
     /// (Algorithm 2, line 11).
+    ///
+    /// The queue does not check for an id it already holds: a second `put`
+    /// queues a second entry that [`CommitQueue::update`] never reaches, in
+    /// every build profile. Keeping that from happening is the caller's job
+    /// (the node's `prepared_ever` guard); the model checker reverts the
+    /// guard and finds the wedged queue as a quiescence violation.
     pub fn put(&mut self, txn: TxnId, vc: VectorClock) {
-        debug_assert!(
-            !self.entries.iter().any(|e| e.txn == txn),
-            "transaction {txn} inserted twice into CommitQ"
-        );
         self.entries.push(CommitEntry {
             txn,
             vc,
@@ -191,6 +193,19 @@ mod tests {
         assert!(q.is_empty());
         // Updating a removed transaction is a no-op.
         assert!(!q.update(txn(1), vc(&[4])));
+    }
+
+    #[test]
+    fn a_second_put_of_one_id_queues_an_entry_no_decision_reaches() {
+        // Debug and release alike: this is the wedge `prepared_ever` exists
+        // to prevent and the checker's `DuplicatePrepare` mutation finds.
+        let mut q = CommitQueue::new(0);
+        q.put(txn(1), vc(&[1]));
+        q.put(txn(1), vc(&[2]));
+        assert!(q.update(txn(1), vc(&[1])));
+        assert_eq!(q.pop_ready_head().unwrap().txn, txn(1));
+        assert_eq!(q.head().unwrap().status, CommitStatus::Pending);
+        assert!(q.pop_ready_head().is_none());
     }
 
     #[test]

@@ -79,6 +79,8 @@ pub use config::{SssConfig, DEFAULT_CONFIRM_EPOCH};
 pub use error::{AbortReason, SssError};
 pub use messages::{Ack, PropagatedEntry, ReadReturn, SssMessage, StateReply, Vote};
 pub use nlog::{NLog, NLogEntry};
+#[doc(hidden)]
+pub use node::step::{ByteSink, SeededBug, SteppedCluster};
 pub use node::SssNode;
 pub use session::{CommitInfo, ReadOnlyTransaction, Session, UpdateTransaction};
 pub use squeue::{EntryKind, ReadEntry, SnapshotQueue, SnapshotQueues, WriteEntry};

@@ -18,7 +18,7 @@ use sss_vclock::{NodeId, VectorClock};
 
 /// A read-only transaction entry propagated through snapshot-queues
 /// (`<T'.id, T'.sid, "R">` in Algorithm 3 line 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PropagatedEntry {
     /// The read-only transaction.
     pub txn: TxnId,
@@ -27,7 +27,7 @@ pub struct PropagatedEntry {
 }
 
 /// Reply to a `READREQUEST` (Algorithm 6 line 28).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct ReadReturn {
     /// Node that answered (used to set `T.hasRead`).
     pub from: NodeId,
@@ -59,7 +59,7 @@ pub struct ReadReturn {
 }
 
 /// A participant's vote in the 2PC prepare phase (Algorithm 2 lines 5/13).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Vote {
     /// The voting participant.
     pub from: NodeId,
@@ -73,7 +73,7 @@ pub struct Vote {
 
 /// A participant's acknowledgement that the transaction externally committed
 /// on its side (Algorithm 4 line 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ack {
     /// The acknowledging write replica.
     pub from: NodeId,
@@ -121,8 +121,6 @@ pub enum SssMessage {
     Prepare {
         /// The committing update transaction.
         txn: TxnId,
-        /// Its coordinator node.
-        coordinator: NodeId,
         /// The transaction's vector clock at commit time (used for read
         /// validation).
         vc: VectorClock,

@@ -141,7 +141,7 @@ impl NLog {
     }
 
     /// Iterates over the retained entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &NLogEntry> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &NLogEntry> {
         self.entries.iter()
     }
 }

@@ -5,13 +5,14 @@ use std::sync::Arc;
 
 use sss_net::ReplySender;
 use sss_storage::{Key, LockKind, TxnId, Value};
-use sss_vclock::{NodeId, VectorClock};
+use sss_vclock::VectorClock;
 
 use crate::config::{LOCK_TIMEOUT, PRECOMMIT_HOLD_MAX};
 use crate::messages::{Ack, PropagatedEntry, Vote};
 use crate::stats::NodeCounters;
 
 use super::state::{DecisionInfo, NodeState, PreparedTxn, WaitingExternal};
+use super::step::SeededBug;
 use super::SssNode;
 
 impl SssNode {
@@ -19,7 +20,6 @@ impl SssNode {
     pub(super) fn handle_prepare(
         &self,
         txn: TxnId,
-        coordinator: NodeId,
         vc: VectorClock,
         read_set: Vec<(Key, Option<TxnId>)>,
         write_set: Vec<(Key, Value)>,
@@ -58,7 +58,8 @@ impl SssNode {
             // done being) processed: drop it without voting — the original
             // copy's vote is guaranteed to arrive, and re-preparing would
             // wedge the commit queue with an undecidable second entry.
-            if !state.prepared_ever.insert(txn) {
+            if !state.prepared_ever.insert(txn) && self.seeded != Some(SeededBug::DuplicatePrepare)
+            {
                 return;
             }
         }
@@ -142,9 +143,6 @@ impl SssNode {
         } else {
             state.nlog.most_recent_vc().clone()
         };
-        // The coordinator identity is implicit in the reply handles, so the
-        // prepared record only needs the locally stored key subsets.
-        let _ = coordinator;
         state.prepared.insert(
             txn,
             PreparedTxn {
@@ -176,7 +174,9 @@ impl SssNode {
     ) {
         if !outcome {
             let mut state = self.state.lock();
-            if state.prepared.remove(&txn).is_none() {
+            if state.prepared.remove(&txn).is_none()
+                && self.seeded != Some(SeededBug::AbortOvertakesPrepare)
+            {
                 // The abort decision overtook the prepare (the coordinator
                 // gave up before our vote). Remember it so the late prepare
                 // votes negatively instead of enqueuing a transaction whose

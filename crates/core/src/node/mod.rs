@@ -18,6 +18,7 @@ mod confirm;
 mod read;
 mod remove;
 mod state;
+pub(crate) mod step;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,6 +67,10 @@ pub struct SssNode {
     /// [`SssError::NodeUnavailable`](crate::SssError::NodeUnavailable)
     /// after bounded retries.
     available: AtomicBool,
+    /// A historical bug reverted in the handlers, for the model checker to
+    /// find again. `None` in every node an engine builds: only
+    /// [`step::SteppedCluster::new`] can set it.
+    seeded: Option<step::SeededBug>,
 }
 
 impl SssNode {
@@ -87,6 +92,7 @@ impl SssNode {
             next_txn_seq: AtomicU64::new(0),
             confirm: confirm::ConfirmCoalescer::default(),
             available: AtomicBool::new(true),
+            seeded: None,
             config,
         }
     }
@@ -278,15 +284,7 @@ impl SssNode {
     /// may hold one of its snapshot-queue entries (replicas of the read keys
     /// plus any registered forward targets, §III-C).
     pub(crate) fn finish_read_only(&self, txn: TxnId, read_keys: &[Key]) {
-        let extra: Vec<NodeId> = {
-            let mut state = self.state.lock();
-            state.completed_ro.insert(txn);
-            state
-                .ro_forward_targets
-                .remove(&txn)
-                .map(|set| set.into_iter().collect())
-                .unwrap_or_default()
-        };
+        let extra = self.complete_read_only(txn);
         // Piggyback (round-reduction optimisation): when a grouped
         // confirmation round is already in flight, the `Remove` rides its
         // broadcast — which covers every node, a superset of the targeted
@@ -301,6 +299,18 @@ impl SssNode {
         targets.sort();
         targets.dedup();
         let _ = self.multicast(targets, SssMessage::Remove { txns: vec![txn] });
+    }
+
+    /// The node-state half of [`SssNode::finish_read_only`]: marks `txn`
+    /// completed and takes the forward targets registered for it.
+    fn complete_read_only(&self, txn: TxnId) -> Vec<NodeId> {
+        let mut state = self.state.lock();
+        state.completed_ro.insert(txn);
+        state
+            .ro_forward_targets
+            .remove(&txn)
+            .map(|set| set.into_iter().collect())
+            .unwrap_or_default()
     }
 
     /// Garbage-collects old versions on this node, keeping the configured
@@ -379,12 +389,11 @@ impl NodeService<SssMessage> for SssNode {
             } => self.handle_read_request(txn, key, vc, has_read, exclude, is_update, reply),
             SssMessage::Prepare {
                 txn,
-                coordinator,
                 vc,
                 read_set,
                 write_set,
                 reply,
-            } => self.handle_prepare(txn, coordinator, vc, read_set, write_set, reply),
+            } => self.handle_prepare(txn, vc, read_set, write_set, reply),
             SssMessage::Decide {
                 txn,
                 commit_vc,

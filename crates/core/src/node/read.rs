@@ -12,6 +12,7 @@ use crate::messages::{PropagatedEntry, ReadReturn};
 use crate::stats::NodeCounters;
 
 use super::state::{NodeState, ParkedRead, PendingRead};
+use super::step::SeededBug;
 use super::SssNode;
 
 impl SssNode {
@@ -293,7 +294,10 @@ impl SssNode {
             // ceiling walk in step 3). Cloning an entry's clock clones an
             // `Arc` handle, not the clock.
             if let Some(q) = state.squeues.get(&key) {
-                for w in q.writes().iter().filter(|w| w.sid > vc.get(i)) {
+                let beyond = q.writes().iter().filter(|w| {
+                    w.sid > vc.get(i) && self.seeded != Some(SeededBug::DroppedExclusionCeiling)
+                });
+                for w in beyond {
                     newly_excluded.push(std::sync::Arc::clone(&w.commit_vc));
                 }
             }

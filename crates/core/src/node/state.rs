@@ -15,7 +15,7 @@ use crate::squeue::SnapshotQueues;
 
 /// Information a participant keeps for a transaction between the 2PC
 /// prepare and decide phases.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct PreparedTxn {
     /// Read keys replicated on this node (shared locks held).
     pub local_read_keys: Vec<Key>,
@@ -29,7 +29,7 @@ pub(crate) struct PreparedTxn {
 }
 
 /// The parts of a `Decide` message needed at internal-commit time.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DecisionInfo {
     /// Read-only entries to propagate into the written keys' snapshot-queues
     /// (Algorithm 3 lines 4-6).
@@ -40,7 +40,7 @@ pub(crate) struct DecisionInfo {
 
 /// A read-only read waiting for the visibility condition of Algorithm 6
 /// line 5 (`NLog.mostRecentVC[i] >= T.VC[i]`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct PendingRead {
     pub txn: TxnId,
     pub key: Key,
@@ -70,7 +70,7 @@ pub(crate) struct PendingRead {
 /// held until the writer's `ConfirmExternal` arrives, so that the value never
 /// reaches a client before the writer's own client response — the
 /// cross-node completion-order guarantee (paper §III-C).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ParkedRead {
     /// The not-yet-confirmed writer the read is waiting for.
     pub writer: TxnId,
@@ -80,7 +80,7 @@ pub(crate) struct ParkedRead {
 
 /// An internally committed update transaction held in its Pre-Commit phase
 /// by one or more read-only transactions (snapshot-queuing).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct WaitingExternal {
     pub txn: TxnId,
     /// Shared with the installed versions and snapshot-queue entries.
@@ -92,7 +92,7 @@ pub(crate) struct WaitingExternal {
 }
 
 /// All protocol state of one node that is protected by the node mutex.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct NodeState {
     /// `NodeVC` (paper §III-A).
     pub node_vc: VectorClock,

@@ -1,16 +1,12 @@
-//! Pure protocol-step functions shared by the node handlers and the
-//! `sss-model` explicit-state model checker.
+//! Pure protocol-step functions of the node handlers and the session.
 //!
-//! The model checker (crate `sss-model`) re-implements the SSS node as a
-//! synchronous state machine so it can enumerate every interleaving of a
-//! small configuration. To keep that model honest, the *decision* logic it
-//! exercises — which versions a read may observe, when a read must defer on
-//! a commit-queue ambiguity, how the final commit vector clock is
-//! equalized, when an external commit is blocked — lives here as pure
-//! functions over plain data, and the production handlers call the same
-//! functions. A divergence between model and implementation then requires
-//! changing a shared function, which both the checker and the chaos suite
-//! immediately re-exercise.
+//! The *decision* logic that the correctness argument rests on — which
+//! versions a read may observe, when a read must defer on a commit-queue
+//! ambiguity, how the final commit vector clock is equalized, when an
+//! external commit is blocked — lives here as pure functions over plain
+//! data, unit-tested on their own. The `sss-model` checker reaches them the
+//! way everything else does, through the handlers it steps; its scripted
+//! clients call [`finalize_commit_vc`] exactly as `Session` does.
 
 use std::sync::Arc;
 

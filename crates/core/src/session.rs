@@ -298,7 +298,6 @@ impl UpdateTransaction {
         let (vote_reply, vote_receiver) = reply_channel(participants.len());
         let prepare = SssMessage::Prepare {
             txn: self.id,
-            coordinator: node.id(),
             vc: self.vc.clone(),
             read_set: self.read_set.clone(),
             write_set: write_set.clone(),

@@ -166,7 +166,7 @@ impl SnapshotQueue {
 /// Queues are created lazily and garbage-collected as soon as they become
 /// empty — the "positive side effect of the Remove message" described in
 /// §III-E.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SnapshotQueues {
     queues: HashMap<Key, SnapshotQueue>,
 }
@@ -180,6 +180,11 @@ impl SnapshotQueues {
     /// The queue of `key`, if it currently has entries.
     pub fn get(&self, key: &Key) -> Option<&SnapshotQueue> {
         self.queues.get(key)
+    }
+
+    /// Every non-empty queue with its key, in unspecified order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Key, &SnapshotQueue)> {
+        self.queues.iter()
     }
 
     /// Mutable access to the queue of `key`, creating it if absent.

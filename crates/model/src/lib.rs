@@ -6,12 +6,11 @@
 //!
 //! * [`checker`] — a generic explicit-state **BFS model checker** (canonical
 //!   state fingerprints, frontier dedup, state/depth budgets, minimal
-//!   counterexample traces), and [`sss`] — a compact state-machine model of
-//!   the SSS protocol built on the *same* data structures the production
-//!   node uses (`CommitQueue`, `SnapshotQueue`, `NLog`, `VectorClock`,
-//!   `CoalescerCore` and the pure functions of `sss_core::protocol`), so the
-//!   model cannot silently diverge from the implementation on the pieces
-//!   that matter.
+//!   counterexample traces), and [`sss`] — the SSS protocol as a model whose
+//!   nodes are the *production* `SssNode`s, stepped one message at a time
+//!   through `sss_core::SteppedCluster`: what is verified is the handlers
+//!   that ship, with scripted clients and a scripted confirmation leader
+//!   loop around them.
 //! * [`interleave`] — a **schedule-enumerating interleaving harness**: a
 //!   deterministic DFS over every interleaving of two or three step lists,
 //!   applied to the shared-state hot spots (sharded `MvStore` copy-on-write
@@ -37,7 +36,8 @@
 //!    transactions are decided and every queue, lock and parked read has
 //!    drained.
 //!
-//! Seeded mutations ([`sss::Mutation`]) re-introduce four historical bugs
+//! Seeded mutations ([`sss::Mutation`]) re-introduce four historical bugs —
+//! three of them by reverting a line of the production handlers —
 //! and the test-suite asserts the checker produces a (minimal, replayable)
 //! counterexample for each; the traces convert into chaos regression
 //! scenarios via [`chaos`].

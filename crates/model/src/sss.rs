@@ -1,46 +1,59 @@
-//! An explicit-state model of the SSS protocol, built on the production
-//! data structures.
+//! The SSS protocol as an explicit-state model: production nodes, scripted
+//! clients.
 //!
-//! The model is a compact message-passing state machine: `N` nodes
-//! (partially replicated — key `k` lives on node `k % N`), `T` scripted
-//! transactions ([`TxnSpec`]) and a multiset of in-flight messages. The
-//! checker's actions are *start a client*, *deliver one message* and *run
-//! one coalescer round*, so BFS over the action space enumerates **every**
-//! interleaving of message deliveries and client steps, including the
-//! reorderings and overlaps the chaos harness can only sample.
+//! The state is `N` production [`SssNode`](sss_core::SssNode)s — a
+//! [`SteppedCluster`]: no workers, no `NodeHost`, the clock held still —
+//! plus `T` scripted transactions ([`TxnSpec`]) and a multiset of in-flight
+//! messages. Keys are partially replicated, one replica each: key `k` lives
+//! on node `k % N`. The checker's actions are *start a client*, *deliver one
+//! message* and *run one coalescer round*, so BFS over the action space
+//! enumerates **every** interleaving of message deliveries and client steps,
+//! including the reorderings and overlaps the chaos harness can only sample.
 //!
-//! Fidelity comes from reusing the production types for everything the
-//! protocol's correctness argument rests on: [`CommitQueue`] ordering,
-//! [`SnapshotQueue`] completion-order barriers, [`NLog::visible_max`]
-//! bound/ceiling selection, [`CoalescerCore`] round planning and the pure
-//! functions of [`sss_core::protocol`] (xact-vn equalization, visibility,
-//! commit-queue ambiguity, external-commit blocking). The model adds only
-//! what those types leave to the caller: message routing, 2PC driving and
-//! lock bookkeeping.
+//! Delivering a message to a node *is* `SssNode::handle` on a real
+//! [`SssMessage`]: prepare, decide, internal commit, Pre-Commit, external
+//! commit, version selection, `Remove` and `RegisterForward` handling are
+//! the code the threaded runtime and `sss-sim` run, not a copy. What the
+//! handler sends — to other nodes through the transport, to clients through
+//! the reply channels the model put in the request — becomes the new
+//! in-flight messages.
 //!
-//! Deliberate simplifications (documented divergences, not bugs):
+//! Still scripted here (stage two of ROADMAP item 2 makes them production
+//! too): the clients, which send what `Session` sends but as a state machine
+//! instead of a blocking call, and the confirmation leader loop, which
+//! drives the production [`CoalescerCore`] one plan per `Coalesce` action.
 //!
-//! * No timers: no confirmation linger, no pre-commit `hold_max` expiry,
-//!   no admission backoff. These are performance levers, not correctness
-//!   mechanisms.
-//! * Read-only forwarding (`RegisterForward`) is elided: completed
-//!   read-only transactions broadcast (or piggyback) their `Remove` to all
-//!   nodes, which subsumes the forwarding targets.
-//! * Values are not modelled — versions carry `(writer, commit_vc)`; every
-//!   invariant is about *which* version is observed, never its payload.
+//! Deliberate divergences (documented, not bugs):
 //!
-//! [`Mutation`] seeds four historical bugs back into the handlers; the
-//! checker produces a minimal replayable counterexample for each (see the
-//! crate tests), and those traces seed the `mc-*` chaos regression
-//! scenarios in `sss-bench`.
+//! * Timers are held still rather than absent: a contended prepare's
+//!   `LOCK_TIMEOUT` is an immediate refusal, and the confirmation linger,
+//!   the Pre-Commit and `pending_global` hold bounds and the admission
+//!   back-off never fire. They are performance levers and liveness valves,
+//!   not what the invariants rest on.
+//! * A `Decide` and the `RegisterForward`s that ride its batch are separate
+//!   deliveries, and an abort `Decide` carries a zero clock: a superset of
+//!   the orders production allows, and a field the handler never reads.
+//! * Values are not modelled — every invariant is about *which* version is
+//!   observed, never its payload.
+//!
+//! [`Mutation`] seeds four historical bugs back in; three of them revert
+//! their fix in the production handlers themselves
+//! ([`SeededBug`], settable only through [`SteppedCluster::new`]) and
+//! `PrematureRelease` lives in the model's leader loop. The checker
+//! produces a minimal replayable counterexample for each (see the crate
+//! tests), and those traces seed the `mc-*` chaos regression scenarios in
+//! `sss-bench`.
 
-use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use sss_core::coalescer::{CoalescerCore, RoundPlan};
-use sss_core::protocol;
-use sss_core::{CommitQueue, NLog, SnapshotQueue};
-use sss_storage::TxnId;
+use sss_core::{
+    protocol, Ack, ByteSink, PropagatedEntry, ReadReturn, SeededBug, SssConfig, SssMessage,
+    SteppedCluster, Vote,
+};
+use sss_net::{reply_channel, ReplyReceiver, ReplySender};
+use sss_storage::{Key, ReplicaMap, TxnId, Value};
 use sss_vclock::{NodeId, VectorClock};
 
 use crate::checker::Model;
@@ -95,12 +108,13 @@ impl TxnSpec {
     }
 }
 
-/// A historical bug seeded back into the model's handlers. Each must yield
-/// a minimal counterexample from the checker (asserted by the tests).
+/// A historical bug seeded back in — into the production handlers, except
+/// `PrematureRelease`, which is the scripted leader loop's. Each must yield a
+/// minimal counterexample from the checker (asserted by the tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Drop the `prepared_ever` dedup: a duplicated `Prepare` is processed
-    /// twice, wedging a ghost entry in the commit queue.
+    /// twice, wedging a second entry in the commit queue.
     DuplicatePrepare,
     /// Drop the `aborted_early` tombstone: an abort `Decide` overtaking its
     /// `Prepare` leaves the late prepare wedged with its locks.
@@ -360,152 +374,105 @@ pub enum Action {
 }
 
 /// Message destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Dst {
     Node(u8),
     Client(u8),
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// What is in flight: a wire message on its way to a node's handler, or a
+/// handler's reply on its way back to a scripted client (a confirmation
+/// ack: to whoever leads the round).
+#[derive(Debug, Clone)]
 enum Msg {
-    ReadReq {
-        txn: u8,
-        key: u8,
-        is_update: bool,
-        vc: Vc,
-        has_read: u16,
-        exclude: Vec<Arc<Vc>>,
-    },
-    ReadRet {
-        txn: u8,
-        key: u8,
-        from: u8,
-        writer: Option<u8>,
-        vc: Vc,
-        excluded: Vec<Arc<Vc>>,
-        propagated: Vec<(u8, u64)>,
-    },
-    Prepare {
-        txn: u8,
-        vc: Vc,
-        observed: Vec<(u8, Option<u8>)>,
-    },
-    Vote {
-        txn: u8,
-        from: u8,
-        ok: bool,
-        vc: Vc,
-    },
-    Decide {
-        txn: u8,
-        ok: bool,
-        vc: Vc,
-        propagated: Vec<(u8, u64)>,
-    },
-    ExtAck {
-        txn: u8,
-        from: u8,
-    },
-    Confirm {
-        entries: Vec<(u8, Arc<Vc>)>,
-        release: Vec<u8>,
-        remove: Vec<u8>,
-        leader: Dst,
-    },
-    ConfirmAck {
-        round: u8,
-        from: u8,
-    },
-    Release {
-        txns: Vec<u8>,
-    },
-    Remove {
-        txns: Vec<u8>,
-    },
+    Wire(SssMessage),
+    ReadRet(ReadReturn),
+    Vote(Vote),
+    ExtAck(Ack),
+    ConfirmAck(Ack),
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct Envelope {
     dst: Dst,
     msg: Msg,
+    /// Canonical bytes of `dst` and `msg` (no reply handle): what makes two
+    /// envelopes the same delivery.
+    code: Vec<u8>,
 }
 
-/// An installed version: the writing transaction (`None` for the initial
-/// version) and its commit vector clock (shared with squeue/ceilings).
-#[derive(Debug, Clone)]
-struct Version {
-    writer: Option<u8>,
-    vc: Arc<Vc>,
+impl Envelope {
+    fn new(dst: Dst, msg: Msg) -> Arc<Envelope> {
+        use SssMessage::*;
+        // Every field is named (no `..`): a field added to the wire format
+        // must be given a place in the encoding before this compiles.
+        let mut code = Vec::new();
+        let h = &mut ByteSink(&mut code);
+        dst.hash(h);
+        match &msg {
+            Msg::Wire(wire) => {
+                wire.kind_index().hash(h);
+                match wire {
+                    ReadRequest {
+                        txn,
+                        key,
+                        vc,
+                        has_read,
+                        exclude,
+                        is_update,
+                        reply: _,
+                    } => (txn, key, vc, has_read, exclude, is_update).hash(h),
+                    Prepare {
+                        txn,
+                        vc,
+                        read_set,
+                        write_set,
+                        reply: _,
+                    } => (txn, vc, read_set, write_set).hash(h),
+                    Decide {
+                        txn,
+                        commit_vc,
+                        outcome,
+                        propagated,
+                        ack_reply: _,
+                    } => (txn, commit_vc, outcome, propagated).hash(h),
+                    Remove { txns } | ReleaseExternal { txns } => txns.hash(h),
+                    RegisterForward { txn, targets } => (txn, targets).hash(h),
+                    ConfirmExternal {
+                        entries,
+                        release,
+                        remove,
+                        reply: _,
+                    } => (entries, release, remove).hash(h),
+                    StateQuery { reply: _ } => {}
+                }
+            }
+            Msg::ReadRet(ret) => (8usize, ret).hash(h),
+            Msg::Vote(vote) => (9usize, vote).hash(h),
+            Msg::ExtAck(ack) => (10usize, ack).hash(h),
+            Msg::ConfirmAck(ack) => (11usize, ack).hash(h),
+        }
+        Arc::new(Envelope { dst, msg, code })
+    }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LockSt {
-    ex: Option<u8>,
-    shared: u16,
-}
-
-#[derive(Debug, Clone)]
-struct Prep {
-    is_write_replica: bool,
-    /// `Some(propagated)` once the commit decision arrived (the read-only
-    /// entries to re-insert behind the write for the completion-order
-    /// barrier).
-    decided: Option<Vec<(u8, u64)>>,
-}
-
-#[derive(Debug, Clone)]
-struct PendingRead {
-    txn: u8,
-    key: u8,
-    vc: Vc,
-    has_read: u16,
-    exclude: Vec<Arc<Vc>>,
-    /// Ceilings computed at this read's bound establishment, reported to
-    /// the client on the final serve.
-    newly: Vec<Arc<Vc>>,
-    /// `true` once the bound has been established (re-serves must not
-    /// recompute it).
-    pinned: bool,
-}
-
-#[derive(Debug, Clone)]
-struct Parked {
-    writer: u8,
-    read: PendingRead,
-}
-
-#[derive(Debug, Clone)]
+/// A confirmation round the leader at one node has in flight.
+#[derive(Debug, Clone, Hash)]
 struct Round {
-    id: u8,
-    members: Vec<u8>,
+    id: TxnId,
+    members: Vec<TxnId>,
     acks: u16,
 }
 
+/// The confirmation leader loop of one node, scripted: the production
+/// coalescer core and the round it is waiting on.
 #[derive(Debug, Clone)]
-struct NodeSt {
-    vc: Vc,
-    confirmed_vc: Vc,
-    nlog: NLog,
-    cq: CommitQueue,
-    squeues: BTreeMap<u8, SnapshotQueue>,
-    chains: BTreeMap<u8, Vec<Version>>,
-    locks: BTreeMap<u8, LockSt>,
-    prepared: BTreeMap<u8, Prep>,
-    waiting_external: Vec<(u8, Arc<Vc>)>,
-    pending_reads: Vec<PendingRead>,
-    parked_reads: Vec<Parked>,
-    pending_global: u16,
-    released: u16,
-    removed_ro: u16,
-    aborted_early: u16,
-    prepared_ever: u16,
-    confirm_acked: u16,
+struct Leader {
     coal: CoalescerCore<()>,
     round: Option<Round>,
-    ghosts: u8,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Phase {
     Idle,
     Read,
@@ -516,7 +483,7 @@ enum Phase {
     Aborted,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct ClientSt {
     phase: Phase,
     vc: Vc,
@@ -529,40 +496,63 @@ struct ClientSt {
     ext_acks: u16,
     confirm_acks: u16,
     commit_vc: Option<Arc<Vc>>,
+    /// A read-only transaction's first read has reached its node, which has
+    /// not computed the visibility bound yet.
+    awaiting_bound: bool,
 }
 
 /// One reachable configuration of the modelled cluster. Fields are private;
 /// states are produced by the checker and replayed via
 /// [`crate::checker::replay`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SssState {
-    nodes: Vec<NodeSt>,
+    cluster: SteppedCluster,
+    leaders: Vec<Leader>,
     clients: Vec<ClientSt>,
-    msgs: Vec<Envelope>,
+    msgs: Vec<Arc<Envelope>>,
     /// Globally-true confirmation bits (round completed), the reference for
     /// the unconfirmed-read and release-overtake invariants.
     confirmed: u16,
     dup_budget: u8,
-    /// Spec-shadow exclusion ceilings per read-only transaction: recorded
-    /// even when a mutation makes the implementation drop them.
+    /// Spec-shadow exclusion ceilings per read-only transaction, read off
+    /// the node's snapshot-queue when its bound is computed: recorded even
+    /// when a mutation makes the handler drop them.
     shadow: Vec<Vec<Arc<Vc>>>,
 }
+
+type Channel<T> = (ReplySender<T>, ReplyReceiver<T>);
 
 /// The SSS protocol as a [`Model`]. See the module docs.
 pub struct SssModel {
     cfg: ModelConfig,
+    /// `keys[k]`: a name for key `k` whose one replica is node `k % nodes`.
+    keys: Vec<Key>,
+    /// Where the handlers' replies land, shared by every state: a step
+    /// drains them, so they are empty between steps. `ReadReturn` does not
+    /// name its transaction, so reads have one channel each.
+    reads: Vec<Channel<ReadReturn>>,
+    votes: Channel<Vote>,
+    ext_acks: Channel<Ack>,
+    confirm_acks: Channel<Ack>,
 }
 
 fn bit(t: usize) -> u16 {
     1 << t
 }
 
-fn tid(t: usize) -> TxnId {
-    TxnId::new(NodeId(0), t as u64 + 1)
+/// The index of the scripted transaction `txn` names (see [`SssModel::tid`]).
+fn ix(txn: TxnId) -> usize {
+    txn.seq as usize - 1
 }
 
-/// Ghost commit-queue entries minted by the duplicate-prepare mutation.
-const GHOST_BASE: u64 = 1000;
+fn drain<T>(channel: &Channel<T>) -> impl Iterator<Item = T> + '_ {
+    std::iter::from_fn(|| channel.1.try_recv().ok())
+}
+
+fn txn_list(txns: impl IntoIterator<Item = TxnId>) -> String {
+    let list: Vec<String> = txns.into_iter().map(|t| format!("t{}", ix(t))).collect();
+    list.join(",")
+}
 
 impl SssModel {
     /// A model for `cfg`.
@@ -575,7 +565,27 @@ impl SssModel {
                 assert!(!t.writes().is_empty(), "updates must write");
             }
         }
-        SssModel { cfg }
+        let key_count = cfg
+            .txns
+            .iter()
+            .flat_map(|t| t.reads().iter().chain(t.writes()))
+            .map(|&k| k as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let placement = ReplicaMap::new(cfg.nodes, 1);
+        let named = |k: usize| {
+            let mut names = (0..).map(|salt| Key::new(format!("k{k}.{salt}")));
+            let placed = names.find(|key| placement.primary(key).index() == k % cfg.nodes);
+            placed.expect("some name hashes to every node")
+        };
+        SssModel {
+            keys: (0..key_count).map(named).collect(),
+            reads: cfg.txns.iter().map(|_| reply_channel(64)).collect(),
+            votes: reply_channel(64),
+            ext_acks: reply_channel(64),
+            confirm_acks: reply_channel(64),
+            cfg,
+        }
     }
 
     /// The configuration being checked.
@@ -583,42 +593,33 @@ impl SssModel {
         &self.cfg
     }
 
+    /// The identifier of transaction `t`: its index (plus one) as the
+    /// sequence number, its origin node as the coordinator.
+    fn tid(&self, t: usize) -> TxnId {
+        TxnId::new(NodeId(self.cfg.txns[t].origin()), t as u64 + 1)
+    }
+
     fn home(&self, key: u8) -> usize {
         key as usize % self.cfg.nodes
     }
 
+    fn homes(&self, keys: &[u8]) -> u16 {
+        keys.iter().fold(0, |mask, &k| mask | bit(self.home(k)))
+    }
+
+    /// 2PC participants: the replicas of every accessed key plus the
+    /// coordinator.
     fn participants(&self, t: usize) -> u16 {
         let spec = &self.cfg.txns[t];
-        let mut mask = 0u16;
-        for &k in spec.reads().iter().chain(spec.writes()) {
-            mask |= bit(self.home(k));
-        }
-        mask
+        self.homes(spec.reads()) | self.homes(spec.writes()) | bit(spec.origin())
     }
 
     fn write_mask(&self, t: usize) -> u16 {
-        let mut mask = 0u16;
-        for &k in self.cfg.txns[t].writes() {
-            mask |= bit(self.home(k));
-        }
-        mask
+        self.homes(self.cfg.txns[t].writes())
     }
 
-    fn write_indices(&self, t: usize) -> Vec<usize> {
-        let mask = self.write_mask(t);
-        (0..self.cfg.nodes)
-            .filter(|&n| mask & bit(n) != 0)
-            .collect()
-    }
-
-    /// Keys transaction `t` writes whose home is node `i`.
-    fn local_writes(&self, t: usize, i: usize) -> Vec<u8> {
-        self.cfg.txns[t]
-            .writes()
-            .iter()
-            .copied()
-            .filter(|&k| self.home(k) == i)
-            .collect()
+    fn nodes_in(&self, mask: u16) -> impl Iterator<Item = usize> + '_ {
+        (0..self.cfg.nodes).filter(move |&n| mask & bit(n) != 0)
     }
 
     fn all_nodes_mask(&self) -> u16 {
@@ -632,71 +633,35 @@ impl Model for SssModel {
 
     fn init(&self) -> SssState {
         let n = self.cfg.nodes;
-        let mut keys: Vec<u8> = self
-            .cfg
-            .txns
-            .iter()
-            .flat_map(|t| t.reads().iter().chain(t.writes()).copied())
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let nodes = (0..n)
-            .map(|i| NodeSt {
-                vc: Vc::new(n),
-                confirmed_vc: Vc::new(n),
-                nlog: NLog::new(n, 64),
-                cq: CommitQueue::new(i),
-                squeues: BTreeMap::new(),
-                chains: keys
-                    .iter()
-                    .filter(|&&k| self.home(k) == i)
-                    .map(|&k| {
-                        (
-                            k,
-                            vec![Version {
-                                writer: None,
-                                vc: Arc::new(Vc::new(n)),
-                            }],
-                        )
-                    })
-                    .collect(),
-                locks: BTreeMap::new(),
-                prepared: BTreeMap::new(),
-                waiting_external: Vec::new(),
-                pending_reads: Vec::new(),
-                parked_reads: Vec::new(),
-                pending_global: 0,
-                released: 0,
-                removed_ro: 0,
-                aborted_early: 0,
-                prepared_ever: 0,
-                confirm_acked: 0,
-                coal: CoalescerCore::new(),
-                round: None,
-                ghosts: 0,
-            })
-            .collect();
-        let clients = self
-            .cfg
-            .txns
-            .iter()
-            .map(|_| ClientSt {
-                phase: Phase::Idle,
-                vc: Vc::new(n),
-                has_read: 0,
-                next_read: 0,
-                observed: Vec::new(),
-                propagated: Vec::new(),
-                exclude: Vec::new(),
-                votes: 0,
-                ext_acks: 0,
-                confirm_acks: 0,
-                commit_vc: None,
-            })
-            .collect();
+        let seeded = self.cfg.mutation.and_then(|m| match m {
+            Mutation::DuplicatePrepare => Some(SeededBug::DuplicatePrepare),
+            Mutation::AbortOvertakesPrepare => Some(SeededBug::AbortOvertakesPrepare),
+            Mutation::DroppedExclusionCeiling => Some(SeededBug::DroppedExclusionCeiling),
+            Mutation::PrematureRelease => None,
+        });
+        let config = SssConfig::new(n).replication(1).storage_shards(1);
+        let leader = Leader {
+            coal: CoalescerCore::new(),
+            round: None,
+        };
+        let client = ClientSt {
+            phase: Phase::Idle,
+            vc: Vc::new(n),
+            has_read: 0,
+            next_read: 0,
+            observed: Vec::new(),
+            propagated: Vec::new(),
+            exclude: Vec::new(),
+            votes: 0,
+            ext_acks: 0,
+            confirm_acks: 0,
+            commit_vc: None,
+            awaiting_bound: false,
+        };
         SssState {
-            nodes,
-            clients,
+            cluster: SteppedCluster::new(config, seeded),
+            leaders: vec![leader; n],
+            clients: vec![client; self.cfg.txns.len()],
             msgs: Vec::new(),
             confirmed: 0,
             dup_budget: self.cfg.duplicate_prepare_budget,
@@ -711,12 +676,12 @@ impl Model for SssModel {
             }
         }
         for (i, env) in s.msgs.iter().enumerate() {
-            if !s.msgs[..i].contains(env) {
+            if !s.msgs[..i].iter().any(|earlier| earlier.code == env.code) {
                 out.push(Action::Deliver(i as u8));
             }
         }
-        for (i, st) in s.nodes.iter().enumerate() {
-            if st.coal.in_flight() && st.round.is_none() {
+        for (i, leader) in s.leaders.iter().enumerate() {
+            if leader.coal.in_flight() && leader.round.is_none() {
                 out.push(Action::Coalesce(i as u8));
             }
         }
@@ -728,7 +693,7 @@ impl Model for SssModel {
             Action::Start(t) => self.start(&mut s, t as usize)?,
             Action::Deliver(i) => {
                 let env = s.msgs.remove(i as usize);
-                self.deliver(&mut s, env)?;
+                self.deliver(&mut s, &env)?;
             }
             Action::Coalesce(n) => self.coalesce(&mut s, n as usize),
         }
@@ -747,33 +712,14 @@ impl Model for SssModel {
                 ));
             }
         }
-        for (i, st) in s.nodes.iter().enumerate() {
-            if !st.cq.is_empty() {
-                return Err(format!("quiescence: commit queue not drained at n{i}"));
+        for (i, leader) in s.leaders.iter().enumerate() {
+            if let Some(what) = s.cluster.residue(NodeId(i)) {
+                return Err(format!("quiescence: {what} at n{i}"));
             }
-            if !st.prepared.is_empty() {
-                return Err(format!("quiescence: prepared entries linger at n{i}"));
-            }
-            if !st.locks.is_empty() {
-                return Err(format!("quiescence: locks still held at n{i}"));
-            }
-            if !st.waiting_external.is_empty() {
-                return Err(format!(
-                    "quiescence: external commits still waiting at n{i}"
-                ));
-            }
-            if !st.pending_reads.is_empty() || !st.parked_reads.is_empty() {
-                return Err(format!("quiescence: reads still pending at n{i}"));
-            }
-            if st.squeues.values().any(|q| !q.is_empty()) {
-                return Err(format!("quiescence: snapshot-queue entries linger at n{i}"));
-            }
-            if st.coal.in_flight()
-                || st.coal.pending_len() != 0
-                || st.coal.pending_release_len() != 0
-                || st.coal.pending_remove_len() != 0
-                || st.round.is_some()
-            {
+            let coal = &leader.coal;
+            let queued =
+                coal.pending_len() + coal.pending_release_len() + coal.pending_remove_len();
+            if coal.in_flight() || queued != 0 || leader.round.is_some() {
                 return Err(format!("quiescence: confirmation coalescer active at n{i}"));
             }
         }
@@ -781,34 +727,18 @@ impl Model for SssModel {
     }
 
     fn encode(&self, s: &SssState, out: &mut Vec<u8>) {
-        for st in &s.nodes {
-            enc_node(out, st);
-        }
-        for c in &s.clients {
-            enc_client(out, c);
+        s.cluster.encode(out);
+        let h = &mut ByteSink(out);
+        for Leader { coal, round } in &s.leaders {
+            let pending: Vec<TxnId> = coal.pending_txns().collect();
+            let (release, remove) = (coal.pending_release_txns(), coal.pending_remove_txns());
+            (coal.in_flight(), pending, release, remove, round).hash(h);
         }
         // Message order is delivery bookkeeping, not semantics: encode the
         // multiset canonically.
-        let mut encoded: Vec<Vec<u8>> = s
-            .msgs
-            .iter()
-            .map(|e| {
-                let mut b = Vec::new();
-                enc_envelope(&mut b, e);
-                b
-            })
-            .collect();
-        encoded.sort_unstable();
-        enc_u64(out, encoded.len() as u64);
-        for b in encoded {
-            enc_u64(out, b.len() as u64);
-            out.extend_from_slice(&b);
-        }
-        out.extend_from_slice(&s.confirmed.to_le_bytes());
-        out.push(s.dup_budget);
-        for ceilings in &s.shadow {
-            enc_vcs_sorted(out, ceilings);
-        }
+        let mut in_flight: Vec<&Vec<u8>> = s.msgs.iter().map(|env| &env.code).collect();
+        in_flight.sort_unstable();
+        (&s.clients, in_flight, s.confirmed, s.dup_budget, &s.shadow).hash(h);
     }
 
     fn describe(&self, s: &SssState, action: Action) -> String {
@@ -822,7 +752,13 @@ impl Model for SssModel {
                 format!("start t{t} ({kind})")
             }
             Action::Deliver(i) => match s.msgs.get(i as usize) {
-                Some(env) => format!("deliver {} -> {}", msg_label(&env.msg), dst_label(env.dst)),
+                Some(env) => {
+                    let dst = match env.dst {
+                        Dst::Node(n) => format!("n{n}"),
+                        Dst::Client(t) => format!("t{t}"),
+                    };
+                    format!("deliver {} -> {dst}", self.msg_label(&env.msg))
+                }
                 None => format!("deliver #{i}"),
             },
             Action::Coalesce(n) => format!("coalesce n{n}"),
@@ -830,422 +766,53 @@ impl Model for SssModel {
     }
 }
 
-fn dst_label(dst: Dst) -> String {
-    match dst {
-        Dst::Node(n) => format!("n{n}"),
-        Dst::Client(t) => format!("t{t}"),
-    }
-}
-
-fn msg_label(msg: &Msg) -> String {
-    match msg {
-        Msg::ReadReq { txn, key, .. } => format!("ReadReq t{txn} k{key}"),
-        Msg::ReadRet { txn, key, from, .. } => format!("ReadRet t{txn} k{key} n{from}"),
-        Msg::Prepare { txn, .. } => format!("Prepare t{txn}"),
-        Msg::Vote { txn, from, ok, .. } => {
-            format!("Vote{} t{txn} n{from}", if *ok { "+" } else { "-" })
-        }
-        Msg::Decide { txn, ok, .. } => {
-            format!("Decide-{} t{txn}", if *ok { "commit" } else { "abort" })
-        }
-        Msg::ExtAck { txn, from } => format!("ExtAck t{txn} n{from}"),
-        Msg::Confirm { entries, .. } => {
-            let members: Vec<String> = entries.iter().map(|(t, _)| format!("t{t}")).collect();
-            format!("Confirm [{}]", members.join(","))
-        }
-        Msg::ConfirmAck { round, from } => format!("ConfirmAck r{round} n{from}"),
-        Msg::Release { txns } => {
-            let list: Vec<String> = txns.iter().map(|t| format!("t{t}")).collect();
-            format!("Release [{}]", list.join(","))
-        }
-        Msg::Remove { txns } => {
-            let list: Vec<String> = txns.iter().map(|t| format!("t{t}")).collect();
-            format!("Remove [{}]", list.join(","))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Canonical encoding
-// ---------------------------------------------------------------------------
-
-fn enc_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn enc_vc(out: &mut Vec<u8>, vc: &Vc) {
-    out.push(vc.width() as u8);
-    for v in vc.iter() {
-        enc_u64(out, v);
-    }
-}
-
-fn enc_vcs_sorted(out: &mut Vec<u8>, vcs: &[Arc<Vc>]) {
-    let mut encoded: Vec<Vec<u8>> = vcs
-        .iter()
-        .map(|v| {
-            let mut b = Vec::new();
-            enc_vc(&mut b, v);
-            b
-        })
-        .collect();
-    encoded.sort_unstable();
-    encoded.dedup();
-    enc_u64(out, encoded.len() as u64);
-    for b in encoded {
-        out.extend_from_slice(&b);
-    }
-}
-
-fn enc_pending(out: &mut Vec<u8>, p: &PendingRead) {
-    out.push(p.txn);
-    out.push(p.key);
-    enc_vc(out, &p.vc);
-    out.extend_from_slice(&p.has_read.to_le_bytes());
-    enc_vcs_sorted(out, &p.exclude);
-    enc_vcs_sorted(out, &p.newly);
-    out.push(p.pinned as u8);
-}
-
-fn enc_node(out: &mut Vec<u8>, st: &NodeSt) {
-    enc_vc(out, &st.vc);
-    enc_vc(out, &st.confirmed_vc);
-    enc_vc(out, st.nlog.most_recent_vc());
-    enc_u64(out, st.nlog.len() as u64);
-    for e in st.nlog.iter() {
-        enc_u64(out, e.txn.seq);
-        enc_vc(out, &e.vc);
-    }
-    enc_u64(out, st.cq.len() as u64);
-    for e in st.cq.entries() {
-        enc_u64(out, e.txn.seq);
-        enc_vc(out, &e.vc);
-        out.push(matches!(e.status, sss_core::CommitStatus::Ready) as u8);
-    }
-    enc_u64(out, st.squeues.len() as u64);
-    for (k, q) in &st.squeues {
-        out.push(*k);
-        enc_u64(out, q.reads().len() as u64);
-        for r in q.reads() {
-            enc_u64(out, r.txn.seq);
-            enc_u64(out, r.sid);
-        }
-        enc_u64(out, q.writes().len() as u64);
-        for w in q.writes() {
-            enc_u64(out, w.txn.seq);
-            enc_u64(out, w.sid);
-            enc_vc(out, &w.commit_vc);
-        }
-    }
-    enc_u64(out, st.chains.len() as u64);
-    for (k, versions) in &st.chains {
-        out.push(*k);
-        enc_u64(out, versions.len() as u64);
-        for v in versions {
-            out.push(v.writer.map_or(0xff, |w| w));
-            enc_vc(out, &v.vc);
-        }
-    }
-    enc_u64(out, st.locks.len() as u64);
-    for (k, l) in &st.locks {
-        out.push(*k);
-        out.push(l.ex.map_or(0xff, |t| t));
-        out.extend_from_slice(&l.shared.to_le_bytes());
-    }
-    enc_u64(out, st.prepared.len() as u64);
-    for (t, p) in &st.prepared {
-        out.push(*t);
-        out.push(p.is_write_replica as u8);
-        match &p.decided {
-            None => out.push(0),
-            Some(props) => {
-                out.push(1);
-                enc_u64(out, props.len() as u64);
-                for (ro, sid) in props {
-                    out.push(*ro);
-                    enc_u64(out, *sid);
-                }
-            }
-        }
-    }
-    let mut waiting: Vec<(u8, &Arc<Vc>)> =
-        st.waiting_external.iter().map(|(t, v)| (*t, v)).collect();
-    waiting.sort_by_key(|(t, _)| *t);
-    enc_u64(out, waiting.len() as u64);
-    for (t, v) in waiting {
-        out.push(t);
-        enc_vc(out, v);
-    }
-    enc_u64(out, st.pending_reads.len() as u64);
-    for p in &st.pending_reads {
-        enc_pending(out, p);
-    }
-    enc_u64(out, st.parked_reads.len() as u64);
-    for p in &st.parked_reads {
-        out.push(p.writer);
-        enc_pending(out, &p.read);
-    }
-    for mask in [
-        st.pending_global,
-        st.released,
-        st.removed_ro,
-        st.aborted_early,
-        st.prepared_ever,
-        st.confirm_acked,
-    ] {
-        out.extend_from_slice(&mask.to_le_bytes());
-    }
-    out.push(st.coal.in_flight() as u8);
-    let pending: Vec<TxnId> = st.coal.pending_txns().collect();
-    enc_u64(out, pending.len() as u64);
-    for t in pending {
-        enc_u64(out, t.seq);
-    }
-    enc_u64(out, st.coal.pending_release_txns().len() as u64);
-    for t in st.coal.pending_release_txns() {
-        enc_u64(out, t.seq);
-    }
-    enc_u64(out, st.coal.pending_remove_txns().len() as u64);
-    for t in st.coal.pending_remove_txns() {
-        enc_u64(out, t.seq);
-    }
-    match &st.round {
-        None => out.push(0),
-        Some(r) => {
-            out.push(1);
-            out.push(r.id);
-            enc_u64(out, r.members.len() as u64);
-            out.extend_from_slice(&r.members);
-            out.extend_from_slice(&r.acks.to_le_bytes());
-        }
-    }
-    out.push(st.ghosts);
-}
-
-fn enc_client(out: &mut Vec<u8>, c: &ClientSt) {
-    out.push(c.phase as u8);
-    enc_vc(out, &c.vc);
-    out.extend_from_slice(&c.has_read.to_le_bytes());
-    enc_u64(out, c.next_read as u64);
-    enc_u64(out, c.observed.len() as u64);
-    for (k, w) in &c.observed {
-        out.push(*k);
-        out.push(w.map_or(0xff, |w| w));
-    }
-    let mut props = c.propagated.clone();
-    props.sort_unstable();
-    enc_u64(out, props.len() as u64);
-    for (ro, sid) in props {
-        out.push(ro);
-        enc_u64(out, sid);
-    }
-    enc_vcs_sorted(out, &c.exclude);
-    for mask in [c.votes, c.ext_acks, c.confirm_acks] {
-        out.extend_from_slice(&mask.to_le_bytes());
-    }
-    match &c.commit_vc {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            enc_vc(out, v);
-        }
-    }
-}
-
-fn enc_envelope(out: &mut Vec<u8>, env: &Envelope) {
-    match env.dst {
-        Dst::Node(n) => {
-            out.push(0);
-            out.push(n);
-        }
-        Dst::Client(t) => {
-            out.push(1);
-            out.push(t);
-        }
-    }
-    match &env.msg {
-        Msg::ReadReq {
-            txn,
-            key,
-            is_update,
-            vc,
-            has_read,
-            exclude,
-        } => {
-            out.push(0);
-            out.push(*txn);
-            out.push(*key);
-            out.push(*is_update as u8);
-            enc_vc(out, vc);
-            out.extend_from_slice(&has_read.to_le_bytes());
-            enc_vcs_sorted(out, exclude);
-        }
-        Msg::ReadRet {
-            txn,
-            key,
-            from,
-            writer,
-            vc,
-            excluded,
-            propagated,
-        } => {
-            out.push(1);
-            out.push(*txn);
-            out.push(*key);
-            out.push(*from);
-            out.push(writer.map_or(0xff, |w| w));
-            enc_vc(out, vc);
-            enc_vcs_sorted(out, excluded);
-            enc_u64(out, propagated.len() as u64);
-            for (ro, sid) in propagated {
-                out.push(*ro);
-                enc_u64(out, *sid);
-            }
-        }
-        Msg::Prepare { txn, vc, observed } => {
-            out.push(2);
-            out.push(*txn);
-            enc_vc(out, vc);
-            enc_u64(out, observed.len() as u64);
-            for (k, w) in observed {
-                out.push(*k);
-                out.push(w.map_or(0xff, |w| w));
-            }
-        }
-        Msg::Vote { txn, from, ok, vc } => {
-            out.push(3);
-            out.push(*txn);
-            out.push(*from);
-            out.push(*ok as u8);
-            enc_vc(out, vc);
-        }
-        Msg::Decide {
-            txn,
-            ok,
-            vc,
-            propagated,
-        } => {
-            out.push(4);
-            out.push(*txn);
-            out.push(*ok as u8);
-            enc_vc(out, vc);
-            enc_u64(out, propagated.len() as u64);
-            for (ro, sid) in propagated {
-                out.push(*ro);
-                enc_u64(out, *sid);
-            }
-        }
-        Msg::ExtAck { txn, from } => {
-            out.push(5);
-            out.push(*txn);
-            out.push(*from);
-        }
-        Msg::Confirm {
-            entries,
-            release,
-            remove,
-            leader,
-        } => {
-            out.push(6);
-            enc_u64(out, entries.len() as u64);
-            for (t, vc) in entries {
-                out.push(*t);
-                enc_vc(out, vc);
-            }
-            out.push(release.len() as u8);
-            out.extend_from_slice(release);
-            out.push(remove.len() as u8);
-            out.extend_from_slice(remove);
-            match leader {
-                Dst::Node(n) => {
-                    out.push(0);
-                    out.push(*n);
-                }
-                Dst::Client(t) => {
-                    out.push(1);
-                    out.push(*t);
-                }
-            }
-        }
-        Msg::ConfirmAck { round, from } => {
-            out.push(7);
-            out.push(*round);
-            out.push(*from);
-        }
-        Msg::Release { txns } => {
-            out.push(8);
-            out.push(txns.len() as u8);
-            out.extend_from_slice(txns);
-        }
-        Msg::Remove { txns } => {
-            out.push(9);
-            out.push(txns.len() as u8);
-            out.extend_from_slice(txns);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Handlers
-// ---------------------------------------------------------------------------
-
-fn vote(t: usize, i: usize, ok: bool, vc: Vc) -> Envelope {
-    Envelope {
-        dst: Dst::Client(t as u8),
-        msg: Msg::Vote {
-            txn: t as u8,
-            from: i as u8,
-            ok,
-            vc,
-        },
-    }
-}
-
-/// Releases every lock transaction `t` holds at this node, GC'ing empty
-/// lock records (the lock map must stay canonical for state dedup).
-fn release_locks(st: &mut NodeSt, t: usize) {
-    let tb = bit(t);
-    st.locks.retain(|_, l| {
-        if l.ex == Some(t as u8) {
-            l.ex = None;
-        }
-        l.shared &= !tb;
-        l.ex.is_some() || l.shared != 0
-    });
-}
-
 impl SssModel {
+    fn msg_label(&self, msg: &Msg) -> String {
+        use SssMessage::*;
+        match msg {
+            Msg::Wire(ReadRequest { txn, key, .. }) => {
+                let k = self.keys.iter().position(|named| named == key);
+                format!("ReadReq t{} k{}", ix(*txn), k.expect("a scripted key"))
+            }
+            Msg::Wire(Prepare { txn, .. }) => format!("Prepare t{}", ix(*txn)),
+            Msg::Wire(Decide { txn, outcome, .. }) => {
+                let outcome = if *outcome { "commit" } else { "abort" };
+                format!("Decide-{outcome} t{}", ix(*txn))
+            }
+            Msg::Wire(Remove { txns }) => format!("Remove [{}]", txn_list(txns.iter().copied())),
+            Msg::Wire(RegisterForward { txn, .. }) => format!("RegisterForward t{}", ix(*txn)),
+            Msg::Wire(ConfirmExternal { entries, .. }) => {
+                format!("Confirm [{}]", txn_list(entries.iter().map(|(t, _)| *t)))
+            }
+            Msg::Wire(ReleaseExternal { txns }) => {
+                format!("Release [{}]", txn_list(txns.iter().copied()))
+            }
+            Msg::Wire(StateQuery { .. }) => "StateQuery".into(),
+            Msg::ReadRet(ret) => format!("ReadRet n{}", ret.from.index()),
+            Msg::Vote(vote) => {
+                let sign = if vote.ok { "+" } else { "-" };
+                format!("Vote{sign} t{} n{}", ix(vote.txn), vote.from.index())
+            }
+            Msg::ExtAck(ack) => format!("ExtAck t{} n{}", ix(ack.txn), ack.from.index()),
+            Msg::ConfirmAck(ack) => format!("ConfirmAck r{} n{}", ix(ack.txn), ack.from.index()),
+        }
+    }
+
     fn has_read_slice(&self, mask: u16) -> Vec<bool> {
         (0..self.cfg.nodes).map(|n| mask & bit(n) != 0).collect()
     }
 
-    fn broadcast(&self, s: &mut SssState, msg: Msg) {
-        for n in 0..self.cfg.nodes {
-            s.msgs.push(Envelope {
-                dst: Dst::Node(n as u8),
-                msg: msg.clone(),
-            });
-        }
-    }
-
-    fn to_participants(&self, s: &mut SssState, t: usize, msg: Msg) {
-        let parts = self.participants(t);
-        for n in 0..self.cfg.nodes {
-            if parts & bit(n) != 0 {
-                s.msgs.push(Envelope {
-                    dst: Dst::Node(n as u8),
-                    msg: msg.clone(),
-                });
-            }
+    /// Puts one copy of `message` in flight to every node of `mask`.
+    fn send(&self, s: &mut SssState, mask: u16, message: SssMessage) {
+        for n in self.nodes_in(mask) {
+            let copy = Msg::Wire(message.clone());
+            s.msgs.push(Envelope::new(Dst::Node(n as u8), copy));
         }
     }
 
     fn start(&self, s: &mut SssState, t: usize) -> Result<(), String> {
         let origin = self.cfg.txns[t].origin();
-        let begin = {
-            let st = &s.nodes[origin];
-            st.nlog.most_recent_vc().merged(&st.confirmed_vc)
-        };
+        let begin = s.cluster.begin_vc(NodeId(origin));
         // External consistency, start side: a transaction beginning after
         // another's external commit must observe a snapshot dominating it.
         for (u, spec) in self.cfg.txns.iter().enumerate() {
@@ -1274,637 +841,216 @@ impl SssModel {
         let spec = &self.cfg.txns[t];
         let c = &s.clients[t];
         let key = spec.reads()[c.next_read];
-        s.msgs.push(Envelope {
-            dst: Dst::Node(self.home(key) as u8),
-            msg: Msg::ReadReq {
-                txn: t as u8,
-                key,
-                is_update: spec.is_update(),
-                vc: c.vc.clone(),
-                has_read: c.has_read,
-                exclude: c.exclude.clone(),
-            },
-        });
+        let request = SssMessage::ReadRequest {
+            txn: self.tid(t),
+            key: self.keys[key as usize].clone(),
+            vc: c.vc.clone(),
+            has_read: self.has_read_slice(c.has_read),
+            exclude: c.exclude.clone(),
+            is_update: spec.is_update(),
+            reply: self.reads[t].0.clone(),
+        };
+        self.send(s, bit(self.home(key)), request);
     }
 
     fn send_prepare(&self, s: &mut SssState, t: usize) {
-        s.clients[t].phase = Phase::Vote;
-        let msg = Msg::Prepare {
-            txn: t as u8,
-            vc: s.clients[t].vc.clone(),
-            observed: s.clients[t].observed.clone(),
+        let c = &mut s.clients[t];
+        c.phase = Phase::Vote;
+        let key = |k: u8| self.keys[k as usize].clone();
+        let observed = c.observed.iter();
+        let written = self.cfg.txns[t].writes().iter();
+        let prepare = SssMessage::Prepare {
+            txn: self.tid(t),
+            vc: c.vc.clone(),
+            read_set: observed
+                .map(|&(k, w)| (key(k), w.map(|w| self.tid(w as usize))))
+                .collect(),
+            write_set: written.map(|&k| (key(k), Value::empty())).collect(),
+            reply: self.votes.0.clone(),
         };
-        self.to_participants(s, t, msg);
+        self.send(s, self.participants(t), prepare);
     }
 
-    fn deliver(&self, s: &mut SssState, env: Envelope) -> Result<(), String> {
-        match env.dst {
-            Dst::Node(n) => {
-                let i = n as usize;
-                if s.dup_budget > 0 && matches!(env.msg, Msg::Prepare { .. }) {
+    fn deliver(&self, s: &mut SssState, env: &Arc<Envelope>) -> Result<(), String> {
+        match (&env.msg, env.dst) {
+            (Msg::Wire(message), Dst::Node(n)) => {
+                if s.dup_budget > 0 && matches!(message, SssMessage::Prepare { .. }) {
                     // The network duplicates this prepare once: the copy
                     // goes back into flight.
                     s.dup_budget -= 1;
-                    s.msgs.push(env.clone());
+                    s.msgs.push(Arc::clone(env));
                 }
-                match env.msg {
-                    Msg::ReadReq {
-                        txn,
-                        key,
-                        is_update,
-                        vc,
-                        has_read,
-                        exclude,
-                    } => self.handle_read(s, i, txn, key, is_update, vc, has_read, exclude),
-                    Msg::Prepare { txn, vc, observed } => {
-                        self.handle_prepare(s, i, txn as usize, vc, observed)
-                    }
-                    Msg::Decide {
-                        txn,
-                        ok,
-                        vc,
-                        propagated,
-                    } => self.handle_decide(s, i, txn as usize, ok, vc, propagated),
-                    Msg::Confirm {
-                        entries,
-                        release,
-                        remove,
-                        leader,
-                    } => self.handle_confirm(s, i, entries, release, remove, leader),
-                    Msg::ConfirmAck { round, from } => {
-                        self.handle_confirm_ack(s, i, round, from);
-                        Ok(())
-                    }
-                    Msg::Release { txns } => self.handle_release(s, i, &txns),
-                    Msg::Remove { txns } => {
-                        self.handle_remove(s, i, &txns);
-                        self.release_unblocked(s, i);
-                        Ok(())
-                    }
-                    Msg::ReadRet { .. } | Msg::Vote { .. } | Msg::ExtAck { .. } => Ok(()),
-                }
+                self.step_node(s, n as usize, message.clone())
             }
-            Dst::Client(t) => self.client_msg(s, t as usize, env.msg),
+            (Msg::ReadRet(ret), Dst::Client(t)) => self.client_read_ret(s, t as usize, ret),
+            (Msg::Vote(vote), Dst::Client(t)) => {
+                self.client_vote(s, t as usize, vote);
+                Ok(())
+            }
+            (Msg::ExtAck(ack), Dst::Client(t)) => {
+                self.client_ext_ack(s, t as usize, ack.from.index());
+                Ok(())
+            }
+            (Msg::ConfirmAck(ack), Dst::Client(t)) => {
+                self.client_confirm_ack(s, t as usize, ack.from.index());
+                Ok(())
+            }
+            (Msg::ConfirmAck(ack), Dst::Node(n)) => {
+                self.leader_confirm_ack(s, n as usize, *ack);
+                Ok(())
+            }
+            (msg, dst) => unreachable!("{msg:?} is never addressed to {dst:?}"),
         }
     }
 
-    // -- node side ----------------------------------------------------------
+    // -- node side: the production handlers ---------------------------------
 
-    fn handle_read(
-        &self,
-        s: &mut SssState,
-        i: usize,
-        txn: u8,
-        key: u8,
-        is_update: bool,
-        vc: Vc,
-        has_read: u16,
-        exclude: Vec<Arc<Vc>>,
-    ) -> Result<(), String> {
-        if is_update {
-            // Update reads serve the latest installed version at the
-            // node's current snapshot and report the squeue's read entries
-            // for propagation behind the eventual write.
-            let st = &s.nodes[i];
-            let snap = st.nlog.most_recent_vc().clone();
-            let propagated: Vec<(u8, u64)> = st
-                .squeues
-                .get(&key)
-                .map(|q| {
-                    q.reads()
-                        .iter()
-                        .map(|r| ((r.txn.seq - 1) as u8, r.sid))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let ver = st
-                .chains
-                .get(&key)
-                .and_then(|c| c.last())
-                .expect("update read targets a replica");
-            let writer = ver.writer;
-            s.msgs.push(Envelope {
-                dst: Dst::Client(txn),
-                msg: Msg::ReadRet {
-                    txn,
-                    key,
-                    from: i as u8,
-                    writer,
-                    vc: snap,
-                    excluded: Vec::new(),
-                    propagated,
-                },
-            });
-            return Ok(());
-        }
-        let read = PendingRead {
-            txn,
-            key,
-            vc,
-            has_read,
-            exclude,
-            newly: Vec::new(),
-            pinned: false,
+    /// Delivers `message` to node `i`'s production handler, puts what the
+    /// handler sent and replied in flight, and checks the invariants that
+    /// are about what a node does with a message.
+    fn step_node(&self, s: &mut SssState, i: usize, message: SssMessage) -> Result<(), String> {
+        let released: &[TxnId] = match &message {
+            SssMessage::ReleaseExternal { txns } => txns,
+            SssMessage::ConfirmExternal { release, .. } => release,
+            _ => &[],
         };
-        // A node behind the reader's snapshot defers until its log catches
-        // up (drained after commit processing).
-        let first_here = has_read & bit(i) == 0;
-        if first_here && s.nodes[i].nlog.most_recent_vc().get(i) < read.vc.get(i) {
-            s.nodes[i].pending_reads.push(read);
-            return Ok(());
+        if let Some(t) = released.iter().find(|t| s.confirmed & bit(ix(**t)) == 0) {
+            return Err(format!(
+                "release overtook confirmation: n{i} processed t{}'s \
+                 ReleaseExternal before its confirmation round completed",
+                ix(*t)
+            ));
         }
-        self.serve_or_park(s, i, read)
+        if let SssMessage::ReadRequest {
+            txn,
+            has_read,
+            is_update: false,
+            ..
+        } = &message
+        {
+            s.clients[ix(*txn)].awaiting_bound |= !has_read.contains(&true);
+        }
+        for (to, sent) in s.cluster.deliver(NodeId(i), message) {
+            let dst = Dst::Node(to.index() as u8);
+            s.msgs.push(Envelope::new(dst, Msg::Wire(sent)));
+        }
+        // A first read's visibility bound is computed when the request is
+        // served, parked or deferred on the commit queue — in this step or,
+        // behind a lagging `NLog`, a later one at this node. The writers
+        // pre-committing on the key are the same after the step as at that
+        // moment, so the ceilings the spec owes the reader are read off
+        // here, whatever the handler did with them.
+        for (t, spec) in self.cfg.txns.iter().enumerate() {
+            let first = spec.reads().first().copied().unwrap_or(0);
+            let bound_here = s.clients[t].awaiting_bound
+                && self.home(first) == i
+                && !s.cluster.awaits_bound(NodeId(i), self.tid(t));
+            if bound_here {
+                let (key, sid) = (&self.keys[first as usize], s.clients[t].vc.get(i));
+                s.shadow[t] = s.cluster.precommit_ceilings(NodeId(i), key, sid);
+                s.clients[t].awaiting_bound = false;
+            }
+        }
+        // Every channel is drained before any reply is judged: a violation
+        // must not leave replies behind for the next step to find.
+        let mut served = Vec::new();
+        for (t, channel) in self.reads.iter().enumerate() {
+            served.extend(drain(channel).map(|ret| (t, ret)));
+        }
+        for vote in drain(&self.votes) {
+            let dst = Dst::Client(ix(vote.txn) as u8);
+            s.msgs.push(Envelope::new(dst, Msg::Vote(vote)));
+        }
+        for ack in drain(&self.ext_acks) {
+            let dst = Dst::Client(ix(ack.txn) as u8);
+            s.msgs.push(Envelope::new(dst, Msg::ExtAck(ack)));
+        }
+        for ack in drain(&self.confirm_acks) {
+            // The round id names the leader: the members' common origin
+            // when grouped, the committing client itself otherwise.
+            let dst = match self.cfg.grouped_confirm {
+                true => Dst::Node(ack.txn.origin.index() as u8),
+                false => Dst::Client(ix(ack.txn) as u8),
+            };
+            s.msgs.push(Envelope::new(dst, Msg::ConfirmAck(ack)));
+        }
+        for (t, ret) in served {
+            if !self.cfg.txns[t].is_update() {
+                self.check_served(s, i, t, &ret)?;
+            }
+            s.msgs
+                .push(Envelope::new(Dst::Client(t as u8), Msg::ReadRet(ret)));
+        }
+        Ok(())
     }
 
-    fn serve_or_park(
+    /// Serve-time invariants of a read-only read, on the reply.
+    fn check_served(
         &self,
-        s: &mut SssState,
+        s: &SssState,
         i: usize,
-        mut read: PendingRead,
+        t: usize,
+        ret: &ReadReturn,
     ) -> Result<(), String> {
-        let t = read.txn as usize;
-        let dropped = self.cfg.mutation == Some(Mutation::DroppedExclusionCeiling);
-        let mut max_vc;
-        if !read.pinned && read.has_read == 0 {
-            // First read anywhere: establish the visibility bound, with an
-            // exclusion ceiling for every pre-committing writer beyond the
-            // begin snapshot.
-            let mut newly: Vec<Arc<Vc>> = Vec::new();
-            if let Some(q) = s.nodes[i].squeues.get(&read.key) {
-                for w in q.writes() {
-                    if w.sid > read.vc.get(i) {
-                        newly.push(w.commit_vc.clone());
-                    }
-                }
-            }
-            // The spec shadow records the ceilings even when the seeded
-            // mutation makes the implementation path drop them.
-            s.shadow[t].extend(newly.iter().cloned());
-            let used: Vec<Arc<Vc>> = if dropped { Vec::new() } else { newly.clone() };
-            let has_read = self.has_read_slice(read.has_read);
-            max_vc = s.nodes[i].nlog.visible_max(&has_read, &read.vc, &used);
-            max_vc.merge(&read.vc);
-            if !dropped {
-                read.exclude.extend(newly.iter().cloned());
-                read.newly = newly;
-            }
-        } else {
-            max_vc = read.vc.clone();
-        }
-        // Commit-queue ambiguity: an entry at or below the bound may still
-        // commit inside it — defer (bound pinned) rather than guess.
-        if protocol::commit_queue_blocks_read(s.nodes[i].cq.entries(), i, max_vc.get(i)) {
-            read.vc = max_vc;
-            read.pinned = true;
-            s.nodes[i].pending_reads.push(read);
-            return Ok(());
-        }
-        // Completion-order barrier: enqueue before selecting, unless this
-        // reader's Remove already went past.
-        if s.nodes[i].removed_ro & bit(t) == 0 {
-            s.nodes[i]
-                .squeues
-                .entry(read.key)
-                .or_default()
-                .insert_read(tid(t), max_vc.get(i));
-        }
-        let ver = s.nodes[i]
-            .chains
-            .get(&read.key)
-            .expect("read targets a replica")
-            .iter()
-            .rev()
-            .find(|v| protocol::version_visible(&v.vc, &max_vc, &read.exclude))
-            .cloned()
-            .expect("the initial version is always visible");
-        if let Some(w) = ver.writer {
-            let wt = w as usize;
-            let st = &s.nodes[i];
-            let in_squeue = st
-                .squeues
-                .get(&read.key)
-                .map(|q| q.writes().iter().any(|e| e.txn == tid(wt)))
-                .unwrap_or(false);
-            let pre_commit = in_squeue || st.pending_global & bit(wt) != 0;
-            if pre_commit && st.released & bit(wt) == 0 {
-                // The selected writer has not externally committed: park
-                // until its ReleaseExternal (completion-order barrier).
-                read.vc = max_vc;
-                read.pinned = true;
-                s.nodes[i].parked_reads.push(Parked { writer: w, read });
-                return Ok(());
-            }
-        }
-        // Serve-time invariants.
-        if !max_vc.dominates(&ver.vc) {
+        let Some(w) = ret.writer.map(ix) else {
+            return Ok(()); // no version visible: nothing was observed
+        };
+        let version = s.clients[w].commit_vc.as_ref();
+        let version = version.expect("an installed version's writer has decided");
+        if !ret.vc.dominates(version) {
             return Err(format!(
                 "snapshot bound: n{i} served t{t} a version above its visibility bound"
             ));
         }
-        if let Some(w) = ver.writer {
-            if s.confirmed & bit(w as usize) == 0 {
-                return Err(format!(
-                    "unconfirmed read: n{i} served t{t} a version of t{w} before \
-                     t{w}'s confirmation round completed"
-                ));
-            }
+        if s.confirmed & bit(w) == 0 {
+            return Err(format!(
+                "unconfirmed read: n{i} served t{t} a version of t{w} before \
+                 t{w}'s confirmation round completed"
+            ));
         }
-        if s.shadow[t].iter().any(|c| ver.vc.dominates(c)) {
+        if s.shadow[t].iter().any(|c| version.dominates(c)) {
             return Err(format!(
                 "exclusion stability: n{i} served t{t} a version at or above a \
                  ceiling that was excluded for it"
             ));
         }
-        s.msgs.push(Envelope {
-            dst: Dst::Client(read.txn),
-            msg: Msg::ReadRet {
-                txn: read.txn,
-                key: read.key,
-                from: i as u8,
-                writer: ver.writer,
-                vc: max_vc,
-                excluded: read.newly,
-                propagated: Vec::new(),
-            },
-        });
         Ok(())
     }
 
-    fn handle_prepare(
-        &self,
-        s: &mut SssState,
-        i: usize,
-        t: usize,
-        vc: Vc,
-        observed: Vec<(u8, Option<u8>)>,
-    ) -> Result<(), String> {
-        let tb = bit(t);
-        let zero = Vc::new(self.cfg.nodes);
-        if s.nodes[i].aborted_early & tb != 0 {
-            s.msgs.push(vote(t, i, false, zero));
-            return Ok(());
-        }
-        let dup_mutated = self.cfg.mutation == Some(Mutation::DuplicatePrepare);
-        if !dup_mutated && s.nodes[i].prepared_ever & tb != 0 {
-            return Ok(()); // duplicate delivery, silently dropped
-        }
-        s.nodes[i].prepared_ever |= tb;
-        let local_writes = self.local_writes(t, i);
-        let local_reads: Vec<(u8, Option<u8>)> = observed
-            .iter()
-            .copied()
-            .filter(|(k, _)| self.home(*k) == i)
-            .collect();
-        {
-            // All-or-nothing lock acquisition, idempotent per transaction.
-            let st = &mut s.nodes[i];
-            let mut needed: Vec<(u8, bool)> = local_writes.iter().map(|&k| (k, true)).collect();
-            for (k, _) in &local_reads {
-                if !local_writes.contains(k) {
-                    needed.push((*k, false));
-                }
-            }
-            let free = needed.iter().all(|&(k, ex)| {
-                let l = st.locks.get(&k).copied().unwrap_or_default();
-                let no_other_ex = l.ex.map_or(true, |h| h == t as u8);
-                if ex {
-                    no_other_ex && (l.shared & !tb) == 0
-                } else {
-                    no_other_ex
-                }
-            });
-            if !free {
-                s.msgs.push(vote(t, i, false, zero));
-                return Ok(());
-            }
-            for (k, ex) in needed {
-                let l = st.locks.entry(k).or_default();
-                if ex {
-                    l.ex = Some(t as u8);
-                } else {
-                    l.shared |= tb;
-                }
-            }
-        }
-        // Validate reads against the latest installed version.
-        for (k, obs) in &local_reads {
-            let latest = s.nodes[i]
-                .chains
-                .get(k)
-                .and_then(|c| c.last())
-                .expect("validated read targets a replica");
-            if latest.writer != *obs || latest.vc.get(i) > vc.get(i) {
-                release_locks(&mut s.nodes[i], t);
-                s.msgs.push(vote(t, i, false, zero));
-                return Ok(());
-            }
-        }
-        if s.nodes[i].aborted_early & tb != 0 {
-            release_locks(&mut s.nodes[i], t);
-            s.msgs.push(vote(t, i, false, zero));
-            return Ok(());
-        }
-        let prep_vc = if !local_writes.is_empty() {
-            let st = &mut s.nodes[i];
-            st.vc.increment(i);
-            let proposed = st.vc.clone();
-            if st.cq.entries().iter().any(|e| e.txn == tid(t)) {
-                // Mutated duplicate re-processing: a second put of the same
-                // id would collide, so the bug manifests as a ghost entry.
-                let g = TxnId::new(NodeId(0), GHOST_BASE + st.ghosts as u64);
-                st.ghosts += 1;
-                st.cq.put(g, proposed.clone());
-            } else {
-                st.cq.put(tid(t), proposed.clone());
-            }
-            st.prepared.entry(t as u8).or_insert(Prep {
-                is_write_replica: true,
-                decided: None,
-            });
-            proposed
-        } else {
-            let st = &mut s.nodes[i];
-            st.prepared.entry(t as u8).or_insert(Prep {
-                is_write_replica: false,
-                decided: None,
-            });
-            st.nlog.most_recent_vc().clone()
-        };
-        s.msgs.push(vote(t, i, true, prep_vc));
-        Ok(())
-    }
+    // -- the confirmation leader loop, scripted ------------------------------
 
-    fn handle_decide(
-        &self,
-        s: &mut SssState,
-        i: usize,
-        t: usize,
-        ok: bool,
-        commit_vc: Vc,
-        propagated: Vec<(u8, u64)>,
-    ) -> Result<(), String> {
-        if !ok {
-            let removed = s.nodes[i].prepared.remove(&(t as u8));
-            if removed.is_none() && self.cfg.mutation != Some(Mutation::AbortOvertakesPrepare) {
-                // Tombstone: a prepare arriving after this abort must be
-                // refused. The mutation drops exactly this line.
-                s.nodes[i].aborted_early |= bit(t);
-            }
-            s.nodes[i].cq.remove(tid(t));
-            self.process_commit_queue(s, i)?;
-            release_locks(&mut s.nodes[i], t);
-            return Ok(());
-        }
-        s.nodes[i].vc.merge(&commit_vc);
-        let Some(p) = s.nodes[i].prepared.get_mut(&(t as u8)) else {
-            return Ok(()); // stray decide for an unprepared transaction
-        };
-        if p.is_write_replica {
-            p.decided = Some(propagated);
-            s.nodes[i].cq.update(tid(t), commit_vc);
-            self.process_commit_queue(s, i)?;
-        } else {
-            s.nodes[i].prepared.remove(&(t as u8));
-            release_locks(&mut s.nodes[i], t);
-        }
-        Ok(())
-    }
-
-    fn process_commit_queue(&self, s: &mut SssState, i: usize) -> Result<(), String> {
-        while let Some(entry) = s.nodes[i].cq.pop_ready_head() {
-            let t = (entry.txn.seq - 1) as usize;
-            let commit_vc: Arc<Vc> = Arc::new(entry.vc);
-            let prep = s.nodes[i]
-                .prepared
-                .remove(&(t as u8))
-                .expect("committing transaction is prepared");
-            let local_writes = self.local_writes(t, i);
-            for &k in &local_writes {
-                s.nodes[i]
-                    .chains
-                    .get_mut(&k)
-                    .expect("write targets a replica")
-                    .push(Version {
-                        writer: Some(t as u8),
-                        vc: commit_vc.clone(),
-                    });
-            }
-            s.nodes[i].nlog.add(tid(t), commit_vc.clone());
-            release_locks(&mut s.nodes[i], t);
-            let sid = commit_vc.get(i);
-            let removed_ro = s.nodes[i].removed_ro;
-            for &k in &local_writes {
-                let q = s.nodes[i].squeues.entry(k).or_default();
-                q.insert_write(tid(t), sid, commit_vc.clone());
-                if let Some(props) = &prep.decided {
-                    // Completion-order barrier: the read-only transactions
-                    // this writer observed in front of it stay in front.
-                    for &(ro, rsid) in props {
-                        if removed_ro & bit(ro as usize) == 0 {
-                            q.insert_read(tid(ro as usize), rsid);
-                        }
-                    }
-                }
-            }
-            let blocked = local_writes.iter().any(|k| {
-                s.nodes[i]
-                    .squeues
-                    .get(k)
-                    .map(|q| protocol::squeue_blocks_external_commit(q, sid))
-                    .unwrap_or(false)
-            });
-            if blocked {
-                s.nodes[i].waiting_external.push((t as u8, commit_vc));
-            } else {
-                self.complete_external(s, i, t);
-            }
-        }
-        self.drain_pending_reads(s, i)?;
-        self.release_unblocked(s, i);
-        Ok(())
-    }
-
-    fn complete_external(&self, s: &mut SssState, i: usize, t: usize) {
-        let st = &mut s.nodes[i];
-        if st.released & bit(t) == 0 {
-            st.pending_global |= bit(t);
-        }
-        for k in self.local_writes(t, i) {
-            let empty = st
-                .squeues
-                .get_mut(&k)
-                .map(|q| {
-                    q.remove_write(tid(t));
-                    q.is_empty()
-                })
-                .unwrap_or(false);
-            if empty {
-                st.squeues.remove(&k);
-            }
-        }
-        s.msgs.push(Envelope {
-            dst: Dst::Client(t as u8),
-            msg: Msg::ExtAck {
-                txn: t as u8,
-                from: i as u8,
-            },
-        });
-    }
-
-    fn release_unblocked(&self, s: &mut SssState, i: usize) {
-        let waiting = std::mem::take(&mut s.nodes[i].waiting_external);
-        for (t, cvc) in waiting {
-            let sid = cvc.get(i);
-            let blocked = self.local_writes(t as usize, i).iter().any(|k| {
-                s.nodes[i]
-                    .squeues
-                    .get(k)
-                    .map(|q| protocol::squeue_blocks_external_commit(q, sid))
-                    .unwrap_or(false)
-            });
-            if blocked {
-                s.nodes[i].waiting_external.push((t, cvc));
-            } else {
-                self.complete_external(s, i, t as usize);
-            }
-        }
-    }
-
-    fn drain_pending_reads(&self, s: &mut SssState, i: usize) -> Result<(), String> {
-        let most = s.nodes[i].nlog.most_recent_vc().get(i);
-        let mut ready = Vec::new();
-        let mut keep = Vec::new();
-        for p in std::mem::take(&mut s.nodes[i].pending_reads) {
-            if most >= p.vc.get(i) {
-                ready.push(p);
-            } else {
-                keep.push(p);
-            }
-        }
-        s.nodes[i].pending_reads = keep;
-        for p in ready {
-            self.serve_or_park(s, i, p)?;
-        }
-        Ok(())
-    }
-
-    fn handle_confirm(
-        &self,
-        s: &mut SssState,
-        i: usize,
-        entries: Vec<(u8, Arc<Vc>)>,
-        release: Vec<u8>,
-        remove: Vec<u8>,
-        leader: Dst,
-    ) -> Result<(), String> {
-        // Removes first — they can unblock waiting external commits.
-        self.handle_remove(s, i, &remove);
-        {
-            let st = &mut s.nodes[i];
-            for (_, vc) in &entries {
-                st.confirmed_vc.merge(vc);
-            }
-        }
-        let round = entries
-            .first()
-            .map(|(t, _)| *t)
-            .expect("rounds are non-empty");
-        let first_copy = s.nodes[i].confirm_acked & bit(round as usize) == 0;
-        s.nodes[i].confirm_acked |= bit(round as usize);
-        self.handle_release(s, i, &release)?;
-        self.release_unblocked(s, i);
-        if first_copy {
-            s.msgs.push(Envelope {
-                dst: leader,
-                msg: Msg::ConfirmAck {
-                    round,
-                    from: i as u8,
-                },
-            });
-        }
-        Ok(())
-    }
-
-    fn handle_release(&self, s: &mut SssState, i: usize, txns: &[u8]) -> Result<(), String> {
-        for &t in txns {
-            if s.confirmed & bit(t as usize) == 0 {
-                return Err(format!(
-                    "release overtook confirmation: n{i} processed t{t}'s \
-                     ReleaseExternal before its confirmation round completed"
-                ));
-            }
-        }
-        {
-            let st = &mut s.nodes[i];
-            for &t in txns {
-                st.released |= bit(t as usize);
-                st.pending_global &= !bit(t as usize);
-            }
-        }
-        let mut unparked = Vec::new();
-        s.nodes[i].parked_reads.retain(|p| {
-            if txns.contains(&p.writer) {
-                unparked.push(p.read.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for read in unparked {
-            self.serve_or_park(s, i, read)?;
-        }
-        Ok(())
-    }
-
-    fn handle_remove(&self, s: &mut SssState, i: usize, txns: &[u8]) {
-        let st = &mut s.nodes[i];
-        for &t in txns {
-            st.removed_ro |= bit(t as usize);
-            st.squeues.retain(|_, q| {
-                q.remove(tid(t as usize));
-                !q.is_empty()
-            });
-        }
-    }
-
-    fn handle_confirm_ack(&self, s: &mut SssState, i: usize, round: u8, from: u8) {
+    fn leader_confirm_ack(&self, s: &mut SssState, i: usize, ack: Ack) {
         let all = self.all_nodes_mask();
-        let Some(r) = s.nodes[i].round.as_mut() else {
+        let leader = &mut s.leaders[i];
+        let Some(round) = leader.round.as_mut().filter(|r| r.id == ack.txn) else {
             return;
         };
-        if r.id != round {
+        round.acks |= bit(ack.from.index());
+        if round.acks != all {
             return;
         }
-        r.acks |= bit(from as usize);
-        if r.acks != all {
-            return;
-        }
-        let members = r.members.clone();
-        s.nodes[i].round = None;
+        let members = leader.round.take().expect("checked above").members;
         for &m in &members {
-            s.confirmed |= bit(m as usize);
-            s.clients[m as usize].phase = Phase::Committed;
+            s.confirmed |= bit(ix(m));
+            s.clients[ix(m)].phase = Phase::Committed;
         }
-        let leftover = s.nodes[i]
-            .coal
-            .round_completed(members.iter().map(|&m| tid(m as usize)).collect(), true);
+        let leftover = leader.coal.round_completed(members, true);
         debug_assert!(leftover.is_none(), "piggybacked completion returns nothing");
     }
 
     fn coalesce(&self, s: &mut SssState, n: usize) {
-        let plan = s.nodes[n]
-            .coal
-            .next_round(self.cfg.confirm_window.max(1), false);
-        match plan {
+        let window = self.cfg.confirm_window.max(1);
+        let all = self.all_nodes_mask();
+        match s.leaders[n].coal.next_round(window, false) {
             RoundPlan::Exit | RoundPlan::Linger => {}
             RoundPlan::Flush { release, remove } => {
-                let remove: Vec<u8> = remove.iter().map(|t| (t.seq - 1) as u8).collect();
-                let release: Vec<u8> = release.iter().map(|t| (t.seq - 1) as u8).collect();
+                // Removes go first — they can unblock waiting external
+                // commits.
                 if !remove.is_empty() {
-                    self.broadcast(s, Msg::Remove { txns: remove });
+                    self.send(s, all, SssMessage::Remove { txns: remove });
                 }
                 if !release.is_empty() {
-                    self.broadcast(s, Msg::Release { txns: release });
+                    self.send(s, all, SssMessage::ReleaseExternal { txns: release });
                 }
             }
             RoundPlan::Round {
@@ -1912,98 +1058,53 @@ impl SssModel {
                 release,
                 remove,
             } => {
-                let members: Vec<u8> = batch.iter().map(|p| (p.txn.seq - 1) as u8).collect();
-                let entries: Vec<(u8, Arc<Vc>)> = batch
-                    .iter()
-                    .map(|p| ((p.txn.seq - 1) as u8, p.commit_vc.clone()))
-                    .collect();
-                let release: Vec<u8> = release.iter().map(|t| (t.seq - 1) as u8).collect();
-                let remove: Vec<u8> = remove.iter().map(|t| (t.seq - 1) as u8).collect();
-                s.nodes[n].round = Some(Round {
+                let members: Vec<TxnId> = batch.iter().map(|p| p.txn).collect();
+                s.leaders[n].round = Some(Round {
                     id: members[0],
                     members: members.clone(),
                     acks: 0,
                 });
-                self.broadcast(
-                    s,
-                    Msg::Confirm {
-                        entries,
-                        release,
-                        remove,
-                        leader: Dst::Node(n as u8),
-                    },
-                );
+                let confirm = SssMessage::ConfirmExternal {
+                    entries: batch.into_iter().map(|p| (p.txn, p.commit_vc)).collect(),
+                    release,
+                    remove,
+                    reply: self.confirm_acks.0.clone(),
+                };
+                self.send(s, all, confirm);
                 if self.cfg.mutation == Some(Mutation::PrematureRelease) {
                     // Seeded bug: the release rides out with the round
                     // instead of waiting for its acks.
-                    self.broadcast(s, Msg::Release { txns: members });
+                    self.send(s, all, SssMessage::ReleaseExternal { txns: members });
                 }
             }
         }
     }
 
-    // -- client side --------------------------------------------------------
+    // -- client side: what `Session` sends, scripted -------------------------
 
-    fn client_msg(&self, s: &mut SssState, t: usize, msg: Msg) -> Result<(), String> {
-        match msg {
-            Msg::ReadRet {
-                key,
-                from,
-                writer,
-                vc,
-                excluded,
-                propagated,
-                ..
-            } => self.client_read_ret(s, t, key, from, writer, vc, excluded, propagated),
-            Msg::Vote { from, ok, vc, .. } => self.client_vote(s, t, from as usize, ok, vc),
-            Msg::ExtAck { from, .. } => {
-                self.client_ext_ack(s, t, from as usize);
-                Ok(())
-            }
-            Msg::ConfirmAck { from, .. } => {
-                self.client_confirm_ack(s, t, from as usize);
-                Ok(())
-            }
-            _ => Ok(()),
-        }
-    }
-
-    fn client_read_ret(
-        &self,
-        s: &mut SssState,
-        t: usize,
-        key: u8,
-        from: u8,
-        writer: Option<u8>,
-        vc: Vc,
-        excluded: Vec<Arc<Vc>>,
-        propagated: Vec<(u8, u64)>,
-    ) -> Result<(), String> {
+    fn client_read_ret(&self, s: &mut SssState, t: usize, ret: &ReadReturn) -> Result<(), String> {
         if s.clients[t].phase != Phase::Read {
             return Ok(());
         }
         let spec = &self.cfg.txns[t];
-        {
-            let c = &mut s.clients[t];
-            c.vc.merge(&vc);
-            c.observed.push((key, writer));
-            if spec.is_update() {
-                for p in propagated {
-                    if !c.propagated.contains(&p) {
-                        c.propagated.push(p);
-                    }
-                }
-            } else {
-                c.has_read |= bit(from as usize);
-                for e in excluded {
-                    if !c.exclude.contains(&e) {
-                        c.exclude.push(e);
-                    }
+        let c = &mut s.clients[t];
+        c.vc.merge(&ret.vc);
+        c.observed
+            .push((spec.reads()[c.next_read], ret.writer.map(|w| ix(w) as u8)));
+        if spec.is_update() {
+            let entries = ret.propagated.iter();
+            c.propagated
+                .extend(entries.map(|p| (ix(p.txn) as u8, p.sid)));
+        } else {
+            c.has_read |= bit(ret.from.index());
+            for ceiling in &ret.excluded {
+                if !c.exclude.contains(ceiling) {
+                    c.exclude.push(Arc::clone(ceiling));
                 }
             }
-            c.next_read += 1;
         }
-        if s.clients[t].next_read < spec.reads().len() {
+        c.next_read += 1;
+        if c.next_read < spec.reads().len() {
             self.send_read(s, t);
         } else if spec.is_update() {
             self.send_prepare(s, t);
@@ -2013,106 +1114,95 @@ impl SssModel {
         Ok(())
     }
 
-    fn client_vote(
-        &self,
-        s: &mut SssState,
-        t: usize,
-        from: usize,
-        ok: bool,
-        vc: Vc,
-    ) -> Result<(), String> {
-        {
-            let c = &mut s.clients[t];
-            if c.phase != Phase::Vote || c.votes & bit(from) != 0 {
-                return Ok(());
-            }
-            c.votes |= bit(from);
-            if ok {
-                c.vc.merge(&vc);
-            }
+    fn client_vote(&self, s: &mut SssState, t: usize, vote: &Vote) {
+        let from = vote.from.index();
+        let c = &mut s.clients[t];
+        if c.phase != Phase::Vote || c.votes & bit(from) != 0 {
+            return;
         }
-        if !ok {
-            s.clients[t].phase = Phase::Aborted;
-            let zero = Vc::new(self.cfg.nodes);
-            self.to_participants(
-                s,
-                t,
-                Msg::Decide {
-                    txn: t as u8,
-                    ok: false,
-                    vc: zero,
-                    propagated: Vec::new(),
-                },
-            );
-            return Ok(());
+        c.votes |= bit(from);
+        let decide = |outcome, commit_vc, propagated| SssMessage::Decide {
+            txn: self.tid(t),
+            commit_vc,
+            outcome,
+            propagated,
+            ack_reply: self.ext_acks.0.clone(),
+        };
+        if !vote.ok {
+            c.phase = Phase::Aborted;
+            let abort = decide(false, Vc::new(self.cfg.nodes), Vec::new());
+            return self.send(s, self.participants(t), abort);
         }
-        if s.clients[t].votes == self.participants(t) {
-            let mut cvc = s.clients[t].vc.clone();
-            // xact-vn equalization over the write replicas.
-            protocol::finalize_commit_vc(&mut cvc, &self.write_indices(t));
-            s.clients[t].commit_vc = Some(Arc::new(cvc.clone()));
-            s.clients[t].phase = Phase::ExtWait;
-            let props = s.clients[t].propagated.clone();
-            self.to_participants(
-                s,
-                t,
-                Msg::Decide {
-                    txn: t as u8,
-                    ok: true,
-                    vc: cvc,
-                    propagated: props,
-                },
-            );
+        c.vc.merge(&vote.vc);
+        if c.votes != self.participants(t) {
+            return;
         }
-        Ok(())
+        let writers = self.write_mask(t);
+        let mut cvc = c.vc.clone();
+        // xact-vn equalization over the write replicas.
+        let write_indices: Vec<usize> = self.nodes_in(writers).collect();
+        protocol::finalize_commit_vc(&mut cvc, &write_indices);
+        c.commit_vc = Some(Arc::new(cvc.clone()));
+        c.phase = Phase::ExtWait;
+        let mut readers: Vec<u8> = c.propagated.iter().map(|&(ro, _)| ro).collect();
+        let propagated = c.propagated.iter().map(|&(ro, sid)| PropagatedEntry {
+            txn: self.tid(ro as usize),
+            sid,
+        });
+        let commit = decide(true, cvc, propagated.collect());
+        self.send(s, self.participants(t), commit);
+        // Every read-only transaction whose entry rides this commit learns,
+        // at its origin, where its `Remove` must also go (§III-C).
+        readers.sort_unstable();
+        readers.dedup();
+        for ro in readers {
+            let forward = SssMessage::RegisterForward {
+                txn: self.tid(ro as usize),
+                targets: self.nodes_in(writers).map(NodeId).collect(),
+            };
+            self.send(s, bit(self.cfg.txns[ro as usize].origin()), forward);
+        }
     }
 
     fn client_ext_ack(&self, s: &mut SssState, t: usize, from: usize) {
-        if s.clients[t].phase != Phase::ExtWait {
+        let c = &mut s.clients[t];
+        if c.phase != Phase::ExtWait {
             return;
         }
-        s.clients[t].ext_acks |= bit(from);
-        if s.clients[t].ext_acks != self.write_mask(t) {
+        c.ext_acks |= bit(from);
+        if c.ext_acks != self.write_mask(t) {
             return;
         }
-        s.clients[t].phase = Phase::ConfirmWait;
-        let cvc = s.clients[t]
-            .commit_vc
-            .clone()
-            .expect("decided commit clock");
+        c.phase = Phase::ConfirmWait;
+        let cvc = c.commit_vc.clone().expect("decided commit clock");
         if self.cfg.grouped_confirm {
             let origin = self.cfg.txns[t].origin();
             // Leading is observable as an enabled Coalesce action.
-            let _leads = s.nodes[origin].coal.enqueue(tid(t), cvc, ());
+            let _leads = s.leaders[origin].coal.enqueue(self.tid(t), cvc, ());
         } else {
-            self.broadcast(
-                s,
-                Msg::Confirm {
-                    entries: vec![(t as u8, cvc)],
-                    release: Vec::new(),
-                    remove: Vec::new(),
-                    leader: Dst::Client(t as u8),
-                },
-            );
+            let confirm = SssMessage::ConfirmExternal {
+                entries: vec![(self.tid(t), cvc)],
+                release: Vec::new(),
+                remove: Vec::new(),
+                reply: self.confirm_acks.0.clone(),
+            };
+            self.send(s, self.all_nodes_mask(), confirm);
         }
     }
 
     fn client_confirm_ack(&self, s: &mut SssState, t: usize, from: usize) {
-        if s.clients[t].phase != Phase::ConfirmWait {
+        let c = &mut s.clients[t];
+        if c.phase != Phase::ConfirmWait {
             return;
         }
-        s.clients[t].confirm_acks |= bit(from);
-        if s.clients[t].confirm_acks != self.all_nodes_mask() {
+        c.confirm_acks |= bit(from);
+        if c.confirm_acks != self.all_nodes_mask() {
             return;
         }
         s.confirmed |= bit(t);
-        s.clients[t].phase = Phase::Committed;
-        self.broadcast(
-            s,
-            Msg::Release {
-                txns: vec![t as u8],
-            },
-        );
+        c.phase = Phase::Committed;
+        let txns = vec![self.tid(t)];
+        self.send(s, self.write_mask(t), SssMessage::ReleaseExternal { txns });
     }
 
     fn finish_ro(&self, s: &mut SssState, t: usize) -> Result<(), String> {
@@ -2129,16 +1219,15 @@ impl SssModel {
             }
         }
         s.clients[t].phase = Phase::Committed;
-        let origin = self.cfg.txns[t].origin();
-        let piggybacked = self.cfg.grouped_confirm && s.nodes[origin].coal.queue_remove(tid(t));
-        if !piggybacked {
-            self.broadcast(
-                s,
-                Msg::Remove {
-                    txns: vec![t as u8],
-                },
-            );
+        let spec = &self.cfg.txns[t];
+        let (origin, txn) = (spec.origin(), self.tid(t));
+        let forwarded = s.cluster.complete_read_only(NodeId(origin), txn);
+        if self.cfg.grouped_confirm && s.leaders[origin].coal.queue_remove(txn) {
+            return Ok(()); // rides the leader's next round, to every node
         }
+        let extra = forwarded.iter().fold(0, |mask, n| mask | bit(n.index()));
+        let remove = SssMessage::Remove { txns: vec![txn] };
+        self.send(s, self.homes(spec.reads()) | extra, remove);
         Ok(())
     }
 }
@@ -2177,5 +1266,30 @@ mod tests {
         };
         let report = bfs_check(&SssModel::new(cfg), &CheckConfig::default());
         assert!(report.verified(), "violation: {:?}", report.violation);
+    }
+
+    /// An update that reads a key a read-only transaction is queued on and
+    /// writes elsewhere carries the reader's entry to its write replica:
+    /// `RegisterForward` and the forwarded `Remove` must drain it in every
+    /// interleaving (no pinned configuration sends a `RegisterForward`).
+    #[test]
+    fn a_propagated_read_entry_is_removed_through_its_forward_target() {
+        let cfg = ModelConfig {
+            txns: vec![
+                TxnSpec::ReadOnly {
+                    origin: 0,
+                    reads: vec![0],
+                },
+                TxnSpec::Update {
+                    origin: 1,
+                    reads: vec![0],
+                    writes: vec![1],
+                },
+            ],
+            ..ModelConfig::clean_2n2t()
+        };
+        let report = bfs_check(&SssModel::new(cfg), &CheckConfig::default());
+        assert!(report.verified(), "violation: {:?}", report.violation);
+        assert_eq!(report.unique_states, 498);
     }
 }

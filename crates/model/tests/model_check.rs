@@ -1,17 +1,18 @@
 //! Exhaustive protocol checks: clean configurations must verify completely,
 //! and every seeded mutation must yield a minimal replayable counterexample.
 //!
-//! The exhaustive runs are heavyweight in debug builds, so they are ignored
-//! there and exercised in release mode by the CI `modelcheck` job (and by
-//! `cargo test --release -p sss-model`).
+//! The exhaustive runs are heavyweight in debug builds, so all but the
+//! smallest are ignored there and exercised in release mode by the CI
+//! `modelcheck` job (and by `cargo test --release -p sss-model`).
 
-use sss_model::{bfs_check, ChaosHints, CheckConfig, ModelConfig, Mutation, SssModel};
+use sss_model::checker::replay;
+use sss_model::{bfs_check, ChaosHints, CheckConfig, Model, ModelConfig, Mutation, SssModel};
 
 fn check(cfg: ModelConfig) -> sss_model::CheckReport<sss_model::sss::Action> {
     bfs_check(&SssModel::new(cfg), &CheckConfig::default())
 }
 
-#[cfg_attr(debug_assertions, ignore = "exhaustive BFS: run with --release")]
+/// Runs in debug too, so tier-1 itself steps the production handlers.
 #[test]
 fn clean_2n2t_verifies_exhaustively() {
     let report = check(ModelConfig::clean_2n2t());
@@ -22,6 +23,42 @@ fn clean_2n2t_verifies_exhaustively() {
         report.violation.unwrap().render()
     );
     assert!(report.unique_states > 100, "suspiciously small state space");
+}
+
+/// The canonical encoding leaves out clocks, hash order and reply-channel
+/// identity: one recorded trace replayed through two models — each with its
+/// own nodes, held clock, hash seeds and channels — encodes byte for byte
+/// the same at every step.
+#[test]
+fn a_replayed_trace_encodes_identically_at_every_step() {
+    let recorder = SssModel::new(ModelConfig::contended_2n3t());
+    let (mut state, mut trace, mut enabled) = (recorder.init(), Vec::new(), Vec::new());
+    loop {
+        enabled.clear();
+        recorder.actions(&state, &mut enabled);
+        let Some(&action) = enabled.last() else { break };
+        state = recorder
+            .step(&state, action)
+            .expect("a clean configuration");
+        trace.push(action);
+    }
+    assert!(trace.len() > 30, "the recorded run ended early: {trace:?}");
+    let encodings = |model: &SssModel| -> Vec<Vec<u8>> {
+        let encode = |state| {
+            let mut bytes = Vec::new();
+            model.encode(state, &mut bytes);
+            bytes
+        };
+        replay(model, &trace).iter().map(encode).collect()
+    };
+    let first = encodings(&recorder);
+    assert_eq!(first.len(), trace.len() + 1);
+    assert!(first.windows(2).all(|pair| pair[0] != pair[1]));
+    assert_eq!(first, encodings(&recorder));
+    assert_eq!(
+        first,
+        encodings(&SssModel::new(ModelConfig::contended_2n3t()))
+    );
 }
 
 #[cfg_attr(debug_assertions, ignore = "exhaustive BFS: run with --release")]
@@ -142,7 +179,7 @@ fn assert_mutation_caught(m: Mutation, invariant_needle: &str) -> ChaosHints {
         cx.render()
     );
     // The trace replays deterministically up to the violating step.
-    let states = sss_model::checker::replay(&SssModel::new(ModelConfig::mutated(m)), &cx.actions);
+    let states = replay(&SssModel::new(ModelConfig::mutated(m)), &cx.actions);
     assert!(states.len() >= cx.actions.len());
     ChaosHints::from_counterexample(&cx)
 }

@@ -33,7 +33,7 @@ pub enum LockKind {
     Exclusive,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct LockEntry {
     exclusive: Option<TxnId>,
     shared: HashSet<TxnId>,
@@ -173,6 +173,17 @@ pub struct LockTable {
 impl Default for LockTable {
     fn default() -> Self {
         LockTable::new()
+    }
+}
+
+/// A copy holding the same locks; its counters start at zero.
+impl Clone for LockTable {
+    fn clone(&self) -> Self {
+        let copy = LockTable::with_shards(self.shards.len());
+        for (to, from) in copy.shards.iter().zip(self.shards.iter()) {
+            *to.entries.lock() = from.entries.lock().clone();
+        }
+        copy
     }
 }
 
@@ -321,6 +332,21 @@ impl LockTable {
                 LockKind::Exclusive => e.exclusive == Some(txn),
             })
             .unwrap_or(false)
+    }
+
+    /// Every held lock as `(key, exclusive holder, shared holders)`, keys
+    /// and holders sorted: the table's content without its hash order.
+    pub fn held(&self) -> Vec<(Key, Option<TxnId>, Vec<TxnId>)> {
+        let mut held = Vec::new();
+        for shard in self.shards.iter() {
+            for (key, entry) in shard.entries.lock().iter() {
+                let mut shared: Vec<TxnId> = entry.shared.iter().copied().collect();
+                shared.sort();
+                held.push((key.clone(), entry.exclusive, shared));
+            }
+        }
+        held.sort();
+        held
     }
 
     /// Number of keys with at least one lock held.

@@ -82,7 +82,7 @@ impl VersionChain {
     }
 
     /// Iterates versions oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Version> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Version> {
         self.versions.iter()
     }
 
@@ -208,6 +208,18 @@ impl MvStoreStats {
 pub struct MvStore {
     shards: Box<[MvShard]>,
     mask: usize,
+}
+
+/// A copy holding the same chains (shared, copy-on-write); its counters
+/// start at zero.
+impl Clone for MvStore {
+    fn clone(&self) -> Self {
+        let copy = MvStore::with_shards(self.shards.len());
+        for (to, from) in copy.shards.iter().zip(self.shards.iter()) {
+            *to.write() = from.read().clone();
+        }
+        copy
+    }
 }
 
 impl Default for MvStore {

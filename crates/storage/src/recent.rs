@@ -15,7 +15,7 @@ use crate::txn_id::TxnId;
 /// nothing will ever clean up. The capacity bound keeps the memory of a
 /// long-running node finite; the set evicts oldest-first, and the bound is
 /// sized so that any message still plausibly in flight is remembered.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RecentSet<T> {
     order: VecDeque<T>,
     set: HashSet<T>,
@@ -64,6 +64,11 @@ impl<T: Eq + Hash + Clone> RecentSet<T> {
         } else {
             false
         }
+    }
+
+    /// The remembered entries, oldest first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &T> {
+        self.order.iter()
     }
 
     /// Number of remembered entries.
