@@ -22,9 +22,6 @@ use sss_storage::{Key, ReplicaMap, StorageStats, TxnId, Value};
 use sss_vclock::runtime::SchedulerHandle;
 use sss_vclock::NodeId;
 
-/// Worker threads per node (the same pool size SSS runs).
-pub const WORKERS_PER_NODE: usize = 4;
-
 /// Lock-acquisition timeout of the lock-based baselines (1ms in the paper's
 /// evaluation, as for SSS).
 pub const LOCK_TIMEOUT: Duration = Duration::from_millis(1);
@@ -46,12 +43,6 @@ pub struct BaselineConfig {
     pub replication: usize,
     /// One-way network latency model.
     pub latency: LatencyModel,
-    /// Shard arity of every node's storage structures (stores and lock
-    /// tables). Rounded up to a power of two.
-    pub storage_shards: usize,
-    /// Messages a node worker drains from its mailbox per wakeup (clamped
-    /// to at least 1).
-    pub delivery_batch: usize,
     /// Optional observability hub: sessions trace protocol phases and the
     /// nodes record server-side lock-acquisition spans into it. When `None`
     /// — the default — every instrumentation site is one branch.
@@ -77,8 +68,6 @@ impl BaselineConfig {
             nodes,
             replication: 2.min(nodes),
             latency: LatencyModel::ZERO,
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
             observability: None,
             scheduler: None,
             interposer: None,
@@ -159,13 +148,9 @@ impl<P: Protocol> BaselineCluster<P> {
             transport = transport.scheduler(Arc::clone(scheduler));
         }
         let placement = P::placement(&config);
-        let (host, nodes) = NodeHost::boot(
-            transport,
-            WORKERS_PER_NODE,
-            config.delivery_batch,
-            P::kind_index,
-            |id, _| Arc::new(P::node(id, &config, &placement)),
-        );
+        let (host, nodes) = NodeHost::boot(transport, P::kind_index, |id, _| {
+            Arc::new(P::node(id, &config, &placement))
+        });
         BaselineCluster {
             shared: Arc::new(Shared {
                 host,

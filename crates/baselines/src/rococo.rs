@@ -118,9 +118,9 @@ struct RococoNodeState {
 }
 
 impl RococoNodeState {
-    fn with_shards(shards: usize) -> Self {
+    fn new() -> Self {
         RococoNodeState {
-            store: SvStore::with_shards(shards),
+            store: SvStore::new(),
             queues: HashMap::new(),
             dispatched: RecentSet::new(1 << 16),
         }
@@ -246,10 +246,10 @@ impl Protocol for Rococo {
         ReplicaMap::new(config.nodes, 1)
     }
 
-    fn node(id: NodeId, config: &BaselineConfig, _placement: &ReplicaMap) -> RococoNode {
+    fn node(id: NodeId, _config: &BaselineConfig, _placement: &ReplicaMap) -> RococoNode {
         RococoNode {
             id,
-            state: Mutex::new(RococoNodeState::with_shards(config.storage_shards)),
+            state: Mutex::new(RococoNodeState::new()),
         }
     }
 

@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use sss_net::{reply_channel, Envelope, Gather, NodeService, Priority, ReplySender, TransportExt};
@@ -102,8 +101,6 @@ pub struct TwoPcNode {
     /// transaction touching those keys would abort forever.
     decided: Mutex<RecentTxnSet>,
     locks: LockTable,
-    lock_timeout: Duration,
-    aborts: AtomicU64,
     commits: AtomicU64,
     obs: Option<Arc<ObsHub>>,
 }
@@ -129,7 +126,6 @@ impl TwoPcNode {
         // The coordinator may already have decided (an abort decide
         // overtaking this prepare): vote no without acquiring anything.
         if self.decided.lock().contains(&txn) {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
             reply.send(VoteReply {
                 from: self.id,
                 ok: false,
@@ -156,12 +152,11 @@ impl TwoPcNode {
             .map(|(k, _)| (k, LockKind::Exclusive))
             .chain(local_reads.iter().map(|(k, _)| (k, LockKind::Shared)));
         let lock_started = self.obs.as_ref().map(|_| sss_vclock::runtime::now());
-        let acquired = self.locks.acquire_many(txn, requests, self.lock_timeout);
+        let acquired = self.locks.acquire_many(txn, requests, LOCK_TIMEOUT);
         if let (Some(hub), Some(started)) = (self.obs.as_ref(), lock_started) {
             hub.record_server_span(self.id.index(), Phase::LockAcquire, started);
         }
         if !acquired {
-            self.aborts.fetch_add(1, Ordering::Relaxed);
             reply.send(VoteReply {
                 from: self.id,
                 ok: false,
@@ -176,7 +171,6 @@ impl TwoPcNode {
             .all(|(k, version)| self.store.version(k) == *version);
         if !valid {
             self.locks.release_all(txn);
-            self.aborts.fetch_add(1, Ordering::Relaxed);
             reply.send(VoteReply {
                 from: self.id,
                 ok: false,
@@ -194,7 +188,6 @@ impl TwoPcNode {
             if self.prepared.lock().remove(&txn).is_some() {
                 self.locks.release_all(txn);
             }
-            self.aborts.fetch_add(1, Ordering::Relaxed);
             reply.send(VoteReply {
                 from: self.id,
                 ok: false,
@@ -271,12 +264,10 @@ impl Protocol for TwoPc {
         TwoPcNode {
             id,
             replicas: placement.clone(),
-            store: SvStore::with_shards(config.storage_shards),
+            store: SvStore::new(),
             prepared: Mutex::new(HashMap::new()),
             decided: Mutex::new(RecentTxnSet::new(1 << 16)),
-            locks: LockTable::with_shards(config.storage_shards),
-            lock_timeout: LOCK_TIMEOUT,
-            aborts: AtomicU64::new(0),
+            locks: LockTable::new(),
             commits: AtomicU64::new(0),
             obs: config.observability.clone(),
         }

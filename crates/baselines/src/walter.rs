@@ -18,7 +18,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use sss_net::{reply_channel, Envelope, Gather, NodeService, Priority, ReplySender, TransportExt};
@@ -33,13 +32,6 @@ use crate::cluster::{
 };
 
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // version_vc is kept for symmetry with the protocol message
-pub struct ReadReply {
-    value: Option<Value>,
-    version_vc: Option<std::sync::Arc<VectorClock>>,
-}
-
-#[derive(Debug, Clone)]
 pub struct VoteReply {
     from: NodeId,
     ok: bool,
@@ -52,7 +44,7 @@ pub enum WalterMessage {
     Read {
         key: Key,
         snapshot: VectorClock,
-        reply: ReplySender<ReadReply>,
+        reply: ReplySender<Option<Value>>,
     },
     Prepare {
         txn: TxnId,
@@ -86,7 +78,6 @@ struct PreparedTxn {
 pub struct WalterNode {
     id: NodeId,
     replicas: ReplicaMap,
-    lock_timeout: Duration,
     state: Mutex<WalterNodeState>,
     /// Sharded and internally synchronized, held *outside* the state mutex:
     /// snapshot reads walk version chains without serializing on the node's
@@ -109,23 +100,19 @@ struct WalterNodeState {
 }
 
 impl WalterNode {
-    fn handle_read(&self, key: Key, snapshot: VectorClock, reply: ReplySender<ReadReply>) {
+    fn handle_read(&self, key: Key, snapshot: VectorClock, reply: ReplySender<Option<Value>>) {
         // PSI visibility: the newest version whose commit vector clock is
         // contained in the reader's start snapshot. No protocol-state lock
         // is needed: every version inside the snapshot was installed before
         // the snapshot's clock was published (decide applies writes before
         // merging `node_vc`), and the chain handle is an immutable
         // copy-on-write snapshot.
-        let version = self.store.chain(&key).and_then(|chain| {
+        let value = self.store.chain(&key).and_then(|chain| {
             chain
                 .latest_matching(|v| v.vc.le(&snapshot))
-                .map(|v| (v.value.clone(), v.vc.clone()))
+                .map(|v| v.value.clone())
         });
-        let (value, version_vc) = match version {
-            Some((value, vc)) => (Some(value), Some(vc)),
-            None => (None, None),
-        };
-        reply.send(ReadReply { value, version_vc });
+        reply.send(value);
     }
 
     fn handle_prepare(
@@ -162,9 +149,7 @@ impl WalterNode {
             .collect();
         let lock_requests = local_writes.iter().map(|(k, _)| (k, LockKind::Exclusive));
         let lock_started = self.obs.as_ref().map(|_| sss_vclock::runtime::now());
-        let acquired = self
-            .locks
-            .acquire_many(txn, lock_requests, self.lock_timeout);
+        let acquired = self.locks.acquire_many(txn, lock_requests, LOCK_TIMEOUT);
         if let (Some(hub), Some(started)) = (self.obs.as_ref(), lock_started) {
             hub.record_server_span(self.id.index(), Phase::LockAcquire, started);
         }
@@ -315,14 +300,13 @@ impl Protocol for Walter {
         WalterNode {
             id,
             replicas: placement.clone(),
-            lock_timeout: LOCK_TIMEOUT,
             state: Mutex::new(WalterNodeState {
                 node_vc: VectorClock::new(config.nodes),
                 prepared: HashMap::new(),
                 decided: RecentTxnSet::new(1 << 16),
             }),
-            store: MvStore::with_shards(config.storage_shards),
-            locks: LockTable::with_shards(config.storage_shards),
+            store: MvStore::new(),
+            locks: LockTable::new(),
             obs: config.observability.clone(),
         }
     }
@@ -443,7 +427,7 @@ fn read_all(
         let _ = session
             .transport()
             .multicast(session.node(), replicas, msg, Priority::Normal);
-        observed.insert(key.clone(), rx.recv_timeout(RPC_TIMEOUT)?.value);
+        observed.insert(key.clone(), rx.recv_timeout(RPC_TIMEOUT)?);
     }
     Some(observed)
 }

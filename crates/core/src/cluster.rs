@@ -9,7 +9,7 @@ use sss_faults::{FaultInjector, FaultInterposer};
 use sss_net::{NodeHost, TransportConfig};
 use sss_vclock::{runtime, NodeId};
 
-use crate::config::{SssConfig, LATENCY_SEED, WORKERS_PER_NODE};
+use crate::config::SssConfig;
 use crate::error::SssError;
 use crate::messages::SssMessage;
 use crate::node::SssNode;
@@ -64,7 +64,6 @@ impl SssCluster {
         // handlers' own idempotency guards.
         let mut transport_config = TransportConfig::new(config.nodes)
             .latency(config.latency)
-            .seed(LATENCY_SEED)
             .reliable(
                 injector
                     .as_ref()
@@ -77,13 +76,10 @@ impl SssCluster {
         if let Some(scheduler) = &config.scheduler {
             transport_config = transport_config.scheduler(Arc::clone(scheduler));
         }
-        let (host, nodes) = NodeHost::boot(
-            transport_config,
-            WORKERS_PER_NODE,
-            config.delivery_batch,
-            SssMessage::kind_index,
-            |id, transport| Arc::new(SssNode::new(id, config.clone(), Arc::clone(transport))),
-        );
+        let (host, nodes) =
+            NodeHost::boot(transport_config, SssMessage::kind_index, |id, transport| {
+                Arc::new(SssNode::new(id, config.clone(), Arc::clone(transport)))
+            });
         let recovery_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
         if let Some(injector) = &injector {

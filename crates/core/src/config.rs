@@ -25,9 +25,6 @@ pub const DEFAULT_CONFIRM_EPOCH: usize = 32;
 /// Only meaningful when `confirm_epoch_max > 1`.
 pub const CONFIRM_LINGER: Duration = Duration::from_micros(800);
 
-/// Worker threads per node draining the priority mailbox.
-pub const WORKERS_PER_NODE: usize = 4;
-
 /// Lock-acquisition timeout used during the 2PC prepare phase (1ms in the
 /// paper's evaluation, §V).
 pub const LOCK_TIMEOUT: Duration = Duration::from_millis(1);
@@ -42,9 +39,6 @@ pub const READ_TIMEOUT: Duration = Duration::from_secs(1);
 /// covers the snapshot-queue wait of the Pre-Commit phase, so it is
 /// deliberately generous.
 pub const ACK_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Seed of the transport's latency sampler.
-pub const LATENCY_SEED: u64 = 0;
 
 /// Number of internal-commit records each node retains for the `VisibleSet`
 /// computation.
@@ -129,15 +123,6 @@ pub struct SssConfig {
     /// the layer stays off, which keeps the handler-level idempotency
     /// guards exercised by duplicate faults.
     pub fault_injector: Option<Arc<FaultInjector>>,
-    /// Shard arity of every node's storage structures (multi-version store
-    /// and lock table). Rounded up to a power of two; higher values reduce
-    /// contention between a node's worker threads at a small memory cost.
-    pub storage_shards: usize,
-    /// Messages a node worker drains from its mailbox per wakeup (clamped
-    /// to at least 1). Batch size 1 reproduces one-message-per-wakeup
-    /// delivery; larger values amortize the per-message wakeup and lock
-    /// cost under load without affecting protocol behaviour.
-    pub delivery_batch: usize,
     /// Maximum number of update transactions covered by one grouped
     /// `ConfirmExternal` round (the coordinator *epoch window*). Values `<=
     /// 1` disable grouping entirely and reproduce the per-transaction
@@ -175,8 +160,6 @@ impl SssConfig {
             replication: 2.min(nodes),
             latency: LatencyModel::ZERO,
             fault_injector: None,
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
             confirm_epoch_max: DEFAULT_CONFIRM_EPOCH,
             observability: None,
             scheduler: None,
@@ -196,13 +179,6 @@ impl SssConfig {
         self
     }
 
-    /// Like [`SssConfig::faults`] but with a caller-owned injector, so a
-    /// harness can keep the handle and arm it at the right moment.
-    pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.fault_injector = Some(injector);
-        self
-    }
-
     /// Sets the replication degree.
     pub fn replication(mut self, degree: usize) -> Self {
         self.replication = degree;
@@ -212,20 +188,6 @@ impl SssConfig {
     /// Sets the network latency model.
     pub fn latency(mut self, latency: LatencyModel) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Sets the shard arity of every node's storage structures (rounded up
-    /// to a power of two at construction).
-    pub fn storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Sets the per-wakeup mailbox delivery batch size of every node's
-    /// workers (clamped to at least 1).
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = batch;
         self
     }
 
@@ -266,7 +228,6 @@ mod tests {
         let cfg = SssConfig::new(5);
         assert_eq!(cfg.nodes, 5);
         assert_eq!(cfg.replication, 2);
-        assert_eq!(cfg.storage_shards, sss_storage::DEFAULT_SHARDS);
         assert_eq!(LOCK_TIMEOUT, Duration::from_millis(1));
         assert!(cfg.latency.is_zero());
         assert_eq!(cfg.replica_map().degree(), 2);

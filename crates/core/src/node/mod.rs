@@ -86,8 +86,8 @@ impl SssNode {
             replicas,
             transport,
             state: Mutex::new(state),
-            store: MvStore::with_shards(config.storage_shards),
-            locks: LockTable::with_shards(config.storage_shards),
+            store: MvStore::new(),
+            locks: LockTable::new(),
             counters: NodeCounters::default(),
             next_txn_seq: AtomicU64::new(0),
             confirm: confirm::ConfirmCoalescer::default(),

@@ -65,8 +65,6 @@ impl EngineKind {
     /// let engine = EngineKind::TwoPc
     ///     .builder(3, 2)
     ///     .profile(NetProfile::CloudlabLike)
-    ///     .storage_shards(8)
-    ///     .delivery_batch(16)
     ///     .observability(true)
     ///     .injector(&injector)
     ///     .build();
@@ -79,8 +77,6 @@ impl EngineKind {
             nodes,
             replication,
             profile: NetProfile::Instant,
-            storage_shards: sss_storage::DEFAULT_SHARDS,
-            delivery_batch: sss_net::DEFAULT_DELIVERY_BATCH,
             confirm_epoch: DEFAULT_CONFIRM_EPOCH,
             observability: false,
             injector: None,
@@ -138,8 +134,6 @@ pub struct EngineBuilder {
     nodes: usize,
     replication: usize,
     profile: NetProfile,
-    storage_shards: usize,
-    delivery_batch: usize,
     confirm_epoch: usize,
     observability: bool,
     injector: Option<Arc<FaultInjector>>,
@@ -151,21 +145,6 @@ impl EngineBuilder {
     /// engine runs on the same transport and pays it on every message.
     pub fn profile(mut self, profile: NetProfile) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Sets the shard arity of every node's storage structures (stores and
-    /// lock tables; rounded up to a power of two).
-    pub fn storage_shards(mut self, shards: usize) -> Self {
-        self.storage_shards = shards;
-        self
-    }
-
-    /// Sets how many messages a node worker drains from its mailbox per
-    /// wakeup (clamped to at least 1; 1 reproduces one-message-per-wakeup
-    /// delivery).
-    pub fn delivery_batch(mut self, batch: usize) -> Self {
-        self.delivery_batch = batch;
         self
     }
 
@@ -238,8 +217,6 @@ impl EngineBuilder {
             replication: self.replication,
             latency: self.profile.latency_model(),
             fault_injector: self.injector,
-            storage_shards: self.storage_shards,
-            delivery_batch: self.delivery_batch,
             confirm_epoch_max: self.confirm_epoch,
             scheduler: self.scheduler,
         }
@@ -252,8 +229,6 @@ impl EngineBuilder {
             nodes: self.nodes,
             replication: self.replication,
             latency: self.profile.latency_model(),
-            storage_shards: self.storage_shards,
-            delivery_batch: self.delivery_batch,
             scheduler: self.scheduler,
             interposer: self
                 .injector

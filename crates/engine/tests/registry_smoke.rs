@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sss_engine::{EngineKind, NetProfile, SimRuntime, TransactionEngine, TxnOutcome};
-use sss_storage::{Key, Value};
+use sss_storage::{Key, Value, DEFAULT_SHARDS};
 
 #[test]
 fn every_engine_kind_builds_and_commits_through_the_factory() {
@@ -73,36 +73,33 @@ fn sss_read_only_transactions_never_abort_through_the_registry() {
 #[test]
 fn every_engine_honours_the_storage_shard_tuning() {
     for kind in EngineKind::ALL {
-        for shards in [1usize, 4] {
-            let engine = kind.builder(2, 1).storage_shards(shards).build();
-            let mut session = engine.session(0);
-            assert!(
-                session
-                    .run_update(&[], &[(Key::new("t"), Value::from_u64(7))])
-                    .is_committed(),
-                "{kind} with {shards} shard(s) failed to commit"
-            );
-            assert!(session.run_read_only(&[Key::new("t")]).is_committed());
-            let stats = engine
-                .storage_stats()
-                .unwrap_or_else(|| panic!("{kind} must expose storage stats"));
-            // The arity is rounded up to a power of two and visible in the
-            // per-shard breakdown of whichever store the engine runs (the
-            // cluster aggregate sums node shards element-wise by index).
-            let arity = shards.next_power_of_two();
-            if let Some(mv) = &stats.mv {
-                assert_eq!(mv.per_shard.len(), arity, "{kind}: mv arity");
-                assert!(mv.installed_versions > 0);
-            }
-            if let Some(sv) = &stats.sv {
-                assert_eq!(sv.per_shard.len(), arity, "{kind}: sv arity");
-                assert!(sv.writes > 0);
-            }
-            assert!(
-                engine.mailbox_totals().is_some(),
-                "{kind} must expose mailbox totals"
-            );
+        let engine = kind.builder(2, 1).build();
+        let mut session = engine.session(0);
+        assert!(
+            session
+                .run_update(&[], &[(Key::new("t"), Value::from_u64(7))])
+                .is_committed(),
+            "{kind} failed to commit"
+        );
+        assert!(session.run_read_only(&[Key::new("t")]).is_committed());
+        let stats = engine
+            .storage_stats()
+            .unwrap_or_else(|| panic!("{kind} must expose storage stats"));
+        // Every node's storage runs at the storage layer's arity, visible in
+        // the per-shard breakdown of whichever store the engine runs (the
+        // cluster aggregate sums node shards element-wise by index).
+        if let Some(mv) = &stats.mv {
+            assert_eq!(mv.per_shard.len(), DEFAULT_SHARDS, "{kind}: mv arity");
+            assert!(mv.installed_versions > 0);
         }
+        if let Some(sv) = &stats.sv {
+            assert_eq!(sv.per_shard.len(), DEFAULT_SHARDS, "{kind}: sv arity");
+            assert!(sv.writes > 0);
+        }
+        assert!(
+            engine.mailbox_totals().is_some(),
+            "{kind} must expose mailbox totals"
+        );
     }
 }
 

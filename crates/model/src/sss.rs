@@ -639,7 +639,7 @@ impl Model for SssModel {
             Mutation::DroppedExclusionCeiling => Some(SeededBug::DroppedExclusionCeiling),
             Mutation::PrematureRelease => None,
         });
-        let config = SssConfig::new(n).replication(1).storage_shards(1);
+        let config = SssConfig::new(n).replication(1);
         let leader = Leader {
             coal: CoalescerCore::new(),
             round: None,

@@ -10,6 +10,9 @@ use crate::mailbox::MailboxStats;
 use crate::runtime::{NodeRuntime, NodeService};
 use crate::transport::{ChannelTransport, Transport, TransportConfig};
 
+/// Worker threads draining each hosted node's mailbox.
+pub const WORKERS_PER_NODE: usize = 4;
+
 /// Hosts the nodes of one in-process cluster: owns the transport and the
 /// worker runtimes that feed each node's mailbox to its [`NodeService`].
 ///
@@ -29,8 +32,8 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
     /// the pause gates and the transport's timers to the config's fault
     /// interposer, builds one service per node with
     /// `service`, registers each as the target of its node's local fast
-    /// path and starts `workers` mailbox workers per node, each draining up
-    /// to `delivery_batch` messages per wakeup.
+    /// path and starts [`WORKERS_PER_NODE`] mailbox workers per node (see
+    /// [`NodeRuntime::spawn`]).
     ///
     /// `service` receives the transport because nodes that send messages
     /// from their handlers hold it; the host only keeps weak handles to the
@@ -38,12 +41,10 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.nodes` or `workers` is zero, or a worker thread
-    /// cannot be spawned.
+    /// Panics if `config.nodes` is zero or a worker thread cannot be
+    /// spawned.
     pub fn boot<S: NodeService<M>>(
         config: TransportConfig,
-        workers: usize,
-        delivery_batch: usize,
         kind_index: fn(&M) -> usize,
         mut service: impl FnMut(NodeId, &Arc<ChannelTransport<M>>) -> Arc<S>,
     ) -> (Self, Vec<Arc<S>>) {
@@ -76,12 +77,11 @@ impl<M: Send + Clone + 'static> NodeHost<M> {
             .iter()
             .enumerate()
             .map(|(i, service)| {
-                NodeRuntime::spawn_batched(
+                NodeRuntime::spawn(
                     NodeId(i),
                     transport.mailbox(NodeId(i)),
                     Arc::clone(service),
-                    workers,
-                    delivery_batch,
+                    WORKERS_PER_NODE,
                 )
             })
             .collect();

@@ -33,8 +33,8 @@
 //!
 //! Delivery is batched at both ends of a mailbox: a `send_batch` is one
 //! enqueue and one wakeup round per destination, and workers drain up to a
-//! configurable number of same-priority messages per wakeup
-//! ([`Mailbox::pop_batch`], [`NodeRuntime::spawn_batched`]). Batching is
+//! fixed number of same-priority messages per wakeup
+//! ([`Mailbox::pop_batch`], [`DELIVERY_BATCH`]). Batching is
 //! invisible to the fault layer: interposers are consulted per message, so
 //! a batch faults exactly like the equivalent sequence of single sends.
 //!
@@ -69,14 +69,12 @@ mod reply;
 mod runtime;
 mod transport;
 
-pub use host::NodeHost;
+pub use host::{NodeHost, WORKERS_PER_NODE};
 pub use latency::LatencyModel;
-pub use mailbox::{
-    Mailbox, MailboxStats, PauseControl, Priority, DEFAULT_DELIVERY_BATCH, MESSAGE_KIND_SLOTS,
-};
+pub use mailbox::{Mailbox, MailboxStats, PauseControl, Priority, MESSAGE_KIND_SLOTS};
 pub use reliable::{ReliabilityStats, RETRANSMIT_RTO};
 pub use reply::{reply_channel, Gather, ReplyReceiver, ReplySender, ReplyTryRecvError};
-pub use runtime::{NodeRuntime, NodeService};
+pub use runtime::{NodeRuntime, NodeService, DELIVERY_BATCH};
 pub use transport::{
     ChannelTransport, Envelope, FaultInterposer, LocalDispatch, SendPlan, Transport,
     TransportConfig, TransportError, TransportExt,

@@ -22,12 +22,6 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 use sss_vclock::runtime::{SchedulerHandle, Signal};
 
-/// Default number of messages a worker drains per mailbox wakeup (the K of
-/// [`Mailbox::pop_batch`]); engines expose it as a tuning knob
-/// (`delivery_batch`). Batch size 1 reproduces one-message-per-wakeup
-/// delivery exactly.
-pub const DEFAULT_DELIVERY_BATCH: usize = 16;
-
 /// Number of per-message-kind counter slots carried by [`MailboxStats`].
 ///
 /// Kept as a fixed array so the stats stay `Copy`; protocols classify their
@@ -132,19 +126,16 @@ pub enum Priority {
     High,
     /// Regular protocol traffic: reads, prepares, votes.
     Normal,
-    /// Background traffic: garbage collection, statistics.
-    Low,
 }
 
 impl Priority {
     /// All priorities, highest first.
-    pub const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
+    pub const ALL: [Priority; 2] = [Priority::High, Priority::Normal];
 
     fn index(self) -> usize {
         match self {
             Priority::High => 0,
             Priority::Normal => 1,
-            Priority::Low => 2,
         }
     }
 }
@@ -157,10 +148,10 @@ impl Priority {
 /// `dequeued <= enqueued` (see [`MailboxStats::is_coherent`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MailboxStats {
-    /// Messages enqueued per priority class (high, normal, low).
-    pub enqueued: [u64; 3],
-    /// Messages dequeued per priority class (high, normal, low).
-    pub dequeued: [u64; 3],
+    /// Messages enqueued per priority class (high, normal).
+    pub enqueued: [u64; Priority::ALL.len()],
+    /// Messages dequeued per priority class (high, normal).
+    pub dequeued: [u64; Priority::ALL.len()],
     /// Messages currently sitting in the queues per priority class — a
     /// *gauge*, not a counter, snapshotted under the same mutex as the
     /// counters so `queued[i] == enqueued[i] - dequeued[i]` holds exactly
@@ -168,7 +159,7 @@ pub struct MailboxStats {
     /// window diff be reconciled exactly (see [`MailboxStats::conserves`]):
     /// without it, backlog draining inside a window shows up as more
     /// dequeues than enqueues with nothing to balance the books against.
-    pub queued: [u64; 3],
+    pub queued: [u64; Priority::ALL.len()],
     /// Enqueue operations: each push or push_batch counts once, however
     /// many messages it carried.
     pub enqueue_ops: u64,
@@ -232,7 +223,7 @@ impl MailboxStats {
     /// earlier/later snapshots are paired.
     pub fn conserves(earlier: &MailboxStats, later: &MailboxStats) -> bool {
         let window = later.diff(earlier);
-        (0..3)
+        (0..Priority::ALL.len())
             .all(|i| earlier.queued[i] + window.enqueued[i] == window.dequeued[i] + later.queued[i])
     }
 
@@ -246,7 +237,7 @@ impl MailboxStats {
     /// into a cluster total. The `queued` gauges add up too: the merged
     /// value is the cluster-wide backlog at (approximately) snapshot time.
     pub fn merge(&mut self, other: &MailboxStats) {
-        for i in 0..3 {
+        for i in 0..Priority::ALL.len() {
             self.enqueued[i] += other.enqueued[i];
             self.dequeued[i] += other.dequeued[i];
             self.queued[i] += other.queued[i];
@@ -271,7 +262,7 @@ impl MailboxStats {
     /// backlog at the end of the window.
     pub fn diff(&self, earlier: &MailboxStats) -> MailboxStats {
         let mut out = MailboxStats::default();
-        for i in 0..3 {
+        for i in 0..Priority::ALL.len() {
             out.enqueued[i] = self.enqueued[i].saturating_sub(earlier.enqueued[i]);
             out.dequeued[i] = self.dequeued[i].saturating_sub(earlier.dequeued[i]);
         }
@@ -289,9 +280,9 @@ impl MailboxStats {
 /// The queues and counters of a mailbox, all behind one mutex.
 #[derive(Debug)]
 struct MailboxState<M> {
-    queues: [VecDeque<M>; 3],
-    enqueued: [u64; 3],
-    dequeued: [u64; 3],
+    queues: [VecDeque<M>; Priority::ALL.len()],
+    enqueued: [u64; Priority::ALL.len()],
+    dequeued: [u64; Priority::ALL.len()],
     enqueue_ops: u64,
     dequeue_ops: u64,
 }
@@ -331,7 +322,7 @@ impl<M> MailboxState<M> {
 /// A multi-queue mailbox owned by one logical node.
 ///
 /// Messages are pushed with a [`Priority`]; worker threads pop messages with
-/// a strict priority bias (high before normal before low). The mailbox can be
+/// a strict priority bias (high before normal). The mailbox can be
 /// closed, after which pops drain remaining messages and then return `None`.
 pub struct Mailbox<M> {
     state: Mutex<MailboxState<M>>,
@@ -371,9 +362,9 @@ impl<M: Send> Mailbox<M> {
     pub fn with_scheduler(scheduler: Option<SchedulerHandle>) -> Self {
         Mailbox {
             state: Mutex::new(MailboxState {
-                queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                enqueued: [0; 3],
-                dequeued: [0; 3],
+                queues: std::array::from_fn(|_| VecDeque::new()),
+                enqueued: [0; Priority::ALL.len()],
+                dequeued: [0; Priority::ALL.len()],
                 enqueue_ops: 0,
                 dequeue_ops: 0,
             }),
@@ -415,7 +406,7 @@ impl<M: Send> Mailbox<M> {
         {
             let mut state = self.state.lock();
             let mut purged = 0u64;
-            for idx in 0..3 {
+            for idx in 0..Priority::ALL.len() {
                 let n = state.queues[idx].len() as u64;
                 state.queues[idx].clear();
                 state.dequeued[idx] += n;
@@ -660,7 +651,7 @@ impl<M: Send> Mailbox<M> {
     /// books on window diffs (see [`MailboxStats::conserves`]).
     pub fn stats(&self) -> MailboxStats {
         let state = self.state.lock();
-        let mut queued = [0u64; 3];
+        let mut queued = [0u64; Priority::ALL.len()];
         for (gauge, queue) in queued.iter_mut().zip(state.queues.iter()) {
             *gauge = queue.len() as u64;
         }
@@ -727,18 +718,18 @@ mod tests {
     #[test]
     fn high_priority_jumps_the_queue() {
         let mb = Mailbox::new();
-        mb.push("normal", Priority::Normal);
-        mb.push("low", Priority::Low);
+        mb.push("read", Priority::Normal);
+        mb.push("prepare", Priority::Normal);
         mb.push("remove", Priority::High);
         assert_eq!(mb.pop(), Some("remove"));
-        assert_eq!(mb.pop(), Some("normal"));
-        assert_eq!(mb.pop(), Some("low"));
+        assert_eq!(mb.pop(), Some("read"));
+        assert_eq!(mb.pop(), Some("prepare"));
     }
 
     #[test]
     fn close_rejects_pushes_but_drains_queued_messages() {
         let mb = Mailbox::new();
-        mb.push(1, Priority::Low);
+        mb.push(1, Priority::Normal);
         mb.close();
         assert!(mb.is_closed());
         assert!(!mb.push(2, Priority::High));
@@ -762,10 +753,10 @@ mod tests {
         mb.push(3, Priority::Normal);
         mb.pop();
         let stats = mb.stats();
-        assert_eq!(stats.enqueued, [1, 2, 0]);
+        assert_eq!(stats.enqueued, [1, 2]);
         assert_eq!(stats.total_enqueued(), 3);
         assert_eq!(stats.total_dequeued(), 1);
-        assert_eq!(stats.queued, [0, 2, 0], "gauge matches enqueued-dequeued");
+        assert_eq!(stats.queued, [0, 2], "gauge matches enqueued-dequeued");
         assert_eq!(stats.total_queued(), 2);
         assert_eq!(stats.enqueue_ops, 3);
         assert_eq!(stats.dequeue_ops, 1);
@@ -779,7 +770,7 @@ mod tests {
         mb.push(1, Priority::Normal);
         mb.push(2, Priority::Normal);
         let before = mb.stats();
-        assert_eq!(before.queued, [0, 2, 0]);
+        assert_eq!(before.queued, [0, 2]);
         // Window: one new enqueue, three dequeues (the backlog drains).
         mb.push(3, Priority::Normal);
         mb.pop();
@@ -787,10 +778,10 @@ mod tests {
         mb.pop();
         let after = mb.stats();
         let window = after.diff(&before);
-        assert_eq!(window.enqueued, [0, 1, 0]);
+        assert_eq!(window.enqueued, [0, 1]);
         assert_eq!(
             window.dequeued,
-            [0, 3, 0],
+            [0, 3],
             "window diffs legitimately dequeue more than they enqueue"
         );
         assert!(
@@ -955,7 +946,7 @@ mod tests {
         // Pushes during the crash window vanish without an error: the wire
         // cannot tell a crashed node from a slow one.
         assert!(mb.push(3, Priority::Normal));
-        assert!(mb.push_batch([4, 5], Priority::Low));
+        assert!(mb.push_batch([4, 5], Priority::Normal));
         assert_eq!(mb.len(), 0);
         assert_eq!(mb.try_pop(), None);
         let during = mb.stats();
@@ -997,18 +988,18 @@ mod tests {
     #[test]
     fn stats_merge_and_diff_cover_op_counters() {
         let mut a = MailboxStats {
-            enqueued: [4, 0, 0],
-            dequeued: [2, 0, 0],
-            queued: [2, 0, 0],
+            enqueued: [4, 0],
+            dequeued: [2, 0],
+            queued: [2, 0],
             enqueue_ops: 2,
             dequeue_ops: 1,
             local_delivered: 3,
             per_kind: [5, 0, 0, 0, 0, 0, 0, 0],
         };
         let b = MailboxStats {
-            enqueued: [1, 1, 0],
-            dequeued: [1, 1, 0],
-            queued: [0, 0, 0],
+            enqueued: [1, 1],
+            dequeued: [1, 1],
+            queued: [0, 0],
             enqueue_ops: 2,
             dequeue_ops: 2,
             local_delivered: 1,
@@ -1017,10 +1008,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.enqueue_ops, 4);
         assert_eq!(a.local_delivered, 4);
-        assert_eq!(a.queued, [2, 0, 0]);
+        assert_eq!(a.queued, [2, 0]);
         assert_eq!(a.per_kind[0], 6);
         let d = a.diff(&b);
-        assert_eq!(d.enqueued, [4, 0, 0]);
+        assert_eq!(d.enqueued, [4, 0]);
         assert_eq!(d.enqueue_ops, 2);
         assert_eq!(d.local_delivered, 3);
         assert_eq!(d.queued, a.queued, "diffs keep the later snapshot's gauge");
@@ -1028,8 +1019,8 @@ mod tests {
         assert_eq!(d.per_kind[1], 0);
         assert!(a.is_coherent());
         let incoherent = MailboxStats {
-            enqueued: [0; 3],
-            dequeued: [1, 0, 0],
+            enqueued: [0; Priority::ALL.len()],
+            dequeued: [1, 0],
             ..MailboxStats::default()
         };
         assert!(!incoherent.is_coherent());

@@ -4,8 +4,13 @@ use std::sync::Arc;
 
 use sss_vclock::{runtime, NodeId};
 
-use crate::mailbox::{Mailbox, DEFAULT_DELIVERY_BATCH};
+use crate::mailbox::Mailbox;
 use crate::transport::Envelope;
+
+/// Messages a worker drains from its mailbox per wakeup (the `max` of
+/// [`Mailbox::pop_batch`]): under load one wakeup and one queue-lock
+/// acquisition are amortized over up to this many same-priority messages.
+pub const DELIVERY_BATCH: usize = 16;
 
 /// A node's message handler.
 ///
@@ -54,8 +59,9 @@ impl std::fmt::Debug for NodeRuntime {
 
 impl NodeRuntime {
     /// Spawns `workers` threads that pop envelopes from `mailbox` and feed
-    /// them to `service` until the mailbox is closed and drained, draining
-    /// up to [`DEFAULT_DELIVERY_BATCH`] messages per wakeup.
+    /// them to `service` until the mailbox is closed and drained. Each
+    /// worker drains up to [`DELIVERY_BATCH`] messages of the same priority
+    /// class per wakeup and processes the whole batch before re-parking.
     ///
     /// # Panics
     ///
@@ -70,30 +76,7 @@ impl NodeRuntime {
         M: Send + 'static,
         S: NodeService<M>,
     {
-        Self::spawn_batched(node, mailbox, service, workers, DEFAULT_DELIVERY_BATCH)
-    }
-
-    /// Like [`NodeRuntime::spawn`], but each worker drains up to `batch`
-    /// messages of the same priority class per mailbox wakeup and processes
-    /// the whole batch before re-parking. `batch` is clamped to at least 1;
-    /// batch size 1 reproduces one-message-per-wakeup delivery exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or a worker thread cannot be spawned.
-    pub fn spawn_batched<M, S>(
-        node: NodeId,
-        mailbox: Arc<Mailbox<Envelope<M>>>,
-        service: Arc<S>,
-        workers: usize,
-        batch: usize,
-    ) -> Self
-    where
-        M: Send + 'static,
-        S: NodeService<M>,
-    {
         assert!(workers > 0, "a node needs at least one worker thread");
-        let batch = batch.max(1);
         // Under the mailbox's simulation scheduler workers are daemon tasks:
         // same loop, idle-parked at quiescence.
         let scheduler = mailbox.scheduler();
@@ -103,8 +86,8 @@ impl NodeRuntime {
                 let service = Arc::clone(&service);
                 let name = format!("sss-node-{}-w{}", node.index(), w);
                 let body = move || {
-                    let mut drained = Vec::with_capacity(batch);
-                    while mailbox.pop_batch(batch, &mut drained) > 0 {
+                    let mut drained = Vec::with_capacity(DELIVERY_BATCH);
+                    while mailbox.pop_batch(DELIVERY_BATCH, &mut drained) > 0 {
                         for envelope in drained.drain(..) {
                             // A pause that lands mid-batch must freeze
                             // the node at the next message boundary,

@@ -827,7 +827,7 @@ mod tests {
             Duration::ZERO,
         ));
         let t: ChannelTransport<u32> = ChannelTransport::new(config);
-        t.send(NodeId(0), NodeId(0), 1, Priority::Low).unwrap();
+        t.send(NodeId(0), NodeId(0), 1, Priority::Normal).unwrap();
         t.send(NodeId(0), NodeId(0), 2, Priority::High).unwrap();
         // Wait for both to land in the mailbox, then the high-priority one
         // must be popped first even though it was sent second.

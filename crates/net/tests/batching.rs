@@ -53,7 +53,7 @@ fn pop_batch_delivers_everything_exactly_once_across_threads() {
         // draining the backlog.
         loop {
             let stats = mailbox.stats();
-            if stats.total_enqueued() as usize == PRODUCERS * PER_CLASS * 3 {
+            if stats.total_enqueued() as usize == PRODUCERS * PER_CLASS * Priority::ALL.len() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -77,7 +77,11 @@ fn pop_batch_delivers_everything_exactly_once_across_threads() {
             assert!(seen.insert(*msg), "duplicated message: {msg:?}");
         }
     }
-    assert_eq!(seen.len(), PRODUCERS * PER_CLASS * 3, "messages were lost");
+    assert_eq!(
+        seen.len(),
+        PRODUCERS * PER_CLASS * Priority::ALL.len(),
+        "messages were lost"
+    );
     let stats = mailbox.stats();
     assert!(stats.is_coherent());
     assert_eq!(stats.total_dequeued(), stats.total_enqueued());
@@ -131,7 +135,7 @@ fn no_loss_across_pause_resume_and_close() {
     for round in 0..50 {
         pause.pause();
         for seq in 0..4 {
-            mailbox.push((Priority::Low, round * 100 + seq), Priority::Low);
+            mailbox.push((Priority::Normal, round * 100 + seq), Priority::Normal);
             mailbox.push((Priority::High, round * 100 + seq), Priority::High);
         }
         pause.resume();
@@ -219,8 +223,8 @@ fn local_dispatch_bypasses_the_mailbox_for_self_sends_only() {
     assert_eq!(t.mailbox(NodeId(0)).pop().unwrap().payload, 7);
 }
 
-/// Workers spawned with an explicit batch size drain everything that was
-/// queued, across priorities, and exit cleanly on close.
+/// Workers draining in batches process everything that was queued, across
+/// priorities, and exit cleanly on close.
 #[test]
 fn batched_runtime_processes_all_messages() {
     let transport: ChannelTransport<u64> = ChannelTransport::new(TransportConfig::new(1));
@@ -231,11 +235,10 @@ fn batched_runtime_processes_all_messages() {
             sum.fetch_add(env.payload as usize, Ordering::SeqCst);
         })
     };
-    let runtime =
-        NodeRuntime::spawn_batched(NodeId(0), transport.mailbox(NodeId(0)), service, 3, 8);
+    let runtime = NodeRuntime::spawn(NodeId(0), transport.mailbox(NodeId(0)), service, 3);
     let mut expected = 0usize;
     for i in 0..300u64 {
-        let priority = Priority::ALL[(i % 3) as usize];
+        let priority = Priority::ALL[i as usize % Priority::ALL.len()];
         transport.send(NodeId(0), NodeId(0), i, priority).unwrap();
         expected += i as usize;
     }

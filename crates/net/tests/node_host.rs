@@ -28,16 +28,13 @@ impl NodeService<u64> for Adder {
     }
 }
 
-/// Boots one [`Adder`] per node: two workers each, batches of four, traffic
-/// classified by payload parity.
+/// Boots one [`Adder`] per node, traffic classified by payload parity.
 fn boot(
     config: TransportConfig,
     handled: &Arc<Vec<AtomicU64>>,
 ) -> (NodeHost<u64>, Vec<Arc<Adder>>) {
     NodeHost::boot(
         config,
-        2,
-        4,
         |payload| (*payload % 2) as usize,
         |id, _| {
             Arc::new(Adder {

@@ -18,7 +18,7 @@ use sss_vclock::NodeId;
 struct RunSummary {
     handled: u64,
     virtual_nanos: u128,
-    enqueued: [u64; 3],
+    enqueued: [u64; Priority::ALL.len()],
 }
 
 fn echo_run(seed: u64, messages: u64) -> RunSummary {
@@ -62,7 +62,7 @@ fn echo_run(seed: u64, messages: u64) -> RunSummary {
     // means every message has been delivered and every worker is parked.
     sim.wait_quiescent();
 
-    let mut enqueued = [0u64; 3];
+    let mut enqueued = [0u64; Priority::ALL.len()];
     for node in [NodeId(0), NodeId(1)] {
         let stats = transport.mailbox_stats(node);
         for (total, n) in enqueued.iter_mut().zip(stats.enqueued) {

@@ -26,8 +26,8 @@ enum EchoMessage {
 struct EchoService {
     node: NodeId,
     processed: AtomicUsize,
-    high_before_low: AtomicUsize,
-    low_seen: AtomicUsize,
+    high_before_normal: AtomicUsize,
+    normal_seen: AtomicUsize,
 }
 
 impl sss_net::NodeService<EchoMessage> for EchoService {
@@ -39,14 +39,13 @@ impl sss_net::NodeService<EchoMessage> for EchoService {
             }
             EchoMessage::Burst { priority_class } => match priority_class {
                 Priority::High => {
-                    if self.low_seen.load(Ordering::SeqCst) == 0 {
-                        self.high_before_low.fetch_add(1, Ordering::SeqCst);
+                    if self.normal_seen.load(Ordering::SeqCst) == 0 {
+                        self.high_before_normal.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-                Priority::Low => {
-                    self.low_seen.fetch_add(1, Ordering::SeqCst);
+                Priority::Normal => {
+                    self.normal_seen.fetch_add(1, Ordering::SeqCst);
                 }
-                Priority::Normal => {}
             },
         }
         self.processed.fetch_add(1, Ordering::SeqCst);
@@ -69,8 +68,8 @@ fn start_cluster(
             Arc::new(EchoService {
                 node: NodeId(i),
                 processed: AtomicUsize::new(0),
-                high_before_low: AtomicUsize::new(0),
-                low_seen: AtomicUsize::new(0),
+                high_before_normal: AtomicUsize::new(0),
+                normal_seen: AtomicUsize::new(0),
             })
         })
         .collect();
@@ -136,15 +135,15 @@ fn fastest_replica_wins_with_latency_injection() {
 
 #[test]
 fn high_priority_messages_overtake_queued_low_priority_traffic() {
-    // Saturate a single-worker node with low-priority traffic, then send a
+    // Saturate a single-worker node with normal-priority traffic, then send a
     // high-priority message: it must be processed before most of the backlog.
     let transport: Arc<ChannelTransport<EchoMessage>> =
         Arc::new(ChannelTransport::new(TransportConfig::new(1)));
     let service = Arc::new(EchoService {
         node: NodeId(0),
         processed: AtomicUsize::new(0),
-        high_before_low: AtomicUsize::new(0),
-        low_seen: AtomicUsize::new(0),
+        high_before_normal: AtomicUsize::new(0),
+        normal_seen: AtomicUsize::new(0),
     });
     // Queue the backlog BEFORE starting the worker so the ordering is
     // deterministic.
@@ -154,9 +153,9 @@ fn high_priority_messages_overtake_queued_low_priority_traffic() {
                 NodeId(0),
                 NodeId(0),
                 EchoMessage::Burst {
-                    priority_class: Priority::Low,
+                    priority_class: Priority::Normal,
                 },
-                Priority::Low,
+                Priority::Normal,
             )
             .unwrap();
     }
@@ -182,9 +181,9 @@ fn high_priority_messages_overtake_queued_low_priority_traffic() {
     }
     assert_eq!(service.processed.load(Ordering::SeqCst), 65);
     assert_eq!(
-        service.high_before_low.load(Ordering::SeqCst),
+        service.high_before_normal.load(Ordering::SeqCst),
         1,
-        "the high-priority message should have been handled before the low-priority backlog"
+        "the high-priority message should have been handled before the normal-priority backlog"
     );
     transport.shutdown();
     runtime.join();

@@ -1,9 +1,8 @@
 //! Keys and values of the key-value model.
 
 use std::borrow::Borrow;
+use std::fmt;
 use std::sync::Arc;
-
-use bytes::Bytes;
 
 /// A shared object identifier.
 ///
@@ -56,19 +55,20 @@ impl Borrow<str> for Key {
 
 /// A value stored under a [`Key`].
 ///
-/// Values are opaque byte strings; cloning is cheap ([`Bytes`] internally).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Value(Bytes);
+/// Values are opaque, immutable byte strings; cloning is cheap (`Arc<[u8]>`
+/// internally, so clones share one buffer).
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct Value(Arc<[u8]>);
 
 impl Value {
     /// Creates a value from raw bytes.
-    pub fn new(bytes: impl Into<Bytes>) -> Self {
+    pub fn new(bytes: impl Into<Arc<[u8]>>) -> Self {
         Value(bytes.into())
     }
 
     /// An empty value.
     pub fn empty() -> Self {
-        Value(Bytes::new())
+        Value::default()
     }
 
     /// The raw bytes.
@@ -94,43 +94,59 @@ impl Value {
     /// Convenience constructor for integer-valued cells (used heavily by the
     /// invariant-checking tests, e.g. bank balances).
     pub fn from_u64(v: u64) -> Self {
-        Value(Bytes::copy_from_slice(&v.to_be_bytes()))
+        Value(Arc::from(v.to_be_bytes()))
     }
 
     /// Inverse of [`Value::from_u64`]; `None` if the value is not 8 bytes.
     pub fn to_u64(&self) -> Option<u64> {
-        let bytes: [u8; 8] = self.0.as_ref().try_into().ok()?;
+        let bytes: [u8; 8] = (*self.0).try_into().ok()?;
         Some(u64::from_be_bytes(bytes))
     }
 }
 
 impl From<&[u8]> for Value {
     fn from(value: &[u8]) -> Self {
-        Value(Bytes::copy_from_slice(value))
+        Value(Arc::from(value))
     }
 }
 
 impl From<Vec<u8>> for Value {
     fn from(value: Vec<u8>) -> Self {
-        Value(Bytes::from(value))
+        Value(Arc::from(value))
     }
 }
 
 impl From<&str> for Value {
     fn from(value: &str) -> Self {
-        Value(Bytes::copy_from_slice(value.as_bytes()))
+        Value::from(value.as_bytes())
     }
 }
 
 impl From<String> for Value {
     fn from(value: String) -> Self {
-        Value(Bytes::from(value.into_bytes()))
+        Value::from(value.into_bytes())
     }
 }
 
 impl AsRef<[u8]> for Value {
     fn as_ref(&self) -> &[u8] {
         &self.0
+    }
+}
+
+/// `Value(b"…")`, printable ASCII verbatim and every other byte (and `"`,
+/// `\`) as a `\xNN` escape.
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Value(b\"")?;
+        for &b in self.0.iter() {
+            if (b' '..=b'~').contains(&b) && b != b'"' && b != b'\\' {
+                write!(f, "{}", b as char)?;
+            } else {
+                write!(f, "\\x{b:02x}")?;
+            }
+        }
+        f.write_str("\")")
     }
 }
 

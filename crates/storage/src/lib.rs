@@ -59,3 +59,45 @@ pub use svstore::{SvCell, SvShardStats, SvStore, SvStoreStats};
 pub use txn_id::TxnId;
 
 pub use sss_vclock::{NodeId, VectorClock};
+
+/// [`Value`] as a byte buffer: construction, conversions, shared clones and
+/// its `Debug` form.
+#[cfg(test)]
+mod tests {
+    use super::Value;
+
+    #[test]
+    fn construction_and_views() {
+        let v = Value::from(&[1u8, 2, 3][..]);
+        assert_eq!(v.len(), 3);
+        assert_eq!(v.as_bytes(), &[1, 2, 3]);
+        assert_eq!(v.as_ref(), &[1, 2, 3]);
+        assert!(!v.is_empty());
+        assert!(Value::empty().is_empty());
+        assert_eq!(Value::default(), Value::empty());
+    }
+
+    #[test]
+    fn conversions() {
+        assert_eq!(Value::from(vec![9u8]), Value::from(&[9u8][..]));
+        assert_eq!(Value::from("ab"), Value::from(&b"ab"[..]));
+        assert_eq!(Value::from("ab".to_string()), Value::from("ab"));
+        assert_eq!(Value::new(vec![7u8]), Value::from(vec![7u8]));
+    }
+
+    #[test]
+    fn clones_share_storage() {
+        let a = Value::from("shared");
+        let b = a.clone();
+        assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr());
+    }
+
+    #[test]
+    fn debug_escapes_non_printable() {
+        assert_eq!(format!("{:?}", Value::from("a\x01")), "Value(b\"a\\x01\")");
+        assert_eq!(
+            format!("{:?}", Value::from("q\"\\")),
+            "Value(b\"q\\x22\\x5c\")"
+        );
+    }
+}
