@@ -331,6 +331,7 @@ pub struct CorpusEntry {
 /// spread of arbitrary seeds over the fault-heavy entries, so the corpus
 /// pins one exact interleaving of every delivery mechanism: clean runs,
 /// partitions, duplicates, reordering, and the model-checker regressions.
+/// Each baseline engine pins its partition-heal run at seed 1.
 ///
 /// A fingerprint mismatch means the same seed now produces a *different
 /// history* — a protocol, scheduler, or recorder change altered an
@@ -395,6 +396,20 @@ pub fn replay_corpus() -> Vec<CorpusEntry> {
             "partition-heal",
             1,
             0xd6545986523d7974,
+        ),
+        entry(
+            "walter-partition-heal-1",
+            EngineKind::Walter,
+            "partition-heal",
+            1,
+            0x6fb3393debf8f940,
+        ),
+        entry(
+            "rococo-partition-heal-1",
+            EngineKind::Rococo,
+            "partition-heal",
+            1,
+            0x70c63f693a493a4f,
         ),
         // The fault-survival entries: one pinned interleaving each of the
         // reliable-delivery layer under sustained loss and of the two
