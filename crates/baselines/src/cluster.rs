@@ -14,17 +14,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sss_net::{
-    ChannelTransport, FaultInterposer, LatencyModel, MailboxStats, NodeHost, NodeService,
-    TransportConfig,
+    reply_channel, ChannelTransport, FaultInterposer, Gather, LatencyModel, MailboxStats, NodeHost,
+    NodeService, Priority, ReplySender, TransportConfig, TransportExt,
 };
-use sss_obs::{ObsHub, TxnTrace};
+use sss_obs::{ObsHub, Phase, TxnTrace};
 use sss_storage::{Key, ReplicaMap, StorageStats, TxnId, Value};
 use sss_vclock::runtime::SchedulerHandle;
 use sss_vclock::NodeId;
 
-/// Lock-acquisition timeout of the lock-based baselines (1ms in the paper's
-/// evaluation, as for SSS).
-pub const LOCK_TIMEOUT: Duration = Duration::from_millis(1);
+use crate::participant::Vote;
 
 /// How long a client waits for the replies to one request round (reads,
 /// votes, acknowledgements).
@@ -296,5 +294,74 @@ impl<P: Protocol> BaselineSession<P> {
             self.node,
             self.cluster.next_txn.fetch_add(1, Ordering::Relaxed),
         )
+    }
+
+    /// Sends the request `build` wraps around a reply sender to every node
+    /// of `targets` and returns the first reply; `None` if none came within
+    /// [`RPC_TIMEOUT`].
+    pub(crate) fn first_reply<T>(
+        &self,
+        targets: Vec<NodeId>,
+        build: impl FnOnce(ReplySender<T>) -> P::Message,
+    ) -> Option<T> {
+        let (reply, rx) = reply_channel(targets.len());
+        let _ = self
+            .transport()
+            .multicast(self.node, targets, build(reply), Priority::Normal);
+        rx.recv_timeout(RPC_TIMEOUT)
+    }
+
+    /// The voting round of two-phase commit, under a `prepare` span: sends
+    /// the prepare `build` wraps around the vote channel to every
+    /// participant and gathers one vote from each, showing every counted
+    /// vote to `accept`. `true` only if every participant voted yes.
+    pub(crate) fn vote<V>(
+        &self,
+        participants: &[NodeId],
+        trace: Option<&mut TxnTrace>,
+        build: impl FnOnce(ReplySender<Vote<V>>) -> P::Message,
+        mut accept: impl FnMut(&Vote<V>),
+    ) -> bool {
+        let (reply, rx) = reply_channel(participants.len());
+        if let Some(trace) = trace {
+            trace.enter(Phase::Prepare);
+        }
+        let _ = self.transport().multicast(
+            self.node,
+            participants.iter().copied(),
+            build(reply),
+            Priority::Normal,
+        );
+        let votes = rx.gather(
+            participants.len(),
+            RPC_TIMEOUT,
+            |vote| Some(vote.from),
+            |vote| {
+                accept(&vote);
+                vote.ok
+            },
+        );
+        // Anything short of every participant voting yes aborts.
+        votes == Gather::Complete
+    }
+
+    /// The decision round of two-phase commit, under a `decide` span: sends
+    /// `decide` to every participant at high priority, so it overtakes
+    /// queued prepares.
+    pub(crate) fn decide(
+        &self,
+        participants: &[NodeId],
+        trace: Option<&mut TxnTrace>,
+        decide: P::Message,
+    ) {
+        if let Some(trace) = trace {
+            trace.enter(Phase::Decide);
+        }
+        let _ = self.transport().multicast(
+            self.node,
+            participants.iter().copied(),
+            decide,
+            Priority::High,
+        );
     }
 }

@@ -24,14 +24,16 @@
 //!   must wait for — or retry after — conflicting in-flight updates. The
 //!   reproduction preserves the performance profile the paper's comparison
 //!   relies on (lock-free updates, read-only cost growing with the read-set
-//!   size); see `DESIGN.md` for the fidelity notes.
-
+//!   size).
 //!
 //! What the three share — configuration, boot and teardown, counters, the
-//! client session with its phase tracing — is written once in [`cluster`],
-//! generic over the [`Protocol`] each module implements.
+//! client session with its phase tracing and its request rounds — is
+//! written once in [`cluster`], generic over the [`Protocol`] each module
+//! implements. The two lock-based baselines, 2PC and Walter, also share the
+//! server half of two-phase commit: one prepare/decide participant.
 
 pub mod cluster;
+mod participant;
 pub mod rococo;
 pub mod twopc;
 pub mod walter;

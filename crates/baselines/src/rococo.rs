@@ -18,9 +18,9 @@
 //!   — which is why their cost grows with the number of read keys
 //!   (Figure 8).
 //!
-//! See `DESIGN.md` for the fidelity notes: the reproduction targets the
-//! performance profile the paper's comparison relies on rather than a
-//! complete re-implementation of ROCOCO's reordering proof.
+//! The reproduction targets the performance profile the paper's comparison
+//! relies on rather than a complete re-implementation of ROCOCO's
+//! reordering proof.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -52,13 +52,6 @@ pub struct DispatchReply {
 }
 
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // carries protocol metadata useful for tracing
-pub struct ExecuteReply {
-    from: NodeId,
-    txn: TxnId,
-}
-
-#[derive(Debug, Clone)]
 pub struct SnapshotReply {
     value: Option<Value>,
     version: u64,
@@ -76,11 +69,12 @@ pub enum RococoMessage {
         value: Value,
         reply: ReplySender<DispatchReply>,
     },
-    /// Round 2 of an update transaction: the piece may execute.
+    /// Round 2 of an update transaction: the piece may execute, and is
+    /// acknowledged once it did.
     Commit {
         txn: TxnId,
         key: Key,
-        reply: ReplySender<ExecuteReply>,
+        reply: ReplySender<()>,
     },
     /// One round of a read-only transaction: value + version + pending info.
     SnapshotRead {
@@ -89,22 +83,12 @@ pub enum RococoMessage {
     },
 }
 
-impl RococoMessage {
-    fn kind_index(&self) -> usize {
-        match self {
-            RococoMessage::Dispatch { .. } => 0,
-            RococoMessage::Commit { .. } => 1,
-            RococoMessage::SnapshotRead { .. } => 2,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct PendingPiece {
     txn: TxnId,
     value: Value,
     committed: bool,
-    reply: Option<ReplySender<ExecuteReply>>,
+    reply: Option<ReplySender<()>>,
 }
 
 #[derive(Debug)]
@@ -129,7 +113,6 @@ impl RococoNodeState {
 
 /// The server side of one ROCOCO node.
 pub struct RococoNode {
-    id: NodeId,
     state: Mutex<RococoNodeState>,
 }
 
@@ -161,7 +144,7 @@ impl RococoNode {
         reply.send(DispatchReply { deps });
     }
 
-    fn handle_commit(&self, txn: TxnId, key: Key, reply: ReplySender<ExecuteReply>) {
+    fn handle_commit(&self, txn: TxnId, key: Key, reply: ReplySender<()>) {
         let mut state = self.state.lock();
         if let Some(queue) = state.queues.get_mut(&key) {
             if let Some(piece) = queue.iter_mut().find(|p| p.txn == txn) {
@@ -191,10 +174,7 @@ impl RococoNode {
             let piece = queue.pop_front().expect("checked non-empty");
             state.store.write(key.clone(), piece.value, piece.txn);
             if let Some(reply) = piece.reply {
-                reply.send(ExecuteReply {
-                    from: self.id,
-                    txn: piece.txn,
-                });
+                reply.send(());
             }
         }
     }
@@ -239,16 +219,19 @@ impl Protocol for Rococo {
     type Node = RococoNode;
 
     fn kind_index(message: &RococoMessage) -> usize {
-        message.kind_index()
+        match message {
+            RococoMessage::Dispatch { .. } => 0,
+            RococoMessage::Commit { .. } => 1,
+            RococoMessage::SnapshotRead { .. } => 2,
+        }
     }
 
     fn placement(config: &BaselineConfig) -> ReplicaMap {
         ReplicaMap::new(config.nodes, 1)
     }
 
-    fn node(id: NodeId, _config: &BaselineConfig, _placement: &ReplicaMap) -> RococoNode {
+    fn node(_id: NodeId, _config: &BaselineConfig, _placement: &ReplicaMap) -> RococoNode {
         RococoNode {
-            id,
             state: Mutex::new(RococoNodeState::new()),
         }
     }
@@ -337,13 +320,12 @@ impl Protocol for Rococo {
             let mut versions = Vec::with_capacity(keys.len());
             let mut pending_conflicts = false;
             for key in keys {
-                let (reply, rx) = reply_channel(1);
-                let msg = RococoMessage::SnapshotRead {
-                    key: key.clone(),
-                    reply,
-                };
-                send_to_owner(session, key, msg, Priority::Normal)?;
-                let reply = rx.recv_timeout(RPC_TIMEOUT)?;
+                let owner = session.placement().primary(key);
+                let reply =
+                    session.first_reply(vec![owner], |reply| RococoMessage::SnapshotRead {
+                        key: key.clone(),
+                        reply,
+                    })?;
                 pending_conflicts |= reply.pending > 0;
                 versions.push(reply.version);
                 values.insert(key.clone(), reply.value);

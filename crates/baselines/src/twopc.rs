@@ -10,41 +10,23 @@
 //! a transaction holds its locks until its writes are installed, so its
 //! client-visible completion happens after its serialization point.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sss_net::{reply_channel, Envelope, Gather, NodeService, Priority, ReplySender, TransportExt};
-use sss_obs::{ObsHub, Phase, TxnTrace};
-use sss_storage::{
-    Key, LockKind, LockTable, RecentTxnSet, ReplicaMap, StorageStats, SvStore, TxnId, Value,
-};
+use sss_net::{reply_channel, Envelope, NodeService, ReplySender};
+use sss_obs::{Phase, TxnTrace};
+use sss_storage::{Key, ReplicaMap, StorageStats, SvStore, TxnId, Value};
 use sss_vclock::NodeId;
 
 use crate::cluster::{
-    BaselineCluster, BaselineConfig, BaselineSession, Observed, Protocol, LOCK_TIMEOUT, RPC_TIMEOUT,
+    BaselineCluster, BaselineConfig, BaselineSession, Observed, Protocol, RPC_TIMEOUT,
 };
+use crate::participant::{Participant, Vote};
 
 /// Reply to a read.
 #[derive(Debug, Clone)]
 pub struct ReadReply {
     value: Option<Value>,
     version: u64,
-}
-
-/// Reply to a prepare.
-#[derive(Debug, Clone, Copy)]
-pub struct VoteReply {
-    from: NodeId,
-    ok: bool,
-}
-
-/// Acknowledgement that a participant processed a commit decide (its local
-/// writes are installed and its locks released).
-#[derive(Debug, Clone, Copy)]
-pub struct DecideAck {
-    from: NodeId,
 }
 
 /// The 2PC-baseline wire protocol.
@@ -58,51 +40,27 @@ pub enum TwoPcMessage {
         txn: TxnId,
         read_versions: Vec<(Key, u64)>,
         write_set: Vec<(Key, Value)>,
-        reply: ReplySender<VoteReply>,
+        reply: ReplySender<Vote<()>>,
     },
     Decide {
         txn: TxnId,
         outcome: bool,
-        /// Commit decides are acknowledged so the coordinator can delay the
-        /// client response until every participant installed the writes —
-        /// the client-visible completion must follow the serialization
-        /// point (paper §V). Abort decides carry no reply.
-        ack: Option<ReplySender<DecideAck>>,
+        /// Commit decides are acknowledged, by the participant's id, so the
+        /// coordinator can delay the client response until every
+        /// participant installed the writes — the client-visible completion
+        /// must follow the serialization point (paper §V). Abort decides
+        /// carry no reply.
+        ack: Option<ReplySender<NodeId>>,
     },
-}
-
-impl TwoPcMessage {
-    fn kind_index(&self) -> usize {
-        match self {
-            TwoPcMessage::Read { .. } => 0,
-            TwoPcMessage::Prepare { .. } => 1,
-            TwoPcMessage::Decide { .. } => 2,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PreparedTxn {
-    local_writes: Vec<(Key, Value)>,
 }
 
 /// The server side of one 2PC-baseline node.
 pub struct TwoPcNode {
-    id: NodeId,
-    replicas: ReplicaMap,
+    participant: Participant<()>,
     /// Sharded and internally synchronized — read and written concurrently
     /// by the node's workers without an enclosing lock.
     store: SvStore,
-    prepared: Mutex<HashMap<TxnId, PreparedTxn>>,
-    /// Transactions whose `Decide` has been processed here. The
-    /// high-priority decide can overtake its lower-priority `Prepare` in
-    /// the mailbox; a late prepare for a decided transaction must not
-    /// (re-)acquire locks, or they would never be released and every later
-    /// transaction touching those keys would abort forever.
-    decided: Mutex<RecentTxnSet>,
-    locks: LockTable,
     commits: AtomicU64,
-    obs: Option<Arc<ObsHub>>,
 }
 
 impl TwoPcNode {
@@ -121,109 +79,49 @@ impl TwoPcNode {
         txn: TxnId,
         read_versions: Vec<(Key, u64)>,
         write_set: Vec<(Key, Value)>,
-        reply: ReplySender<VoteReply>,
+        reply: ReplySender<Vote<()>>,
     ) {
-        // The coordinator may already have decided (an abort decide
-        // overtaking this prepare): vote no without acquiring anything.
-        if self.decided.lock().contains(&txn) {
-            reply.send(VoteReply {
-                from: self.id,
-                ok: false,
-            });
-            return;
+        let local_reads = self.participant.local(read_versions);
+        let vote = self.participant.prepare(
+            txn,
+            self.participant.local(write_set),
+            local_reads.iter().map(|(k, _)| k),
+            || (),
+            |(), _| {
+                // Validation: every locally stored read key must still have
+                // the version observed during execution. The shared locks
+                // pin the versions, so per-key sharded reads suffice.
+                let valid = local_reads
+                    .iter()
+                    .all(|(k, version)| self.store.version(k) == *version);
+                if valid {
+                    Ok(())
+                } else {
+                    Err(())
+                }
+            },
+        );
+        if let Some(vote) = vote {
+            reply.send(vote);
         }
-        // Duplicate delivery of a prepare already being processed: drop it
-        // without a second vote (the original copy's vote is guaranteed to
-        // arrive, and extra votes can crowd distinct ones out of the
-        // coordinator's bounded reply channel).
-        if self.prepared.lock().contains_key(&txn) {
-            return;
-        }
-        let local_reads: Vec<(Key, u64)> = read_versions
-            .into_iter()
-            .filter(|(k, _)| self.replicas.is_replica(self.id, k))
-            .collect();
-        let local_writes: Vec<(Key, Value)> = write_set
-            .into_iter()
-            .filter(|(k, _)| self.replicas.is_replica(self.id, k))
-            .collect();
-        let requests = local_writes
-            .iter()
-            .map(|(k, _)| (k, LockKind::Exclusive))
-            .chain(local_reads.iter().map(|(k, _)| (k, LockKind::Shared)));
-        let lock_started = self.obs.as_ref().map(|_| sss_vclock::runtime::now());
-        let acquired = self.locks.acquire_many(txn, requests, LOCK_TIMEOUT);
-        if let (Some(hub), Some(started)) = (self.obs.as_ref(), lock_started) {
-            hub.record_server_span(self.id.index(), Phase::LockAcquire, started);
-        }
-        if !acquired {
-            reply.send(VoteReply {
-                from: self.id,
-                ok: false,
-            });
-            return;
-        }
-        // Validation: every locally stored read key must still have the
-        // version observed during execution. The shared locks acquired
-        // above pin the versions, so per-key sharded reads suffice.
-        let valid = local_reads
-            .iter()
-            .all(|(k, version)| self.store.version(k) == *version);
-        if !valid {
-            self.locks.release_all(txn);
-            reply.send(VoteReply {
-                from: self.id,
-                ok: false,
-            });
-            return;
-        }
-        self.prepared
-            .lock()
-            .insert(txn, PreparedTxn { local_writes });
-        // Re-check after publishing the prepared entry: a decide processed
-        // between the entry check above and this point has already released
-        // (or will never release) our locks, so roll the prepare back
-        // instead of leaving locked keys behind.
-        if self.decided.lock().contains(&txn) {
-            if self.prepared.lock().remove(&txn).is_some() {
-                self.locks.release_all(txn);
-            }
-            reply.send(VoteReply {
-                from: self.id,
-                ok: false,
-            });
-            return;
-        }
-        reply.send(VoteReply {
-            from: self.id,
-            ok: true,
-        });
     }
 
-    fn handle_decide(&self, txn: TxnId, outcome: bool, ack: Option<ReplySender<DecideAck>>) {
-        // Tombstone before touching the prepared map, so a prepare racing
-        // with this decide observes the decision no matter how the two
-        // interleave (see `TwoPcNode::decided`).
-        let first_copy = self.decided.lock().insert(txn);
-        let prepared = self.prepared.lock().remove(&txn);
-        if let Some(prep) = prepared {
-            if outcome {
-                // The exclusive locks held by `txn` serialize these writes
-                // against concurrent validation of the same keys.
-                for (key, value) in prep.local_writes {
-                    self.store.write(key, value, txn);
-                }
-                self.commits.fetch_add(1, Ordering::Relaxed);
+    fn handle_decide(&self, txn: TxnId, outcome: bool, ack: Option<ReplySender<NodeId>>) {
+        let first_copy = self.participant.decide(txn, outcome, |(), writes| {
+            // The exclusive locks held by `txn` serialize these writes
+            // against concurrent validation of the same keys.
+            for (key, value) in writes {
+                self.store.write(key, value, txn);
             }
-        }
-        self.locks.release_all(txn);
+            self.commits.fetch_add(1, Ordering::Relaxed);
+        });
         // Acknowledge only the first delivery: the coordinator's reply
         // channel is bounded by the participant count, and a duplicated
         // decide's extra ack could crowd a distinct participant's ack out
         // of it (same race as the SSS `ConfirmExternal` dedup).
         if first_copy {
             if let Some(ack) = ack {
-                ack.send(DecideAck { from: self.id });
+                ack.send(self.participant.id());
             }
         }
     }
@@ -257,19 +155,18 @@ impl Protocol for TwoPc {
     type Node = TwoPcNode;
 
     fn kind_index(message: &TwoPcMessage) -> usize {
-        message.kind_index()
+        match message {
+            TwoPcMessage::Read { .. } => 0,
+            TwoPcMessage::Prepare { .. } => 1,
+            TwoPcMessage::Decide { .. } => 2,
+        }
     }
 
     fn node(id: NodeId, config: &BaselineConfig, placement: &ReplicaMap) -> TwoPcNode {
         TwoPcNode {
-            id,
-            replicas: placement.clone(),
+            participant: Participant::new(id, config, placement, ()),
             store: SvStore::new(),
-            prepared: Mutex::new(HashMap::new()),
-            decided: Mutex::new(RecentTxnSet::new(1 << 16)),
-            locks: LockTable::new(),
             commits: AtomicU64::new(0),
-            obs: config.observability.clone(),
         }
     }
 
@@ -277,7 +174,7 @@ impl Protocol for TwoPc {
         StorageStats {
             mv: None,
             sv: Some(node.store.stats()),
-            locks: Some(node.locks.stats()),
+            locks: Some(node.participant.lock_stats()),
         }
     }
 
@@ -312,50 +209,29 @@ impl Protocol for TwoPc {
             return Some(observed);
         }
 
-        let (reply, rx) = reply_channel(participants.len());
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.enter(Phase::Prepare);
-        }
-        let prepare = TwoPcMessage::Prepare {
-            txn,
-            read_versions,
-            write_set: writes.to_vec(),
-            reply,
-        };
-        let _ = session.transport().multicast(
-            session.node(),
-            participants.iter().copied(),
-            prepare,
-            Priority::Normal,
+        let ok = session.vote(
+            &participants,
+            trace.as_deref_mut(),
+            |reply| TwoPcMessage::Prepare {
+                txn,
+                read_versions,
+                write_set: writes.to_vec(),
+                reply,
+            },
+            |_| {},
         );
-        let votes = rx.gather(
-            participants.len(),
-            RPC_TIMEOUT,
-            |vote| Some(vote.from),
-            |vote| vote.ok,
-        );
-        // Anything short of every participant voting yes aborts.
-        let ok = votes == Gather::Complete;
         // Commit decides are acknowledged: the client is answered only once
         // every participant installed the writes and released its locks, so
         // the client-visible completion follows the serialization point
         // even though the decide itself travels asynchronously. Abort
         // decides are fire-and-forget.
         let (ack_reply, ack_rx) = reply_channel(participants.len());
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.enter(Phase::Decide);
-        }
         let decide = TwoPcMessage::Decide {
             txn,
             outcome: ok,
             ack: ok.then_some(ack_reply),
         };
-        let _ = session.transport().multicast(
-            session.node(),
-            participants.iter().copied(),
-            decide,
-            Priority::High,
-        );
+        session.decide(&participants, trace.as_deref_mut(), decide);
         if !ok {
             return None;
         }
@@ -368,7 +244,7 @@ impl Protocol for TwoPc {
         ack_rx.gather(
             participants.len(),
             RPC_TIMEOUT,
-            |ack| Some(ack.from),
+            |from| Some(*from),
             |_| true,
         );
         Some(observed)
@@ -387,22 +263,20 @@ impl Protocol for TwoPc {
 
 /// Reads `key` from its fastest replica: the value and its version.
 fn read(session: &BaselineSession<TwoPc>, key: &Key) -> Option<(Option<Value>, u64)> {
-    let replicas = session.placement().replicas(key);
-    let (reply, rx) = reply_channel(replicas.len());
-    let msg = TwoPcMessage::Read {
-        key: key.clone(),
-        reply,
-    };
-    let _ = session
-        .transport()
-        .multicast(session.node(), replicas, msg, Priority::Normal);
-    rx.recv_timeout(RPC_TIMEOUT).map(|r| (r.value, r.version))
+    session
+        .first_reply(session.placement().replicas(key), |reply| {
+            TwoPcMessage::Read {
+                key: key.clone(),
+                reply,
+            }
+        })
+        .map(|r| (r.value, r.version))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_net::Transport;
+    use sss_net::{Priority, Transport};
 
     #[test]
     fn committed_writes_are_visible_to_later_reads() {

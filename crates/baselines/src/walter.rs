@@ -16,27 +16,15 @@
 //!   client-response delay, which is exactly why Walter outperforms SSS
 //!   while offering weaker guarantees (long forks are possible).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sss_net::{reply_channel, Envelope, Gather, NodeService, Priority, ReplySender, TransportExt};
-use sss_obs::{ObsHub, Phase, TxnTrace};
-use sss_storage::{
-    Key, LockKind, LockTable, MvStore, RecentTxnSet, ReplicaMap, StorageStats, TxnId, Value,
-};
+use sss_net::{Envelope, NodeService, ReplySender};
+use sss_obs::{Phase, TxnTrace};
+use sss_storage::{Key, MvStore, ReplicaMap, StorageStats, TxnId, Value};
 use sss_vclock::{NodeId, VectorClock};
 
-use crate::cluster::{
-    BaselineCluster, BaselineConfig, BaselineSession, Observed, Protocol, LOCK_TIMEOUT, RPC_TIMEOUT,
-};
-
-#[derive(Debug, Clone)]
-pub struct VoteReply {
-    from: NodeId,
-    ok: bool,
-    proposed: VectorClock,
-}
+use crate::cluster::{BaselineCluster, BaselineConfig, BaselineSession, Observed, Protocol};
+use crate::participant::{Participant, Vote};
 
 /// The Walter wire protocol.
 #[derive(Debug, Clone)]
@@ -50,7 +38,7 @@ pub enum WalterMessage {
         txn: TxnId,
         snapshot: VectorClock,
         write_set: Vec<(Key, Value)>,
-        reply: ReplySender<VoteReply>,
+        reply: ReplySender<Vote<VectorClock>>,
     },
     Decide {
         txn: TxnId,
@@ -59,44 +47,15 @@ pub enum WalterMessage {
     },
 }
 
-impl WalterMessage {
-    fn kind_index(&self) -> usize {
-        match self {
-            WalterMessage::Read { .. } => 0,
-            WalterMessage::Prepare { .. } => 1,
-            WalterMessage::Decide { .. } => 2,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PreparedTxn {
-    local_writes: Vec<(Key, Value)>,
-}
-
 /// The server side of one Walter node.
 pub struct WalterNode {
-    id: NodeId,
-    replicas: ReplicaMap,
-    state: Mutex<WalterNodeState>,
-    /// Sharded and internally synchronized, held *outside* the state mutex:
+    /// Its protocol state is the node's vector clock.
+    participant: Participant<VectorClock>,
+    /// Sharded and internally synchronized, held *outside* the ledger lock:
     /// snapshot reads walk version chains without serializing on the node's
     /// protocol state, and commit-time installs only take the written key's
     /// shard lock.
     store: MvStore,
-    locks: LockTable,
-    obs: Option<Arc<ObsHub>>,
-}
-
-struct WalterNodeState {
-    node_vc: VectorClock,
-    prepared: HashMap<TxnId, PreparedTxn>,
-    /// Transactions whose `Decide` has been processed here. A
-    /// high-priority decide can overtake its lower-priority `Prepare` in
-    /// the mailbox; a late prepare for a decided transaction must not
-    /// keep locks, or they would never be released (see the 2PC baseline
-    /// for the same race).
-    decided: RecentTxnSet,
 }
 
 impl WalterNode {
@@ -105,7 +64,7 @@ impl WalterNode {
         // contained in the reader's start snapshot. No protocol-state lock
         // is needed: every version inside the snapshot was installed before
         // the snapshot's clock was published (decide applies writes before
-        // merging `node_vc`), and the chain handle is an immutable
+        // merging the node clock), and the chain handle is an immutable
         // copy-on-write snapshot.
         let value = self.store.chain(&key).and_then(|chain| {
             chain
@@ -120,132 +79,58 @@ impl WalterNode {
         txn: TxnId,
         snapshot: VectorClock,
         write_set: Vec<(Key, Value)>,
-        reply: ReplySender<VoteReply>,
+        reply: ReplySender<Vote<VectorClock>>,
     ) {
-        // The coordinator may already have decided (an abort decide
-        // overtaking this prepare): vote no without acquiring anything.
-        // Duplicate deliveries of a prepare already being processed are
-        // dropped without a second vote (the original copy's vote is
-        // guaranteed to arrive, and extra votes can crowd distinct ones out
-        // of the coordinator's bounded reply channel).
-        {
-            let state = self.state.lock();
-            if state.prepared.contains_key(&txn) {
-                return;
-            }
-            if state.decided.contains(&txn) {
-                drop(state);
-                reply.send(VoteReply {
-                    from: self.id,
-                    ok: false,
-                    proposed: snapshot,
+        let vote = self.participant.prepare(
+            txn,
+            self.participant.local(write_set),
+            [],
+            || snapshot.clone(),
+            |node_vc, local_writes| {
+                // First-committer-wins: refuse if any written key already
+                // has a version outside the transaction's start snapshot.
+                // The exclusive locks pin the written keys' latest versions.
+                let conflict = local_writes.iter().any(|(k, _)| {
+                    self.store
+                        .last(k)
+                        .map(|v| !v.vc.le(&snapshot))
+                        .unwrap_or(false)
                 });
-                return;
-            }
+                if conflict {
+                    // The refusal carries this node's clock, which covers
+                    // the version that won (`handle_decide` installs before
+                    // it merges): the loser's next snapshot must include
+                    // it, or a client whose node hears of the winner from
+                    // nobody else retries from the same stale snapshot
+                    // forever.
+                    return Err(node_vc.clone());
+                }
+                node_vc.increment(self.participant.id().index());
+                Ok(node_vc.clone())
+            },
+        );
+        if let Some(vote) = vote {
+            reply.send(vote);
         }
-        let local_writes: Vec<(Key, Value)> = write_set
-            .into_iter()
-            .filter(|(k, _)| self.replicas.is_replica(self.id, k))
-            .collect();
-        let lock_requests = local_writes.iter().map(|(k, _)| (k, LockKind::Exclusive));
-        let lock_started = self.obs.as_ref().map(|_| sss_vclock::runtime::now());
-        let acquired = self.locks.acquire_many(txn, lock_requests, LOCK_TIMEOUT);
-        if let (Some(hub), Some(started)) = (self.obs.as_ref(), lock_started) {
-            hub.record_server_span(self.id.index(), Phase::LockAcquire, started);
-        }
-        if !acquired {
-            let snapshot_out = snapshot.clone();
-            reply.send(VoteReply {
-                from: self.id,
-                ok: false,
-                proposed: snapshot_out,
-            });
-            return;
-        }
-        let mut state = self.state.lock();
-        // First-committer-wins: abort if any written key already has a
-        // version outside the transaction's start snapshot. The exclusive
-        // locks acquired above pin the written keys' latest versions.
-        let conflict = local_writes.iter().any(|(k, _)| {
-            self.store
-                .last(k)
-                .map(|v| !v.vc.le(&snapshot))
-                .unwrap_or(false)
-        });
-        if conflict {
-            // The refusal carries this node's clock, which covers the
-            // version that won (`handle_decide` installs before it merges):
-            // the loser's next snapshot must include it, or a client whose
-            // node hears of the winner from nobody else retries from the
-            // same stale snapshot forever.
-            let proposed = state.node_vc.clone();
-            drop(state);
-            self.locks.release_all(txn);
-            reply.send(VoteReply {
-                from: self.id,
-                ok: false,
-                proposed,
-            });
-            return;
-        }
-        // Re-check under the state lock (the decide also runs under it):
-        // a decide processed while we were acquiring key locks has already
-        // released them, so the prepare must roll back instead of leaving
-        // locked keys behind. A duplicate that raced past the entry check
-        // is dropped before it can double-prepare — *without* releasing:
-        // the lock table is reentrant per transaction, so the duplicate's
-        // acquisition aliased the original's locks, which must stay held
-        // until the decide.
-        if state.prepared.contains_key(&txn) {
-            return;
-        }
-        if state.decided.contains(&txn) {
-            drop(state);
-            self.locks.release_all(txn);
-            reply.send(VoteReply {
-                from: self.id,
-                ok: false,
-                proposed: snapshot,
-            });
-            return;
-        }
-        let i = self.id.index();
-        state.node_vc.increment(i);
-        let proposed = state.node_vc.clone();
-        state.prepared.insert(txn, PreparedTxn { local_writes });
-        drop(state);
-        reply.send(VoteReply {
-            from: self.id,
-            ok: true,
-            proposed,
-        });
     }
 
     fn handle_decide(&self, txn: TxnId, commit_vc: VectorClock, outcome: bool) {
-        let mut state = self.state.lock();
-        state.decided.insert(txn);
-        if let Some(prep) = state.prepared.remove(&txn) {
-            if outcome {
-                // Install the versions *before* merging `node_vc` (still
-                // under the state lock): a snapshot that covers `commit_vc`
-                // can only be taken after the merge, by which point every
-                // version it admits is already in the store.
-                // One shared clock for every version this transaction
-                // installs.
-                let shared_vc = std::sync::Arc::new(commit_vc.clone());
-                for (key, value) in prep.local_writes {
-                    self.store
-                        .apply(key, value, std::sync::Arc::clone(&shared_vc), txn);
-                }
-                state.node_vc.merge(&commit_vc);
+        self.participant.decide(txn, outcome, |node_vc, writes| {
+            // Install the versions *before* merging the node clock (still
+            // under the ledger lock): a snapshot that covers `commit_vc` can
+            // only be taken after the merge, by which point every version it
+            // admits is already in the store. One shared clock for every
+            // version this transaction installs.
+            let shared_vc = Arc::new(commit_vc.clone());
+            for (key, value) in writes {
+                self.store.apply(key, value, Arc::clone(&shared_vc), txn);
             }
-        }
-        drop(state);
-        self.locks.release_all(txn);
+            node_vc.merge(&commit_vc);
+        });
     }
 
     fn snapshot(&self) -> VectorClock {
-        self.state.lock().node_vc.clone()
+        self.participant.with_state(|node_vc| node_vc.clone())
     }
 
     /// Folds a commit vector clock observed by a colocated client into the
@@ -253,7 +138,7 @@ impl WalterNode {
     /// their snapshot (Walter's background propagation, collapsed to the
     /// synchronous paths we exercise).
     fn observe(&self, vc: &VectorClock) {
-        self.state.lock().node_vc.merge(vc);
+        self.participant.with_state(|node_vc| node_vc.merge(vc));
     }
 }
 
@@ -293,21 +178,18 @@ impl Protocol for Walter {
     type Node = WalterNode;
 
     fn kind_index(message: &WalterMessage) -> usize {
-        message.kind_index()
+        match message {
+            WalterMessage::Read { .. } => 0,
+            WalterMessage::Prepare { .. } => 1,
+            WalterMessage::Decide { .. } => 2,
+        }
     }
 
     fn node(id: NodeId, config: &BaselineConfig, placement: &ReplicaMap) -> WalterNode {
+        let node_vc = VectorClock::new(config.nodes);
         WalterNode {
-            id,
-            replicas: placement.clone(),
-            state: Mutex::new(WalterNodeState {
-                node_vc: VectorClock::new(config.nodes),
-                prepared: HashMap::new(),
-                decided: RecentTxnSet::new(1 << 16),
-            }),
+            participant: Participant::new(id, config, placement, node_vc),
             store: MvStore::new(),
-            locks: LockTable::new(),
-            obs: config.observability.clone(),
         }
     }
 
@@ -315,7 +197,7 @@ impl Protocol for Walter {
         StorageStats {
             mv: Some(node.store.stats()),
             sv: None,
-            locks: Some(node.locks.stats()),
+            locks: Some(node.participant.lock_stats()),
         }
     }
 
@@ -337,51 +219,30 @@ impl Protocol for Walter {
         let participants = session
             .placement()
             .replicas_of_all(writes.iter().map(|(k, _)| k));
-        let (reply, rx) = reply_channel(participants.len());
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.enter(Phase::Prepare);
-        }
-        let prepare = WalterMessage::Prepare {
-            txn,
-            snapshot: snapshot.clone(),
-            write_set: writes.to_vec(),
-            reply,
-        };
-        let _ = session.transport().multicast(
-            session.node(),
-            participants.iter().copied(),
-            prepare,
-            Priority::Normal,
-        );
-        let mut commit_vc = snapshot;
-        let votes = rx.gather(
-            participants.len(),
-            RPC_TIMEOUT,
-            |vote| Some(vote.from),
+        let mut commit_vc = snapshot.clone();
+        let ok = session.vote(
+            &participants,
+            trace.as_deref_mut(),
+            |reply| WalterMessage::Prepare {
+                txn,
+                snapshot,
+                write_set: writes.to_vec(),
+                reply,
+            },
             |vote| {
                 if vote.ok {
                     commit_vc.merge(&vote.proposed);
                 } else {
                     session.local().observe(&vote.proposed);
                 }
-                vote.ok
             },
         );
-        let ok = votes == Gather::Complete;
-        if let Some(trace) = trace {
-            trace.enter(Phase::Decide);
-        }
         let decide = WalterMessage::Decide {
             txn,
             commit_vc: commit_vc.clone(),
             outcome: ok,
         };
-        let _ = session.transport().multicast(
-            session.node(),
-            participants.iter().copied(),
-            decide,
-            Priority::High,
-        );
+        session.decide(&participants, trace, decide);
         if !ok {
             return None;
         }
@@ -417,17 +278,14 @@ fn read_all(
     }
     let mut observed = Observed::new();
     for key in read_keys {
-        let replicas = session.placement().replicas(key);
-        let (reply, rx) = reply_channel(replicas.len());
-        let msg = WalterMessage::Read {
-            key: key.clone(),
-            snapshot: snapshot.clone(),
-            reply,
-        };
-        let _ = session
-            .transport()
-            .multicast(session.node(), replicas, msg, Priority::Normal);
-        observed.insert(key.clone(), rx.recv_timeout(RPC_TIMEOUT)?);
+        let value = session.first_reply(session.placement().replicas(key), |reply| {
+            WalterMessage::Read {
+                key: key.clone(),
+                snapshot: snapshot.clone(),
+                reply,
+            }
+        })?;
+        observed.insert(key.clone(), value);
     }
     Some(observed)
 }
@@ -435,7 +293,7 @@ fn read_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_net::Transport;
+    use sss_net::{reply_channel, Priority, Transport};
 
     #[test]
     fn committed_writes_become_visible() {

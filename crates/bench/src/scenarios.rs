@@ -267,13 +267,24 @@ fn modelcheck_regression(mutation: sss_model::Mutation, smoke: bool, seed: u64) 
     scenario(modelcheck_scenario_name(mutation), smoke, seed).faults(fault_plan_for(fault, seed))
 }
 
-/// The full catalog: every SSS scenario plus the partition-heal scenario
-/// for each baseline engine. The baselines run on the same `sss-net`
-/// transport as SSS, so the partition genuinely severs their traffic too;
-/// each run goes through population, the fixed-operation loop, history
-/// recording and the post-run checker.
+/// The SSS scenarios every baseline engine runs too: a partition that
+/// heals, and duplicated messages (the idempotency of the baselines'
+/// prepare, decide and dispatch handlers).
+const BASELINE_SCENARIOS: [&str; 2] = ["partition-heal", "duplicate-storm"];
+
+/// The full catalog: every SSS scenario plus the `BASELINE_SCENARIOS`
+/// for each baseline engine, held to that engine's expectations. The
+/// baselines run on the same `sss-net` transport as SSS, so the faults
+/// genuinely hit their traffic too; each run goes through population, the
+/// fixed-operation loop, history recording and the post-run checker.
 pub fn scenario_catalog(config: &ScenarioConfig) -> Vec<ScenarioRun> {
-    let mut catalog: Vec<ScenarioRun> = sss_scenarios(config.smoke, config.seed)
+    let sss = sss_scenarios(config.smoke, config.seed);
+    let shared: Vec<ChaosScenario> = sss
+        .iter()
+        .filter(|s| BASELINE_SCENARIOS.contains(&s.name.as_str()))
+        .cloned()
+        .collect();
+    let mut catalog: Vec<ScenarioRun> = sss
         .into_iter()
         .map(|scenario| ScenarioRun {
             engine: EngineKind::Sss,
@@ -281,23 +292,16 @@ pub fn scenario_catalog(config: &ScenarioConfig) -> Vec<ScenarioRun> {
         })
         .collect();
     for engine in [EngineKind::TwoPc, EngineKind::Walter, EngineKind::Rococo] {
-        let faulted = scenario("partition-heal", config.smoke, config.seed)
-            .faults(FaultPlan::new(config.seed).partition(
-                [0],
-                Duration::from_millis(5),
-                Duration::from_millis(40),
-            ))
-            .expect(ScenarioExpectations::of(engine));
-        // ROCOCO runs unreplicated, as in the paper's comparison.
-        let faulted = if engine == EngineKind::Rococo {
-            faulted.replication(1)
-        } else {
-            faulted
-        };
-        catalog.push(ScenarioRun {
-            engine,
-            scenario: faulted,
-        });
+        for scenario in &shared {
+            let scenario = scenario.clone().expect(ScenarioExpectations::of(engine));
+            // ROCOCO runs unreplicated, as in the paper's comparison.
+            let scenario = if engine == EngineKind::Rococo {
+                scenario.replication(1)
+            } else {
+                scenario
+            };
+            catalog.push(ScenarioRun { engine, scenario });
+        }
     }
     catalog
 }
@@ -506,12 +510,15 @@ mod tests {
             "need at least 5 named SSS scenarios, got {sss_named:?}"
         );
         for engine in [EngineKind::TwoPc, EngineKind::Walter, EngineKind::Rococo] {
-            assert!(
-                catalog
+            for name in ["partition-heal", "duplicate-storm"] {
+                let run = catalog
                     .iter()
-                    .any(|r| r.engine == engine && r.scenario.name == "partition-heal"),
-                "{engine} is missing its partition-heal run"
-            );
+                    .find(|r| r.engine == engine && r.scenario.name == name)
+                    .unwrap_or_else(|| panic!("{engine} is missing its {name} run"));
+                assert_eq!(run.scenario.expect, ScenarioExpectations::of(engine));
+                let replication = if engine == EngineKind::Rococo { 1 } else { 2 };
+                assert_eq!(run.scenario.replication, replication, "{engine} {name}");
+            }
         }
         // The catalog now includes the loss and crash-stop fault classes.
         for required in [
@@ -593,14 +600,17 @@ mod tests {
                 .map(|r| (r.engine, r.scenario.name))
                 .collect()
         };
-        assert_eq!(select(&["bin", "--smoke"]).unwrap().len(), 15);
+        assert_eq!(select(&["bin", "--smoke"]).unwrap().len(), 18);
         assert_eq!(
             names(select(&["bin", "--only", "lossy-link"]).unwrap()),
             vec![(EngineKind::Sss, "lossy-link".to_string())]
         );
         assert_eq!(
             names(select(&["bin", "--engine", "walter"]).unwrap()),
-            vec![(EngineKind::Walter, "partition-heal".to_string())]
+            vec![
+                (EngineKind::Walter, "partition-heal".to_string()),
+                (EngineKind::Walter, "duplicate-storm".to_string()),
+            ]
         );
         for empty in [
             &["bin", "--only", "no-such-scenario"][..],
