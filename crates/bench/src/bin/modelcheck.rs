@@ -40,7 +40,6 @@ fn clean_configs() -> Vec<(&'static str, ModelConfig, usize)> {
         ("clean-3n2t", ModelConfig::clean_3n2t(), 475),
         ("clean-2n3t", ModelConfig::clean_2n3t(), 12895),
         ("contended-2n3t", ModelConfig::contended_2n3t(), 19625),
-        ("singleton-2n2t", ModelConfig::singleton_2n2t(), 82),
         ("dup-budget-2n2t", dup_budget, 258),
     ]
 }

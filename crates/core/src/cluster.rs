@@ -186,12 +186,6 @@ impl SssCluster {
         self.nodes.iter().map(|n| n.snapshot_queue_entries()).sum()
     }
 
-    /// Runs multi-version garbage collection on every node; returns the
-    /// number of versions discarded.
-    pub fn collect_garbage(&self) -> usize {
-        self.nodes.iter().map(|n| n.collect_garbage()).sum()
-    }
-
     /// Concatenated [`SssNode::pending_external_report`] of every node —
     /// transactions currently held in their Pre-Commit phase and the
     /// read-only entries blocking them. Diagnostic aid.

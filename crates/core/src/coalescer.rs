@@ -253,8 +253,8 @@ mod tests {
 
     #[test]
     fn window_one_is_singleton_round_per_txn_in_order() {
-        // `confirm_epoch_max == 1` must reproduce the base protocol: one
-        // round per transaction, in arrival order.
+        // A window of 1 must reproduce the base protocol: one round per
+        // transaction, in arrival order.
         let mut core: CoalescerCore<()> = CoalescerCore::new();
         assert!(core.enqueue(txn(1), vc(), ()));
         assert!(!core.enqueue(txn(2), vc(), ()));

@@ -9,9 +9,13 @@ use sss_obs::ObsHub;
 use sss_storage::ReplicaMap;
 use sss_vclock::runtime::SchedulerHandle;
 
-/// Default epoch window of the grouped external-commit confirmation: up to
-/// this many update transactions share one `ConfirmExternal` round.
-pub const DEFAULT_CONFIRM_EPOCH: usize = 32;
+/// Epoch window of the grouped external-commit confirmation: up to this
+/// many update transactions share one `ConfirmExternal` round. Grouping is
+/// self-clocking: a round covers whatever pre-committed while the previous
+/// round was in flight (up to this bound), so a loaded coordinator amortizes
+/// one broadcast over the whole window; what it costs a lone committer is
+/// [`CONFIRM_LINGER`].
+pub const CONFIRM_EPOCH: usize = 32;
 
 /// How long a round leader waits between consecutive grouped confirmation
 /// rounds of one burst before launching the next (under-full) round, letting
@@ -22,7 +26,6 @@ pub const DEFAULT_CONFIRM_EPOCH: usize = 32;
 /// `Linger`, and the client sleeps this long before flushing the release and
 /// returning (see the `node::confirm` module docs). An uncontended update
 /// therefore costs one round plus this constant; ROADMAP item 1 deletes it.
-/// Only meaningful when `confirm_epoch_max > 1`.
 pub const CONFIRM_LINGER: Duration = Duration::from_micros(800);
 
 /// Lock-acquisition timeout used during the 2PC prepare phase (1ms in the
@@ -43,9 +46,6 @@ pub const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// Number of internal-commit records each node retains for the `VisibleSet`
 /// computation.
 pub const NLOG_CAPACITY: usize = 4096;
-
-/// Versions retained per key before garbage collection trims the chain.
-pub const VERSIONS_PER_KEY: usize = 64;
 
 /// Starvation admission control (paper §III-E): a read-only read that would
 /// serialize before an update transaction which has already been waiting in
@@ -123,15 +123,6 @@ pub struct SssConfig {
     /// the layer stays off, which keeps the handler-level idempotency
     /// guards exercised by duplicate faults.
     pub fault_injector: Option<Arc<FaultInjector>>,
-    /// Maximum number of update transactions covered by one grouped
-    /// `ConfirmExternal` round (the coordinator *epoch window*). Values `<=
-    /// 1` disable grouping entirely and reproduce the per-transaction
-    /// confirmation round of the base protocol. Grouping is self-clocking:
-    /// a round covers whatever pre-committed while the previous round was
-    /// in flight (up to this bound), so loaded coordinators amortize one
-    /// broadcast over the whole window; what it costs a lone committer is
-    /// [`CONFIRM_LINGER`].
-    pub confirm_epoch_max: usize,
     /// Optional observability hub: when set, client sessions carry a
     /// phase trace through every transaction (spans recorded into the
     /// hub's per-node trace rings and per-phase latency histograms). When
@@ -160,7 +151,6 @@ impl SssConfig {
             replication: 2.min(nodes),
             latency: LatencyModel::ZERO,
             fault_injector: None,
-            confirm_epoch_max: DEFAULT_CONFIRM_EPOCH,
             observability: None,
             scheduler: None,
         }
@@ -188,13 +178,6 @@ impl SssConfig {
     /// Sets the network latency model.
     pub fn latency(mut self, latency: LatencyModel) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Sets the epoch window of the grouped external-commit confirmation
-    /// (`<= 1` disables grouping, reproducing per-transaction rounds).
-    pub fn confirm_epoch_max(mut self, window: usize) -> Self {
-        self.confirm_epoch_max = window;
         self
     }
 
@@ -231,7 +214,6 @@ mod tests {
         assert_eq!(LOCK_TIMEOUT, Duration::from_millis(1));
         assert!(cfg.latency.is_zero());
         assert_eq!(cfg.replica_map().degree(), 2);
-        assert_eq!(cfg.confirm_epoch_max, DEFAULT_CONFIRM_EPOCH);
     }
 
     #[test]

@@ -75,7 +75,7 @@ mod stats;
 pub use cluster::SssCluster;
 pub use coalescer::{CoalescerCore, PendingConfirm, RoundPlan};
 pub use commit_queue::{CommitEntry, CommitQueue, CommitStatus};
-pub use config::{SssConfig, DEFAULT_CONFIRM_EPOCH};
+pub use config::SssConfig;
 pub use error::{AbortReason, SssError};
 pub use messages::{Ack, PropagatedEntry, ReadReturn, SssMessage, StateReply, Vote};
 pub use nlog::{NLog, NLogEntry};

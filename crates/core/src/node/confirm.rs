@@ -1,16 +1,16 @@
-//! Epoch-grouped external-commit confirmation (the round coalescer).
+//! Epoch-grouped external-commit confirmation (the round coalescer), the one
+//! way an SSS update transaction confirms.
 //!
-//! The base protocol runs one `ConfirmExternal` broadcast-and-ack round per
-//! committed update transaction — the completion-order barrier that makes
-//! client-observed completions match the serialization order (paper §III-C;
-//! the §V priority discussion identifies this fan-out as the external-commit
-//! cost center). The coalescer amortizes that round over a *coordinator
-//! epoch*: one broadcast confirms every update transaction that pre-committed
-//! on this node while the previous round was in flight (up to
-//! [`crate::SssConfig::confirm_epoch_max`] per round), and the
-//! `ReleaseExternal` / read-only `Remove` traffic of completed transactions
-//! piggybacks inside the same envelope instead of travelling as dedicated
-//! messages.
+//! The paper's protocol runs one `ConfirmExternal` broadcast-and-ack round
+//! per committed update transaction — the completion-order barrier that
+//! makes client-observed completions match the serialization order (paper
+//! §III-C; the §V priority discussion identifies this fan-out as the
+//! external-commit cost center). The coalescer amortizes that round over a
+//! *coordinator epoch*: one broadcast confirms every update transaction that
+//! pre-committed on this node while the previous round was in flight (up to
+//! [`CONFIRM_EPOCH`] per round), and the `ReleaseExternal` / read-only
+//! `Remove` traffic of completed transactions piggybacks inside the same
+//! envelope instead of travelling as dedicated messages.
 //!
 //! # Self-clocking rounds, bounded linger
 //!
@@ -50,12 +50,12 @@
 //! carrying the member's commit vector clock, so the base protocol's
 //! guarantee — a transaction starting after the response, anywhere, begins
 //! from a snapshot covering the member — holds per member exactly as in the
-//! per-transaction rounds. Parked read-only reads are still released only
-//! *after* their writer's round completed (the release rides the next round
-//! or a standalone flush, both of which are sent only once the writer's
-//! round collected all of its acks), so a release can never overtake its
-//! confirmation at any node, even under fault-plan reordering. The
-//! commit-queue ambiguity deferral and the snapshot pinning of read-only
+//! paper's per-transaction rounds. Parked read-only reads are still released
+//! only *after* their writer's round completed (the release rides the next
+//! round or a standalone flush, both of which are sent only once the
+//! writer's round collected all of its acks), so a release can never
+//! overtake its confirmation at any node, even under fault-plan reordering.
+//! The commit-queue ambiguity deferral and the snapshot pinning of read-only
 //! transactions are decided entirely by vector clocks and queue contents,
 //! which grouping does not alter.
 
@@ -67,7 +67,7 @@ use sss_storage::TxnId;
 use sss_vclock::{NodeId, VectorClock};
 
 use crate::coalescer::{round_id, CoalescerCore, RoundPlan};
-use crate::config::{ACK_TIMEOUT, CONFIRM_LINGER};
+use crate::config::{ACK_TIMEOUT, CONFIRM_EPOCH, CONFIRM_LINGER};
 use crate::messages::SssMessage;
 use crate::session::collect_acks;
 
@@ -91,8 +91,8 @@ impl ConfirmCoalescer {
     /// thread still looping against the old state simply drains to `Exit`;
     /// its stale `round_completed` call lands in the fresh core's release
     /// queue, which only re-releases transactions whose round already
-    /// collected acks or timed out — the same failure-path release as the
-    /// base protocol.
+    /// collected acks or timed out — the same release a failed committer
+    /// sends itself.
     pub(crate) fn reset(&self) {
         *self.state.lock() = CoalescerCore::default();
     }
@@ -132,7 +132,6 @@ impl SssNode {
     /// never on a mailbox worker, which must not block on acks.
     fn run_confirm_rounds(&self) {
         let all_nodes = self.config().nodes;
-        let window = self.config().confirm_epoch_max.max(1);
         // The leader lingers briefly between rounds of a burst, never before
         // its first round: rounds complete much faster than transactions
         // arrive, and without the pause every round would carry only the one
@@ -150,7 +149,11 @@ impl SssNode {
             // the same lock as the membership pushes (see the `coalescer`
             // module docs for why the exit can never strand a member).
             let may_linger = !first_round && !lingered;
-            let plan = self.confirm.state.lock().next_round(window, may_linger);
+            let plan = self
+                .confirm
+                .state
+                .lock()
+                .next_round(CONFIRM_EPOCH, may_linger);
             let (batch, release, remove) = match plan {
                 RoundPlan::Exit => return,
                 RoundPlan::Linger => {

@@ -31,7 +31,7 @@ use sss_net::{
 use sss_storage::{Key, LockTable, MvStore, ReplicaMap, TxnId};
 use sss_vclock::{NodeId, VectorClock};
 
-use crate::config::{SssConfig, NLOG_CAPACITY, RECOVERY_TIMEOUT, VERSIONS_PER_KEY};
+use crate::config::{SssConfig, NLOG_CAPACITY, RECOVERY_TIMEOUT};
 use crate::messages::SssMessage;
 use crate::stats::{NodeCounters, NodeStats};
 
@@ -59,7 +59,7 @@ pub struct SssNode {
     counters: NodeCounters,
     next_txn_seq: AtomicU64,
     /// Epoch-grouped external-commit confirmation state (see
-    /// [`confirm`] module docs); used when `config.confirm_epoch_max > 1`.
+    /// [`confirm`] module docs).
     confirm: confirm::ConfirmCoalescer,
     /// `false` while the node is inside a crash window or restarted but not
     /// yet recovered from its peers. Colocated clients consult this before
@@ -291,7 +291,7 @@ impl SssNode {
         // multicast — instead of travelling as dedicated messages. Bounded
         // delay: the leader is actively looping, so the remove is sent at
         // the next round boundary.
-        if self.config.confirm_epoch_max > 1 && self.queue_remove_on_next_round(txn) {
+        if self.queue_remove_on_next_round(txn) {
             return;
         }
         let mut targets = self.replicas.replicas_of_all(read_keys.iter());
@@ -311,14 +311,6 @@ impl SssNode {
             .remove(&txn)
             .map(|set| set.into_iter().collect())
             .unwrap_or_default()
-    }
-
-    /// Garbage-collects old versions on this node, keeping the configured
-    /// number of versions per key. Returns how many versions were dropped.
-    /// The store is internally synchronized, so collection runs without
-    /// taking the node's protocol-state mutex.
-    pub fn collect_garbage(&self) -> usize {
-        self.store.prune_all(VERSIONS_PER_KEY)
     }
 
     /// Human-readable dump of the transactions currently held in their

@@ -397,78 +397,42 @@ impl UpdateTransaction {
         let timed_out = !collect_acks(&ack_receiver, self.id, write_replicas.len());
 
         // Global external-commit confirmation round (completion-order
-        // barrier, see `serve_or_park_read_only` and `begin_vc`): broadcast
-        // `ConfirmExternal` to every node and wait for the acknowledgements
-        // before answering the client. This guarantees that any transaction
+        // barrier, see `serve_or_park_read_only` and `begin_vc`): every node
+        // acknowledges a `ConfirmExternal` carrying this transaction before
+        // the client is answered. This guarantees that any transaction
         // starting *after* this client response — on any node — begins from
         // a snapshot that covers this transaction, and that read-only
         // transactions never return this transaction's versions before this
-        // response. The confirmations are also sent on the ack-timeout path
-        // so that parked reads are eventually released even when this
+        // response. The coalescer runs one round per coordinator epoch
+        // covering every transaction that pre-committed in that window, and
+        // handles the release phase itself (piggybacked on the next round or
+        // flushed standalone), on success and failure alike — for rounds it
+        // *finished*. The confirmation also runs on the ack-timeout path so
+        // that parked reads are eventually released even when this
         // coordinator gave up waiting — by then the system has been wedged
         // for the whole (very generous) ack timeout and consistency is
         // best-effort anyway.
-        let all_nodes = node.config().nodes;
         if let Some(trace) = trace.as_mut() {
             trace.enter(Phase::ConfirmWait);
         }
-        let confirm_failed = if node.config().confirm_epoch_max > 1 {
-            // Grouped path: the coalescer runs one round per coordinator
-            // epoch covering every transaction that pre-committed in that
-            // window, and handles the release phase itself (piggybacked on
-            // the next round or flushed standalone), on success and failure
-            // alike — for rounds it *finished*. A round that died without
-            // an answer (the leader's node crashed and the reset coalescer
-            // dropped its waiters, or the wait timed out) never releases
-            // its members, and a never-released writer wedges the write
-            // replicas permanently: every read-only attempt selecting its
-            // version parks in `pending_global` until the read timeout,
-            // aborts, and parks again on retry. Mirror the singleton
-            // path's failure behavior and release explicitly before
-            // answering the client; `handle_release_external` is
+        let confirmed = node.confirm_external_grouped(self.id, commit_vc);
+        if !confirmed {
+            // A round that died without an answer (the leader's node crashed
+            // and the reset coalescer dropped its waiters, or the wait timed
+            // out) never releases its members, and a never-released writer
+            // wedges the write replicas permanently: every read-only attempt
+            // selecting its version parks in `pending_global` until the read
+            // timeout, aborts, and parks again on retry. Release explicitly
+            // before answering the client; `handle_release_external` is
             // idempotent, so racing a late round that does complete is
             // harmless.
-            let confirmed = node.confirm_external_grouped(self.id, commit_vc);
-            if !confirmed {
-                let _ = node.multicast(
-                    write_replicas.iter().copied(),
-                    SssMessage::ReleaseExternal {
-                        txns: vec![self.id],
-                    },
-                );
-            }
-            timed_out || !confirmed
-        } else {
-            // Per-transaction path (epoch window <= 1): one singleton round
-            // and a standalone release, reproducing the base protocol's
-            // message sequence exactly.
-            let (confirm_reply, confirm_receiver) = reply_channel(all_nodes);
-            let confirm = SssMessage::ConfirmExternal {
-                entries: vec![(self.id, Arc::new(commit_vc))],
-                release: Vec::new(),
-                remove: Vec::new(),
-                reply: confirm_reply,
-            };
-            let _ = node.multicast((0..all_nodes).map(NodeId), confirm);
-            let failed = timed_out || !collect_acks(&confirm_receiver, self.id, all_nodes);
-
-            // Release phase: the confirmation round is done (the client
-            // response is next), so readers parked on this transaction's
-            // versions may be answered. Sent to the write replicas — the
-            // only nodes that can hold parked reads for this transaction —
-            // and also on the failure paths, so a timed-out commit never
-            // leaves readers parked forever.
-            if let Some(trace) = trace.as_mut() {
-                trace.enter(Phase::Release);
-            }
             let _ = node.multicast(
                 write_replicas.iter().copied(),
                 SssMessage::ReleaseExternal {
                     txns: vec![self.id],
                 },
             );
-            failed
-        };
+        }
 
         // The transaction is committed from here on (even a timed-out
         // confirmation round installed its writes), so the trace reports a
@@ -477,7 +441,7 @@ impl UpdateTransaction {
             trace.finish(true);
         }
 
-        if confirm_failed {
+        if timed_out || !confirmed {
             return Err(SssError::ExternalCommitTimeout);
         }
 

@@ -8,9 +8,9 @@
 //!   [`TransactionEngine`], [`EngineSession`] and [`TxnOutcome`];
 //! * the **registry**: [`EngineKind`] enumerates the engines and
 //!   [`EngineKind::builder`] starts an [`EngineBuilder`] — node count,
-//!   replication degree, [`NetProfile`], the tuning values harnesses sweep,
-//!   an optional `sss-faults` [`FaultInjector`] and an optional simulation
-//!   scheduler — whose `build` boots any of them behind a
+//!   replication degree, [`NetProfile`], observability, an optional
+//!   `sss-faults` [`FaultInjector`] and an optional simulation scheduler —
+//!   whose `build` boots any of them behind a
 //!   `Box<dyn TransactionEngine>`. [`EngineKind::build`] and
 //!   [`EngineKind::build_sim`] are the two shorthands for "defaults on this
 //!   network", threaded and simulated;
@@ -47,7 +47,6 @@ pub use profile::NetProfile;
 pub use registry::{EngineBuilder, EngineKind, ParseEngineKindError};
 pub use traits::{EngineSession, TransactionEngine, TxnOutcome};
 
-pub use sss_core::DEFAULT_CONFIRM_EPOCH;
 pub use sss_faults::{FaultInjector, FaultPlan};
 pub use sss_net::MailboxStats;
 pub use sss_obs::{

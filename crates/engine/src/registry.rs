@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use sss_baselines::{BaselineConfig, RococoCluster, TwoPcCluster, WalterCluster};
 use sss_core::adapter::SssEngine;
-use sss_core::{SssConfig, DEFAULT_CONFIRM_EPOCH};
+use sss_core::SssConfig;
 use sss_faults::FaultInjector;
 use sss_obs::ObsHub;
 use sss_sim::SimRuntime;
@@ -77,7 +77,6 @@ impl EngineKind {
             nodes,
             replication,
             profile: NetProfile::Instant,
-            confirm_epoch: DEFAULT_CONFIRM_EPOCH,
             observability: false,
             injector: None,
             scheduler: None,
@@ -134,7 +133,6 @@ pub struct EngineBuilder {
     nodes: usize,
     replication: usize,
     profile: NetProfile,
-    confirm_epoch: usize,
     observability: bool,
     injector: Option<Arc<FaultInjector>>,
     scheduler: Option<SchedulerHandle>,
@@ -145,14 +143,6 @@ impl EngineBuilder {
     /// engine runs on the same transport and pays it on every message.
     pub fn profile(mut self, profile: NetProfile) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Sets the epoch window of SSS's grouped external-commit confirmation:
-    /// up to this many update transactions share one `ConfirmExternal`
-    /// round (`<= 1` disables grouping). The baselines have no such round.
-    pub fn confirm_epoch(mut self, window: usize) -> Self {
-        self.confirm_epoch = window;
         self
     }
 
@@ -217,7 +207,6 @@ impl EngineBuilder {
             replication: self.replication,
             latency: self.profile.latency_model(),
             fault_injector: self.injector,
-            confirm_epoch_max: self.confirm_epoch,
             scheduler: self.scheduler,
         }
     }

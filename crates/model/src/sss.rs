@@ -48,6 +48,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use sss_core::coalescer::{CoalescerCore, RoundPlan};
+use sss_core::config::CONFIRM_EPOCH;
 use sss_core::{
     protocol, Ack, ByteSink, PropagatedEntry, ReadReturn, SeededBug, SssConfig, SssMessage,
     SteppedCluster, Vote,
@@ -129,20 +130,14 @@ pub enum Mutation {
     DroppedExclusionCeiling,
 }
 
-/// A checkable configuration: the cluster size, the transaction mix and the
-/// confirmation mode.
+/// A checkable configuration: the cluster size, the transaction mix, the
+/// network's duplication budget and the seeded bug.
 #[derive(Debug, Clone)]
 pub struct ModelConfig {
     /// Cluster size (2 or 3 for exhaustive runs).
     pub nodes: usize,
     /// The scripted transactions (index = transaction id).
     pub txns: Vec<TxnSpec>,
-    /// `true` — epoch-grouped confirmation via the origin's coalescer;
-    /// `false` — the base protocol's one round per transaction, driven by
-    /// the client.
-    pub grouped_confirm: bool,
-    /// Coalescer window (`confirm_epoch_max`); ignored when not grouped.
-    pub confirm_window: usize,
     /// How many times the network may duplicate a `Prepare` delivery.
     pub duplicate_prepare_budget: u8,
     /// The seeded bug, if any.
@@ -165,8 +160,6 @@ impl ModelConfig {
                     reads: vec![0],
                 },
             ],
-            grouped_confirm: true,
-            confirm_window: 2,
             duplicate_prepare_budget: 0,
             mutation: None,
         }
@@ -189,8 +182,6 @@ impl ModelConfig {
                     writes: vec![0],
                 },
             ],
-            grouped_confirm: true,
-            confirm_window: 2,
             duplicate_prepare_budget: 0,
             mutation: None,
         }
@@ -212,8 +203,6 @@ impl ModelConfig {
                     reads: vec![0, 1],
                 },
             ],
-            grouped_confirm: true,
-            confirm_window: 2,
             duplicate_prepare_budget: 0,
             mutation: None,
         }
@@ -242,8 +231,6 @@ impl ModelConfig {
                     reads: vec![0, 1],
                 },
             ],
-            grouped_confirm: true,
-            confirm_window: 2,
             duplicate_prepare_budget: 0,
             mutation: None,
         }
@@ -270,19 +257,8 @@ impl ModelConfig {
                     reads: vec![0],
                 },
             ],
-            grouped_confirm: true,
-            confirm_window: 2,
             duplicate_prepare_budget: 0,
             mutation: None,
-        }
-    }
-
-    /// [`ModelConfig::clean_2n2t`] under the base (per-transaction)
-    /// confirmation protocol.
-    pub fn singleton_2n2t() -> Self {
-        ModelConfig {
-            grouped_confirm: false,
-            ..ModelConfig::clean_2n2t()
         }
     }
 
@@ -312,8 +288,6 @@ impl ModelConfig {
                         writes: vec![0, 1],
                     },
                 ],
-                grouped_confirm: true,
-                confirm_window: 2,
                 duplicate_prepare_budget: 0,
                 mutation: None,
             },
@@ -324,8 +298,6 @@ impl ModelConfig {
                     reads: vec![],
                     writes: vec![0],
                 }],
-                grouped_confirm: true,
-                confirm_window: 1,
                 duplicate_prepare_budget: 0,
                 mutation: None,
             },
@@ -350,8 +322,6 @@ impl ModelConfig {
                         reads: vec![0],
                     },
                 ],
-                grouped_confirm: true,
-                confirm_window: 2,
                 duplicate_prepare_budget: 0,
                 mutation: None,
             },
@@ -382,7 +352,7 @@ enum Dst {
 
 /// What is in flight: a wire message on its way to a node's handler, or a
 /// handler's reply on its way back to a scripted client (a confirmation
-/// ack: to whoever leads the round).
+/// ack: to the leader loop of the round's origin node).
 #[derive(Debug, Clone)]
 enum Msg {
     Wire(SssMessage),
@@ -494,7 +464,6 @@ struct ClientSt {
     exclude: Vec<Arc<Vc>>,
     votes: u16,
     ext_acks: u16,
-    confirm_acks: u16,
     commit_vc: Option<Arc<Vc>>,
     /// A read-only transaction's first read has reached its node, which has
     /// not computed the visibility bound yet.
@@ -654,7 +623,6 @@ impl Model for SssModel {
             exclude: Vec::new(),
             votes: 0,
             ext_acks: 0,
-            confirm_acks: 0,
             commit_vc: None,
             awaiting_bound: false,
         };
@@ -891,10 +859,6 @@ impl SssModel {
                 self.client_ext_ack(s, t as usize, ack.from.index());
                 Ok(())
             }
-            (Msg::ConfirmAck(ack), Dst::Client(t)) => {
-                self.client_confirm_ack(s, t as usize, ack.from.index());
-                Ok(())
-            }
             (Msg::ConfirmAck(ack), Dst::Node(n)) => {
                 self.leader_confirm_ack(s, n as usize, *ack);
                 Ok(())
@@ -966,12 +930,8 @@ impl SssModel {
             s.msgs.push(Envelope::new(dst, Msg::ExtAck(ack)));
         }
         for ack in drain(&self.confirm_acks) {
-            // The round id names the leader: the members' common origin
-            // when grouped, the committing client itself otherwise.
-            let dst = match self.cfg.grouped_confirm {
-                true => Dst::Node(ack.txn.origin.index() as u8),
-                false => Dst::Client(ix(ack.txn) as u8),
-            };
+            // The round id names the leader: the members' common origin.
+            let dst = Dst::Node(ack.txn.origin.index() as u8);
             s.msgs.push(Envelope::new(dst, Msg::ConfirmAck(ack)));
         }
         for (t, ret) in served {
@@ -1039,9 +999,8 @@ impl SssModel {
     }
 
     fn coalesce(&self, s: &mut SssState, n: usize) {
-        let window = self.cfg.confirm_window.max(1);
         let all = self.all_nodes_mask();
-        match s.leaders[n].coal.next_round(window, false) {
+        match s.leaders[n].coal.next_round(CONFIRM_EPOCH, false) {
             RoundPlan::Exit | RoundPlan::Linger => {}
             RoundPlan::Flush { release, remove } => {
                 // Removes go first — they can unblock waiting external
@@ -1175,34 +1134,9 @@ impl SssModel {
         }
         c.phase = Phase::ConfirmWait;
         let cvc = c.commit_vc.clone().expect("decided commit clock");
-        if self.cfg.grouped_confirm {
-            let origin = self.cfg.txns[t].origin();
-            // Leading is observable as an enabled Coalesce action.
-            let _leads = s.leaders[origin].coal.enqueue(self.tid(t), cvc, ());
-        } else {
-            let confirm = SssMessage::ConfirmExternal {
-                entries: vec![(self.tid(t), cvc)],
-                release: Vec::new(),
-                remove: Vec::new(),
-                reply: self.confirm_acks.0.clone(),
-            };
-            self.send(s, self.all_nodes_mask(), confirm);
-        }
-    }
-
-    fn client_confirm_ack(&self, s: &mut SssState, t: usize, from: usize) {
-        let c = &mut s.clients[t];
-        if c.phase != Phase::ConfirmWait {
-            return;
-        }
-        c.confirm_acks |= bit(from);
-        if c.confirm_acks != self.all_nodes_mask() {
-            return;
-        }
-        s.confirmed |= bit(t);
-        c.phase = Phase::Committed;
-        let txns = vec![self.tid(t)];
-        self.send(s, self.write_mask(t), SssMessage::ReleaseExternal { txns });
+        let origin = self.cfg.txns[t].origin();
+        // Leading is observable as an enabled Coalesce action.
+        let _leads = s.leaders[origin].coal.enqueue(self.tid(t), cvc, ());
     }
 
     fn finish_ro(&self, s: &mut SssState, t: usize) -> Result<(), String> {
@@ -1222,7 +1156,7 @@ impl SssModel {
         let spec = &self.cfg.txns[t];
         let (origin, txn) = (spec.origin(), self.tid(t));
         let forwarded = s.cluster.complete_read_only(NodeId(origin), txn);
-        if self.cfg.grouped_confirm && s.leaders[origin].coal.queue_remove(txn) {
+        if s.leaders[origin].coal.queue_remove(txn) {
             return Ok(()); // rides the leader's next round, to every node
         }
         let extra = forwarded.iter().fold(0, |mask, n| mask | bit(n.index()));
@@ -1248,24 +1182,6 @@ mod tests {
             "trace too long: {}",
             cx.actions.len()
         );
-    }
-
-    #[test]
-    fn single_writer_singleton_confirm_verifies() {
-        let cfg = ModelConfig {
-            nodes: 2,
-            txns: vec![TxnSpec::Update {
-                origin: 0,
-                reads: vec![],
-                writes: vec![0],
-            }],
-            grouped_confirm: false,
-            confirm_window: 1,
-            duplicate_prepare_budget: 0,
-            mutation: None,
-        };
-        let report = bfs_check(&SssModel::new(cfg), &CheckConfig::default());
-        assert!(report.verified(), "violation: {:?}", report.violation);
     }
 
     /// An update that reads a key a read-only transaction is queued on and

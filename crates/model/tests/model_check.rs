@@ -111,17 +111,6 @@ fn contended_2n3t_verifies_exhaustively() {
 
 #[cfg_attr(debug_assertions, ignore = "exhaustive BFS: run with --release")]
 #[test]
-fn clean_2n2t_singleton_confirm_verifies_exhaustively() {
-    let report = check(ModelConfig::singleton_2n2t());
-    assert!(
-        report.verified(),
-        "violation: {:?}",
-        report.violation.map(|v| v.render())
-    );
-}
-
-#[cfg_attr(debug_assertions, ignore = "exhaustive BFS: run with --release")]
-#[test]
 fn duplicated_prepare_is_harmless_without_the_mutation() {
     // The network may duplicate a Prepare; the prepared_ever dedup absorbs
     // it. (The mutation test below removes the dedup and must fail.)

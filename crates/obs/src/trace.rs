@@ -34,11 +34,12 @@ pub enum Phase {
     /// SSS: decide multicast through install acknowledgements (the
     /// commit-queue wait of the write replicas, observed from the client).
     CommitQueueWait,
-    /// SSS: external-commit confirmation round(s), including the leader
-    /// linger of the grouped path.
+    /// SSS: external-commit confirmation round(s), including the round
+    /// leader's linger.
     ConfirmWait,
-    /// SSS: standalone `ReleaseExternal` broadcast (singleton-confirmation
-    /// path only; the grouped path piggybacks releases).
+    /// SSS: a standalone `ReleaseExternal` wait. No engine emits it: the
+    /// confirmation coalescer piggybacks releases on its rounds. Kept
+    /// because the repository benchmark's per-phase metrics name it.
     Release,
     /// 2PC/Walter: prepare multicast through vote collection.
     Prepare,
@@ -118,8 +119,7 @@ impl Phase {
 
     /// The span taxonomy of the engine registered under `engine` (the
     /// `TransactionEngine::name` labels): every phase this engine's traces
-    /// can emit. Empty for unknown names. The `release` phase only appears
-    /// on SSS's singleton-confirmation path (`confirm_epoch <= 1`).
+    /// can emit. Empty for unknown names.
     pub fn for_engine(engine: &str) -> &'static [Phase] {
         match engine {
             "SSS" => &[
@@ -127,7 +127,6 @@ impl Phase {
                 Phase::PreCommit,
                 Phase::CommitQueueWait,
                 Phase::ConfirmWait,
-                Phase::Release,
             ],
             "2PC" => &[
                 Phase::Read,

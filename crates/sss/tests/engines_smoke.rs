@@ -150,28 +150,6 @@ fn rococo_read_only_cost_grows_with_read_set_size_under_write_pressure() {
 }
 
 #[test]
-fn sss_garbage_collection_bounds_version_chains() {
-    let cluster = SssCluster::start(SssConfig::new(2).replication(1)).unwrap();
-    let session = cluster.session(0);
-    for i in 0..200u64 {
-        let mut txn = session.begin_update();
-        txn.write("hot", Value::from_u64(i));
-        txn.commit().unwrap();
-    }
-    let before: usize = (0..2)
-        .map(|_| 0usize)
-        .sum::<usize>()
-        .max(cluster.collect_garbage());
-    // After garbage collection the hot key retains at most the configured
-    // number of versions, and reads still see the latest value.
-    assert!(before > 0, "garbage collection should have pruned versions");
-    let mut ro = session.begin_read_only();
-    assert_eq!(ro.read("hot").unwrap().and_then(|v| v.to_u64()), Some(199));
-    ro.commit().unwrap();
-    cluster.shutdown();
-}
-
-#[test]
 fn cluster_shutdown_is_idempotent_and_sessions_fail_cleanly() {
     let cluster = SssCluster::start(SssConfig::new(2)).unwrap();
     let session = cluster.session(0);

@@ -94,17 +94,6 @@ impl VersionChain {
     {
         self.iter_newest_first().find(|v| accept(v))
     }
-
-    /// Drops all but the newest `keep` versions. Returns how many versions
-    /// were pruned. Used by garbage collection.
-    pub fn prune_to(&mut self, keep: usize) -> usize {
-        if self.versions.len() <= keep {
-            return 0;
-        }
-        let excess = self.versions.len() - keep;
-        self.versions.drain(0..excess);
-        excess
-    }
 }
 
 /// One hash partition of the store: its own key→chain map behind its own
@@ -323,21 +312,6 @@ impl MvStore {
             .sum()
     }
 
-    /// Prunes every chain to at most `keep` versions; returns the number of
-    /// versions discarded.
-    pub fn prune_all(&self, keep: usize) -> usize {
-        let mut pruned = 0;
-        for shard in self.shards.iter() {
-            let mut chains = shard.write();
-            for chain in chains.values_mut() {
-                if chain.len() > keep {
-                    pruned += Arc::make_mut(chain).prune_to(keep);
-                }
-            }
-        }
-        pruned
-    }
-
     /// Every key currently present, in unspecified order.
     pub fn keys(&self) -> Vec<Key> {
         self.shards
@@ -424,24 +398,6 @@ mod tests {
         let ver = chain.latest_matching(|v| v.vc.get(0) <= 2).unwrap();
         assert_eq!(ver.vc.get(0), 2);
         assert!(chain.latest_matching(|v| v.vc.get(0) > 9).is_none());
-    }
-
-    #[test]
-    fn pruning_keeps_the_newest_versions() {
-        let store = MvStore::new();
-        let k = Key::new("x");
-        for i in 1..=10 {
-            store.apply(k.clone(), Value::from_u64(i), vc(&[i]), txn(i));
-        }
-        let pruned = store.prune_all(3);
-        assert_eq!(pruned, 7);
-        assert_eq!(store.retained_versions(), 3);
-        let chain = store.chain(&k).unwrap();
-        let newest: Vec<u64> = chain.iter().map(|v| v.value.to_u64().unwrap()).collect();
-        assert_eq!(newest, vec![8, 9, 10]);
-        // Pruning below the retained count is a no-op.
-        let mut chain = (*chain).clone();
-        assert_eq!(chain.prune_to(5), 0);
     }
 
     #[test]

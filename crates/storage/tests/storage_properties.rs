@@ -36,27 +36,6 @@ proptest! {
     }
 
     #[test]
-    fn pruning_never_drops_the_latest_version(
-        count in 1usize..60,
-        keep in 1usize..10,
-    ) {
-        let store = MvStore::new();
-        let key = Key::new("k");
-        for i in 0..count {
-            store.apply(
-                key.clone(),
-                Value::from_u64(i as u64),
-                VectorClock::from_entries(vec![i as u64 + 1]),
-                txn(i as u64),
-            );
-        }
-        store.prune_all(keep);
-        let chain = store.chain(&key).expect("chain exists");
-        prop_assert!(chain.len() <= keep.max(1));
-        prop_assert_eq!(chain.last().unwrap().value.to_u64(), Some(count as u64 - 1));
-    }
-
-    #[test]
     fn single_version_store_monotonic_versions(writes in prop::collection::vec(0u64..100, 1..50)) {
         let store = SvStore::new();
         let key = Key::new("cell");

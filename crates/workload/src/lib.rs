@@ -24,8 +24,8 @@
 //!   committed update's latency (with SSS's internal/external split, the
 //!   paper's Figure 5) in histograms on the [`ScenarioOutcome`].
 //!   [`run_scenario_tuned`] is the prologue both go through; a harness that
-//!   sweeps an engine tuning value or wants the engine back afterwards
-//!   calls it directly.
+//!   turns observability on or wants the engine back afterwards calls it
+//!   directly.
 //!
 //! There is no second, duration-based driver: the chaos catalog, the seed
 //! sweeps, the determinism suites, `sss-bench`'s figure sweeps and the

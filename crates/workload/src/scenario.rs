@@ -786,10 +786,9 @@ fn run_clients(
 /// fault plan — on threads, or with `sim_seed` on a fresh deterministic
 /// simulator — runs the scenario on it and disarms the plan. `tune` sees the
 /// scenario's [`EngineBuilder`] ([`ChaosScenario::engine`]) before it boots:
-/// a harness that sweeps a tuning value or wants observability sets it
-/// there, and reads whatever it needs off the returned engine (trace spans,
-/// mailbox totals) afterwards; under the simulator the engine is quiescent
-/// by then.
+/// a harness that wants observability sets it there, and reads whatever it
+/// needs off the returned engine (trace spans, mailbox totals) afterwards;
+/// under the simulator the engine is quiescent by then.
 ///
 /// # Errors
 ///

@@ -1,10 +1,12 @@
 //! Integration tests of the chaos-scenario layer: determinism of faulted
-//! runs and non-vacuousness of the post-run consistency checking.
+//! runs and of simulated message counts, and non-vacuousness of the post-run
+//! consistency checking.
 
 use std::time::Duration;
 
 use sss_consistency::{check_all, History, TxnRecord};
-use sss_workload::scenario::{run_scenario, ChaosScenario};
+use sss_engine::MailboxStats;
+use sss_workload::scenario::{run_scenario, run_scenario_tuned, ChaosScenario};
 use sss_workload::{
     EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadGenerator, WorkloadSpec,
 };
@@ -61,6 +63,43 @@ fn same_seed_and_fault_plan_reproduce_the_outcome_summary() {
         }
     }
     assert_eq!(first.committed_read_only, expected_read_only);
+}
+
+/// Mailbox counters of one fault-free simulated SSS run (4 nodes × 4
+/// clients × 25 updates-mostly transactions, seed 1), population included.
+fn simulated_mailbox_counts() -> MailboxStats {
+    let spec = WorkloadSpec::new(4)
+        .clients_per_node(4)
+        .total_keys(256)
+        .read_only_percent(10)
+        .seed(1);
+    let scenario = ChaosScenario::new("mailbox-counts", spec).ops_per_client(25);
+    let (outcome, engine) =
+        run_scenario_tuned(EngineKind::Sss, &scenario, Some(1), |b| b).expect("valid scenario");
+    assert!(outcome.passed(), "violations: {:?}", outcome.violations);
+    assert_eq!(outcome.committed, 400);
+    let totals = engine.mailbox_totals().expect("SSS counts its mailboxes");
+    assert!(
+        MailboxStats::conserves(&MailboxStats::default(), &totals),
+        "mailbox books do not balance: {totals:?}"
+    );
+    assert_eq!(
+        totals.per_kind.iter().sum::<u64>(),
+        totals.total_enqueued() + totals.local_delivered,
+        "every send is attributed to exactly one kind"
+    );
+    totals
+}
+
+/// Under the simulator every mailbox count is a function of the seed alone:
+/// a second run reproduces each of them exactly.
+#[test]
+fn simulated_mailbox_counts_are_a_function_of_the_seed() {
+    assert_eq!(
+        simulated_mailbox_counts(),
+        simulated_mailbox_counts(),
+        "the same seed must reproduce every count"
+    );
 }
 
 /// Mutation test: the consistency checker must reject a deliberately

@@ -5,15 +5,14 @@
 //! summary with tracing on and off for SSS (whose summary is fully
 //! deterministic), and the logically deterministic outcome projection for
 //! the baselines (whose retry counts are timing-dependent with or without
-//! tracing, as in the sharding determinism suite). The traced runs must
-//! also actually record spans — the flag is not allowed to be a silent
-//! no-op — and the spans must cover exactly the engine's documented phase
-//! taxonomy (`Phase::for_engine`).
+//! tracing). The traced runs must also actually record spans — the flag is
+//! not allowed to be a silent no-op — and the spans must cover exactly the
+//! engine's documented phase taxonomy (`Phase::for_engine`).
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use sss_engine::{EngineBuilder, Phase, DEFAULT_CONFIRM_EPOCH};
+use sss_engine::Phase;
 use sss_workload::scenario::{run_scenario_tuned, ChaosScenario, ScenarioExpectations};
 use sss_workload::{EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadSpec};
 
@@ -37,35 +36,20 @@ fn scenario(seed: u64, expect: ScenarioExpectations, replication: usize) -> Chao
         )
 }
 
+/// Runs `scenario` on `kind` with tracing on or off; returns the outcome and
+/// the labels of the phases the engine's hub recorded spans for (empty with
+/// tracing off).
 fn run(
     kind: EngineKind,
     scenario: &ChaosScenario,
     observability: bool,
-) -> sss_workload::ScenarioOutcome {
-    let (outcome, phases) = run_tuned(kind, scenario, |b| b.observability(observability));
-    assert_eq!(
-        !phases.is_empty(),
-        observability,
-        "{kind:?} (observability={observability}) recorded spans for {phases:?}"
-    );
-    outcome
-}
-
-/// Runs `scenario` on `kind` built with `tune` applied to the scenario's
-/// builder; returns the outcome and the labels of the phases the engine's
-/// hub recorded spans for (empty with tracing off).
-fn run_tuned(
-    kind: EngineKind,
-    scenario: &ChaosScenario,
-    tune: impl FnOnce(EngineBuilder) -> EngineBuilder,
 ) -> (sss_workload::ScenarioOutcome, BTreeSet<&'static str>) {
-    // A copy of the tuned builder names the sweep arm in a failure message.
-    let mut built = None;
-    let tune = |builder| built.insert(tune(builder)).clone();
-    let (outcome, engine) = run_scenario_tuned(kind, scenario, None, tune).expect("valid scenario");
+    let (outcome, engine) =
+        run_scenario_tuned(kind, scenario, None, |b| b.observability(observability))
+            .expect("valid scenario");
     assert!(
         outcome.passed(),
-        "{built:?} violated expectations: {:?}",
+        "{kind:?} (observability={observability}) violated expectations: {:?}",
         outcome.violations
     );
     let phases: BTreeSet<&'static str> = engine
@@ -75,6 +59,11 @@ fn run_tuned(
         .iter()
         .map(|span| span.phase.label())
         .collect();
+    assert_eq!(
+        !phases.is_empty(),
+        observability,
+        "{kind:?} (observability={observability}) recorded spans for {phases:?}"
+    );
     (outcome, phases)
 }
 
@@ -89,8 +78,8 @@ fn expectations(kind: EngineKind) -> (ScenarioExpectations, usize) {
 fn sss_chaos_summary_is_identical_with_tracing_on_and_off() {
     let (expect, replication) = expectations(EngineKind::Sss);
     let scenario = scenario(31, expect, replication);
-    let traced = run(EngineKind::Sss, &scenario, true);
-    let untraced = run(EngineKind::Sss, &scenario, false);
+    let (traced, _) = run(EngineKind::Sss, &scenario, true);
+    let (untraced, _) = run(EngineKind::Sss, &scenario, false);
     assert_eq!(
         traced.summary(),
         untraced.summary(),
@@ -108,8 +97,8 @@ fn baseline_chaos_outcome_is_identical_with_tracing_on_and_off() {
     for kind in [EngineKind::TwoPc, EngineKind::Walter, EngineKind::Rococo] {
         let (expect, replication) = expectations(kind);
         let scenario = scenario(31, expect, replication);
-        let traced = run(kind, &scenario, true);
-        let untraced = run(kind, &scenario, false);
+        let (traced, _) = run(kind, &scenario, true);
+        let (untraced, _) = run(kind, &scenario, false);
         assert_eq!(traced.committed, untraced.committed, "{kind:?} committed");
         assert_eq!(
             traced.committed_read_only, untraced.committed_read_only,
@@ -122,31 +111,15 @@ fn baseline_chaos_outcome_is_identical_with_tracing_on_and_off() {
 }
 
 /// Every engine's traced run covers its documented span taxonomy exactly:
-/// every phase of `Phase::for_engine`, nothing outside it. SSS's `release`
-/// is a separate wait only on the per-transaction confirmation path
-/// (window 1); at the default window the release rides the next round.
+/// every phase of `Phase::for_engine`, nothing outside it.
 #[test]
 fn traced_spans_cover_exactly_the_engine_taxonomy() {
-    let traced = |kind: EngineKind, window: usize| {
+    for kind in EngineKind::ALL {
         let (expect, replication) = expectations(kind);
         let scenario = scenario(31, expect, replication);
-        run_tuned(kind, &scenario, |b| {
-            b.observability(true).confirm_epoch(window)
-        })
-        .1
-    };
-    let taxonomy = |kind: EngineKind| -> BTreeSet<&'static str> {
+        let (_, traced) = run(kind, &scenario, true);
         let phases = Phase::for_engine(kind.label()).iter();
-        phases.map(|phase| phase.label()).collect()
-    };
-    for kind in EngineKind::ALL {
-        assert_eq!(traced(kind, 1), taxonomy(kind), "{kind:?}, window 1");
+        let taxonomy: BTreeSet<&'static str> = phases.map(|phase| phase.label()).collect();
+        assert_eq!(traced, taxonomy, "{kind:?}");
     }
-    let mut grouped = taxonomy(EngineKind::Sss);
-    grouped.remove(Phase::Release.label());
-    assert_eq!(
-        traced(EngineKind::Sss, DEFAULT_CONFIRM_EPOCH),
-        grouped,
-        "SSS, default window"
-    );
 }
