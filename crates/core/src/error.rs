@@ -66,11 +66,6 @@ impl SssError {
     pub fn is_abort(&self) -> bool {
         matches!(self, SssError::Aborted(_))
     }
-
-    /// `true` if the error reports a down (crashed or recovering) node.
-    pub fn is_unavailable(&self) -> bool {
-        matches!(self, SssError::NodeUnavailable)
-    }
 }
 
 impl std::fmt::Display for SssError {

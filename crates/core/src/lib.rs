@@ -63,6 +63,7 @@ mod cluster;
 pub mod coalescer;
 mod commit_queue;
 pub mod config;
+pub mod coordinator;
 mod error;
 mod messages;
 mod nlog;

@@ -104,7 +104,8 @@ pub enum SssMessage {
         key: Key,
         /// The transaction's current vector clock (`T.VC`).
         vc: VectorClock,
-        /// Which nodes the transaction has already read from.
+        /// Which nodes the transaction has already read from. Empty for
+        /// update transactions: the handler serves them before it looks.
         has_read: Vec<bool>,
         /// Exclusion ceilings accumulated by the transaction so far (see
         /// [`ReadReturn::excluded`]): version selection skips any version

@@ -28,10 +28,11 @@ use sss_net::{
     reply_channel, ChannelTransport, Envelope, NodeService, Priority, Transport, TransportError,
     TransportExt,
 };
-use sss_storage::{Key, LockTable, MvStore, ReplicaMap, TxnId};
+use sss_storage::{LockTable, MvStore, ReplicaMap, TxnId};
 use sss_vclock::{NodeId, VectorClock};
 
 use crate::config::{SssConfig, NLOG_CAPACITY, RECOVERY_TIMEOUT};
+use crate::coordinator::ReadOnlyCoordinator;
 use crate::messages::SssMessage;
 use crate::stats::{NodeCounters, NodeStats};
 
@@ -283,7 +284,8 @@ impl SssNode {
     /// marks the transaction completed and sends `Remove` to every node that
     /// may hold one of its snapshot-queue entries (replicas of the read keys
     /// plus any registered forward targets, §III-C).
-    pub(crate) fn finish_read_only(&self, txn: TxnId, read_keys: &[Key]) {
+    pub(crate) fn finish_read_only(&self, coord: &ReadOnlyCoordinator) {
+        let txn = coord.id();
         let extra = self.complete_read_only(txn);
         // Piggyback (round-reduction optimisation): when a grouped
         // confirmation round is already in flight, the `Remove` rides its
@@ -294,10 +296,7 @@ impl SssNode {
         if self.queue_remove_on_next_round(txn) {
             return;
         }
-        let mut targets = self.replicas.replicas_of_all(read_keys.iter());
-        targets.extend(extra);
-        targets.sort();
-        targets.dedup();
+        let targets = coord.remove_targets(&self.replicas, extra);
         let _ = self.multicast(targets, SssMessage::Remove { txns: vec![txn] });
     }
 

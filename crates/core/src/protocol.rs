@@ -5,8 +5,9 @@
 //! ambiguity, how the final commit vector clock is equalized, when an
 //! external commit is blocked — lives here as pure functions over plain
 //! data, unit-tested on their own. The `sss-model` checker reaches them the
-//! way everything else does, through the handlers it steps; its scripted
-//! clients call [`finalize_commit_vc`] exactly as `Session` does.
+//! way everything else does: through the handlers it steps and, for
+//! [`finalize_commit_vc`], through the coordinator its clients share with
+//! `Session`.
 
 use std::sync::Arc;
 

@@ -1,5 +1,5 @@
-//! Client-side transaction execution (the coordinator logic of
-//! Algorithms 1 and 5).
+//! Client-side transaction execution: the blocking driver of the
+//! coordinator of Algorithms 1 and 5 ([`crate::coordinator`]).
 //!
 //! Clients are colocated with nodes (paper §II): a [`Session`] is bound to
 //! one node and issues transactions whose coordinator is that node. The
@@ -7,18 +7,17 @@
 //! read-only transaction (paper §II), by calling
 //! [`Session::begin_update`] or [`Session::begin_read_only`].
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sss_net::{reply_channel, Gather};
+use sss_net::{reply_channel, Gather, ReplySender};
 use sss_obs::{ObsHub, Phase, TxnTrace};
 use sss_storage::{Key, TxnId, Value};
-use sss_vclock::{NodeId, VectorClock};
 
 use crate::config::{ACK_TIMEOUT, READ_TIMEOUT, UNAVAILABLE_RETRY_MAX, VOTE_TIMEOUT};
+use crate::coordinator::{Participants, ReadOnlyCoordinator, UpdateCoordinator};
 use crate::error::{AbortReason, SssError};
-use crate::messages::{PropagatedEntry, SssMessage};
+use crate::messages::{ReadReturn, SssMessage};
 use crate::node::SssNode;
 
 /// Latency breakdown of a committed update transaction, mirroring the
@@ -65,23 +64,12 @@ impl Session {
         })
     }
 
-    /// The node this session is colocated with.
-    pub fn node_id(&self) -> NodeId {
-        self.node.id()
-    }
-
     /// Begins an update transaction.
     pub fn begin_update(&self) -> UpdateTransaction {
         let id = self.node.next_txn_id();
-        let vc = self.node.begin_vc();
         UpdateTransaction {
             node: Arc::clone(&self.node),
-            id,
-            vc,
-            has_read: vec![false; self.node.config().nodes],
-            read_set: Vec::new(),
-            write_set: BTreeMap::new(),
-            propagated: Vec::new(),
+            coord: UpdateCoordinator::begin(id, self.node.begin_vc()),
             started: sss_vclock::runtime::now(),
             trace: self.begin_trace(id),
         }
@@ -93,10 +81,7 @@ impl Session {
         ReadOnlyTransaction {
             node: Arc::clone(&self.node),
             id,
-            vc: None,
-            has_read: vec![false; self.node.config().nodes],
-            read_keys: Vec::new(),
-            excluded: Vec::new(),
+            coord: None,
             finished: false,
             trace: self.begin_trace(id),
         }
@@ -125,29 +110,16 @@ fn ensure_available(node: &SssNode) -> Result<(), SssError> {
     Err(SssError::NodeUnavailable)
 }
 
-/// Issues a read request to every replica of `key` and returns the fastest
-/// answer (Algorithm 5 line 9-10).
+/// Sends the read request `request` builds to every replica of `key` and
+/// returns the fastest answer (Algorithm 5 line 9-10).
 fn remote_read(
     node: &SssNode,
-    txn: TxnId,
     key: &Key,
-    vc: &VectorClock,
-    has_read: &[bool],
-    exclude: &[Arc<VectorClock>],
-    is_update: bool,
-) -> Result<crate::messages::ReadReturn, SssError> {
+    request: impl FnOnce(ReplySender<ReadReturn>) -> SssMessage,
+) -> Result<ReadReturn, SssError> {
     let replicas = node.replica_map().replicas(key);
     let (reply, receiver) = reply_channel(replicas.len());
-    let message = SssMessage::ReadRequest {
-        txn,
-        key: key.clone(),
-        vc: vc.clone(),
-        has_read: has_read.to_vec(),
-        exclude: exclude.to_vec(),
-        is_update,
-        reply,
-    };
-    node.multicast(replicas.iter().copied(), message)
+    node.multicast(replicas.iter().copied(), request(reply))
         .map_err(|_| SssError::ClusterShutdown)?;
     receiver
         .recv_timeout(READ_TIMEOUT)
@@ -170,12 +142,7 @@ pub(crate) fn collect_acks(
 #[derive(Debug)]
 pub struct UpdateTransaction {
     node: Arc<SssNode>,
-    id: TxnId,
-    vc: VectorClock,
-    has_read: Vec<bool>,
-    read_set: Vec<(Key, Option<TxnId>)>,
-    write_set: BTreeMap<Key, Value>,
-    propagated: Vec<PropagatedEntry>,
+    coord: UpdateCoordinator,
     started: Instant,
     /// Phase trace flushed to the observability hub at commit/abort.
     trace: Option<TxnTrace>,
@@ -184,7 +151,7 @@ pub struct UpdateTransaction {
 impl UpdateTransaction {
     /// This transaction's identifier.
     pub fn id(&self) -> TxnId {
-        self.id
+        self.coord.id()
     }
 
     /// Reads `key`, returning `None` if it has never been written.
@@ -198,48 +165,24 @@ impl UpdateTransaction {
     /// [`SssError::ClusterShutdown`] if the cluster was shut down.
     pub fn read(&mut self, key: impl Into<Key>) -> Result<Option<Value>, SssError> {
         let key = key.into();
-        if let Some(value) = self.write_set.get(&key) {
+        if let Some(value) = self.coord.buffered(&key) {
             return Ok(Some(value.clone()));
         }
         ensure_available(&self.node)?;
         if let Some(trace) = self.trace.as_mut() {
             trace.enter(Phase::Read);
         }
-        let response = remote_read(
-            &self.node,
-            self.id,
-            &key,
-            &self.vc,
-            &self.has_read,
-            &[],
-            true,
-        )?;
-        self.has_read[response.from.index()] = true;
-        self.vc.merge(&response.vc);
-        self.propagated.extend(response.propagated.iter().copied());
-        self.read_set.push((key, response.writer));
+        let coord = &mut self.coord;
+        let response = remote_read(&self.node, &key, |reply| coord.read_request(&key, reply))?;
+        coord.read_returned(key, &response);
         Ok(response.value)
     }
 
     /// Buffers a write of `value` under `key`; it becomes visible only when
     /// the transaction commits.
     pub fn write(&mut self, key: impl Into<Key>, value: impl Into<Value>) {
-        self.write_set.insert(key.into(), value.into());
+        self.coord.write(key.into(), value.into());
     }
-
-    /// Keys read so far, with the writer of the version each read observed.
-    pub fn read_set(&self) -> &[(Key, Option<TxnId>)] {
-        &self.read_set
-    }
-
-    /// Number of buffered writes.
-    pub fn write_set_len(&self) -> usize {
-        self.write_set.len()
-    }
-
-    /// Discards the transaction without attempting to commit. Nothing was
-    /// made visible to other transactions, so this is always safe.
-    pub fn rollback(self) {}
 
     /// Commits the transaction (Algorithm 1).
     ///
@@ -255,11 +198,12 @@ impl UpdateTransaction {
     /// in time. Aborted transactions can simply be retried by the client.
     pub fn commit(mut self) -> Result<CommitInfo, SssError> {
         let mut trace = self.trace.take();
-        let node = &self.node;
+        let (node, coord) = (&self.node, &mut self.coord);
         ensure_available(node)?;
-        let replica_map = node.replica_map();
+        let parts = coord.participants(node.replica_map());
+        let Participants { all, writers } = &parts;
 
-        if self.write_set.is_empty() {
+        if writers.is_empty() {
             // A declared-update transaction that performed no writes
             // degenerates to a read-only commit (Algorithm 1 lines 2-8).
             // Its reads did not enqueue in any snapshot-queue, so there is
@@ -272,65 +216,27 @@ impl UpdateTransaction {
                 external_latency: sss_vclock::runtime::elapsed_since(self.started),
             });
         }
-
-        let write_keys: Vec<Key> = self.write_set.keys().cloned().collect();
-        let write_set: Vec<(Key, Value)> = self
-            .write_set
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-
-        // Participants: replicas of every accessed key plus the coordinator.
-        let read_keys: Vec<Key> = self.read_set.iter().map(|(k, _)| k.clone()).collect();
-        let mut participants =
-            replica_map.replicas_of_all(read_keys.iter().chain(write_keys.iter()));
-        if !participants.contains(&node.id()) {
-            participants.push(node.id());
-            participants.sort();
-        }
-        let write_replicas = replica_map.replicas_of_all(write_keys.iter());
+        let id = coord.id();
 
         // Prepare phase. The multicast moves the message into the last
         // send, so a fan-out to N participants clones it N-1 times.
         if let Some(trace) = trace.as_mut() {
             trace.enter(Phase::PreCommit);
         }
-        let (vote_reply, vote_receiver) = reply_channel(participants.len());
-        let prepare = SssMessage::Prepare {
-            txn: self.id,
-            vc: self.vc.clone(),
-            read_set: self.read_set.clone(),
-            write_set: write_set.clone(),
-            reply: vote_reply,
-        };
-        node.multicast(participants.iter().copied(), prepare)
+        let (vote_reply, vote_receiver) = reply_channel(all.len());
+        node.multicast(all.iter().copied(), coord.prepare(vote_reply))
             .map_err(|_| SssError::ClusterShutdown)?;
-
-        let mut commit_vc = self.vc.clone();
         let vote = vote_receiver.gather(
-            participants.len(),
+            all.len(),
             VOTE_TIMEOUT,
-            |vote| (vote.txn == self.id).then_some(vote.from),
-            |vote| {
-                if vote.ok {
-                    commit_vc.merge(&vote.vc);
-                }
-                vote.ok
-            },
+            |vote| (vote.txn == id).then_some(vote.from),
+            |vote| coord.voted(&vote),
         );
         let abort_reason = match vote {
             Gather::Complete => None,
             Gather::Rejected => Some(AbortReason::ValidationFailed { key: None }),
             Gather::TimedOut => Some(AbortReason::VoteTimeout),
         };
-        let outcome = abort_reason.is_none();
-
-        // Compute the final commit vector clock (Algorithm 1 lines 21-24,
-        // via the pure step shared with the model checker).
-        if outcome {
-            let write_indices: Vec<usize> = write_replicas.iter().map(|n| n.index()).collect();
-            crate::protocol::finalize_commit_vc(&mut commit_vc, &write_indices);
-        }
 
         // Decide phase. On a commit, the RegisterForward messages that
         // register extra Remove targets for propagated read-only entries
@@ -341,46 +247,12 @@ impl UpdateTransaction {
         if let Some(trace) = trace.as_mut() {
             trace.enter(Phase::CommitQueueWait);
         }
-        let (ack_reply, ack_receiver) = reply_channel(write_replicas.len().max(1));
-        let decide = SssMessage::Decide {
-            txn: self.id,
-            commit_vc: commit_vc.clone(),
-            outcome,
-            propagated: self.propagated.clone(),
-            ack_reply,
-        };
-        let mut per_dest: BTreeMap<NodeId, Vec<SssMessage>> = BTreeMap::new();
-        for target in &participants {
-            per_dest.entry(*target).or_default().push(decide.clone());
-        }
-        if outcome {
-            // BTreeSet, not HashSet: several propagated read-only entries can
-            // share an origin, and hash-order iteration would put their
-            // RegisterForward messages on the wire in a run-dependent order,
-            // breaking seeded-replay determinism under the simulator.
-            let distinct_ro: std::collections::BTreeSet<TxnId> =
-                self.propagated.iter().map(|p| p.txn).collect();
-            for ro in distinct_ro {
-                per_dest
-                    .entry(ro.origin)
-                    .or_default()
-                    .push(SssMessage::RegisterForward {
-                        txn: ro,
-                        targets: write_replicas.clone(),
-                    });
-            }
-        }
-        // The coordinator's own batch goes last: a self-addressed send can
-        // run the handler inline (local fast path), and internally
-        // committing here mid-loop would delay the remote destinations'
-        // Decides behind it.
-        let own_batch = per_dest.remove(&node.id());
-        for (target, batch) in per_dest {
+        let (ack_reply, ack_receiver) = reply_channel(writers.len().max(1));
+        // The Decides get a clone and `ack_reply` lives until `commit`
+        // returns: every sender's drop is a notify the simulator's replay
+        // records, so dropping it earlier would move seeded interleavings.
+        for (target, batch) in coord.decide(&parts, abort_reason.is_none(), ack_reply.clone()) {
             node.send_batch(target, batch)
-                .map_err(|_| SssError::ClusterShutdown)?;
-        }
-        if let Some(batch) = own_batch {
-            node.send_batch(node.id(), batch)
                 .map_err(|_| SssError::ClusterShutdown)?;
         }
 
@@ -394,7 +266,7 @@ impl UpdateTransaction {
         let internal_latency = sss_vclock::runtime::elapsed_since(self.started);
 
         // External commit: wait for every write replica's acknowledgement.
-        let timed_out = !collect_acks(&ack_receiver, self.id, write_replicas.len());
+        let timed_out = !collect_acks(&ack_receiver, id, writers.len());
 
         // Global external-commit confirmation round (completion-order
         // barrier, see `serve_or_park_read_only` and `begin_vc`): every node
@@ -415,7 +287,7 @@ impl UpdateTransaction {
         if let Some(trace) = trace.as_mut() {
             trace.enter(Phase::ConfirmWait);
         }
-        let confirmed = node.confirm_external_grouped(self.id, commit_vc);
+        let confirmed = node.confirm_external_grouped(id, coord.vc().clone());
         if !confirmed {
             // A round that died without an answer (the leader's node crashed
             // and the reset coalescer dropped its waiters, or the wait timed
@@ -427,10 +299,8 @@ impl UpdateTransaction {
             // idempotent, so racing a late round that does complete is
             // harmless.
             let _ = node.multicast(
-                write_replicas.iter().copied(),
-                SssMessage::ReleaseExternal {
-                    txns: vec![self.id],
-                },
+                writers.iter().copied(),
+                SssMessage::ReleaseExternal { txns: vec![id] },
             );
         }
 
@@ -459,14 +329,8 @@ impl UpdateTransaction {
 pub struct ReadOnlyTransaction {
     node: Arc<SssNode>,
     id: TxnId,
-    vc: Option<VectorClock>,
-    has_read: Vec<bool>,
-    read_keys: Vec<Key>,
-    /// Exclusion ceilings of this transaction's snapshot (commit clocks of
-    /// pre-committing writers its first read excluded): the transaction
-    /// serialized before them, so no later read may observe their versions
-    /// — or any version carrying a dominating clock — on any key.
-    excluded: Vec<Arc<VectorClock>>,
+    /// Begun by the first read, which pins the visibility bound.
+    coord: Option<ReadOnlyCoordinator>,
     finished: bool,
     /// Phase trace flushed to the observability hub at completion.
     trace: Option<TxnTrace>,
@@ -496,43 +360,17 @@ impl ReadOnlyTransaction {
         // be available for the bound to be trustworthy: a crash wipes
         // `confirmed_vc`, and pinning against the wiped clock would start
         // the snapshot *before* already-confirmed writers.
-        if self.vc.is_none() {
+        if self.coord.is_none() {
             ensure_available(&self.node)?;
-            self.vc = Some(self.node.begin_vc());
+            self.coord = Some(ReadOnlyCoordinator::begin(self.id, self.node.begin_vc()));
         }
-        // Track the key *before* issuing the request: even when the read
-        // fails (e.g. times out while deferred or parked on a replica), the
-        // replicas may already hold this transaction's snapshot-queue entry
-        // for the key, and the `Remove`s sent at completion must reach them
-        // or a writer could be blocked forever.
         if let Some(trace) = self.trace.as_mut() {
             trace.enter(Phase::Read);
         }
-        self.read_keys.push(key.clone());
-        let vc = self.vc.as_ref().expect("initialized above");
-        let response = remote_read(
-            &self.node,
-            self.id,
-            &key,
-            vc,
-            &self.has_read,
-            &self.excluded,
-            false,
-        )?;
-        self.has_read[response.from.index()] = true;
-        for ceiling in response.excluded {
-            if !self.excluded.contains(&ceiling) {
-                self.excluded.push(ceiling);
-            }
-        }
-        let vc = self.vc.as_mut().expect("initialized above");
-        vc.merge(&response.vc);
+        let coord = self.coord.as_mut().expect("begun above");
+        let response = remote_read(&self.node, &key, |reply| coord.read_request(&key, reply))?;
+        coord.read_returned(&response);
         Ok(response.value)
-    }
-
-    /// Keys read so far.
-    pub fn read_set(&self) -> &[Key] {
-        &self.read_keys
     }
 
     /// Commits the transaction. This never fails due to concurrency: the
@@ -555,8 +393,8 @@ impl ReadOnlyTransaction {
     fn finish(&mut self) {
         if !self.finished {
             self.finished = true;
-            if !self.read_keys.is_empty() {
-                self.node.finish_read_only(self.id, &self.read_keys);
+            if let Some(coord) = &self.coord {
+                self.node.finish_read_only(coord);
             }
             if let Some(trace) = self.trace.take() {
                 trace.finish(true);

@@ -9,8 +9,8 @@
 //!   counterexample traces), and [`sss`] — the SSS protocol as a model whose
 //!   nodes are the *production* `SssNode`s, stepped one message at a time
 //!   through `sss_core::SteppedCluster`: what is verified is the handlers
-//!   that ship, with scripted clients and a scripted confirmation leader
-//!   loop around them.
+//!   that ship, driven by the production client coordinators, with only the
+//!   confirmation leader loop scripted.
 //! * [`interleave`] — a **schedule-enumerating interleaving harness**: a
 //!   deterministic DFS over every interleaving of two or three step lists,
 //!   applied to the shared-state hot spots (sharded `MvStore` copy-on-write

@@ -1,9 +1,9 @@
-//! The SSS protocol as an explicit-state model: production nodes, scripted
-//! clients.
+//! The SSS protocol as an explicit-state model: production nodes and
+//! production clients.
 //!
 //! The state is `N` production [`SssNode`](sss_core::SssNode)s — a
 //! [`SteppedCluster`]: no workers, no `NodeHost`, the clock held still —
-//! plus `T` scripted transactions ([`TxnSpec`]) and a multiset of in-flight
+//! plus `T` transactions scripted as [`TxnSpec`]s and a multiset of in-flight
 //! messages. Keys are partially replicated, one replica each: key `k` lives
 //! on node `k % N`. The checker's actions are *start a client*, *deliver one
 //! message* and *run one coalescer round*, so BFS over the action space
@@ -18,10 +18,12 @@
 //! the reply channels the model put in the request — becomes the new
 //! in-flight messages.
 //!
-//! Still scripted here (stage two of ROADMAP item 2 makes them production
-//! too): the clients, which send what `Session` sends but as a state machine
-//! instead of a blocking call, and the confirmation leader loop, which
-//! drives the production [`CoalescerCore`] one plan per `Coalesce` action.
+//! A client is the production coordinator of `sss_core::coordinator`, the
+//! one `Session` drives: it builds every `ReadRequest`, `Prepare`, `Decide`
+//! and `RegisterForward` and computes the commit clock, stepped one
+//! delivered reply at a time instead of behind a blocking call. Only the
+//! confirmation leader loop is still scripted: it drives the production
+//! [`CoalescerCore`] one plan per `Coalesce` action.
 //!
 //! Deliberate divergences (documented, not bugs):
 //!
@@ -31,8 +33,7 @@
 //!   back-off never fire. They are performance levers and liveness valves,
 //!   not what the invariants rest on.
 //! * A `Decide` and the `RegisterForward`s that ride its batch are separate
-//!   deliveries, and an abort `Decide` carries a zero clock: a superset of
-//!   the orders production allows, and a field the handler never reads.
+//!   deliveries: a superset of the orders production allows.
 //! * Values are not modelled — every invariant is about *which* version is
 //!   observed, never its payload.
 //!
@@ -49,10 +50,8 @@ use std::sync::Arc;
 
 use sss_core::coalescer::{CoalescerCore, RoundPlan};
 use sss_core::config::CONFIRM_EPOCH;
-use sss_core::{
-    protocol, Ack, ByteSink, PropagatedEntry, ReadReturn, SeededBug, SssConfig, SssMessage,
-    SteppedCluster, Vote,
-};
+use sss_core::coordinator::{ReadOnlyCoordinator, UpdateCoordinator};
+use sss_core::{Ack, ByteSink, ReadReturn, SeededBug, SssConfig, SssMessage, SteppedCluster, Vote};
 use sss_net::{reply_channel, ReplyReceiver, ReplySender};
 use sss_storage::{Key, ReplicaMap, TxnId, Value};
 use sss_vclock::{NodeId, VectorClock};
@@ -351,7 +350,7 @@ enum Dst {
 }
 
 /// What is in flight: a wire message on its way to a node's handler, or a
-/// handler's reply on its way back to a scripted client (a confirmation
+/// handler's reply on its way back to a client (a confirmation
 /// ack: to the leader loop of the round's origin node).
 #[derive(Debug, Clone)]
 enum Msg {
@@ -453,15 +452,39 @@ enum Phase {
     Aborted,
 }
 
+/// A client's production coordinator, from its `Start` on.
+#[derive(Debug, Clone, Hash)]
+enum Coord {
+    Idle,
+    Update(UpdateCoordinator),
+    ReadOnly(ReadOnlyCoordinator),
+}
+
+impl Coord {
+    fn update(&mut self) -> &mut UpdateCoordinator {
+        match self {
+            Coord::Update(coord) => coord,
+            _ => unreachable!("an update step on {self:?}"),
+        }
+    }
+
+    fn read_only(&mut self) -> &mut ReadOnlyCoordinator {
+        match self {
+            Coord::ReadOnly(coord) => coord,
+            _ => unreachable!("a read-only step on {self:?}"),
+        }
+    }
+}
+
+/// A client: its coordinator, what `Session` keeps on its stack between
+/// replies, and the commit clock the invariants judge versions by.
 #[derive(Debug, Clone, Hash)]
 struct ClientSt {
     phase: Phase,
-    vc: Vc,
-    has_read: u16,
+    coord: Coord,
     next_read: usize,
-    observed: Vec<(u8, Option<u8>)>,
-    propagated: Vec<(u8, u64)>,
-    exclude: Vec<Arc<Vc>>,
+    /// The writer of the version each read observed.
+    observed: Vec<Option<u8>>,
     votes: u16,
     ext_acks: u16,
     commit_vc: Option<Arc<Vc>>,
@@ -507,6 +530,10 @@ pub struct SssModel {
 
 fn bit(t: usize) -> u16 {
     1 << t
+}
+
+fn mask(nodes: &[NodeId]) -> u16 {
+    nodes.iter().fold(0, |mask, n| mask | bit(n.index()))
 }
 
 /// The index of the scripted transaction `txn` names (see [`SssModel::tid`]).
@@ -572,25 +599,6 @@ impl SssModel {
         key as usize % self.cfg.nodes
     }
 
-    fn homes(&self, keys: &[u8]) -> u16 {
-        keys.iter().fold(0, |mask, &k| mask | bit(self.home(k)))
-    }
-
-    /// 2PC participants: the replicas of every accessed key plus the
-    /// coordinator.
-    fn participants(&self, t: usize) -> u16 {
-        let spec = &self.cfg.txns[t];
-        self.homes(spec.reads()) | self.homes(spec.writes()) | bit(spec.origin())
-    }
-
-    fn write_mask(&self, t: usize) -> u16 {
-        self.homes(self.cfg.txns[t].writes())
-    }
-
-    fn nodes_in(&self, mask: u16) -> impl Iterator<Item = usize> + '_ {
-        (0..self.cfg.nodes).filter(move |&n| mask & bit(n) != 0)
-    }
-
     fn all_nodes_mask(&self) -> u16 {
         (1 << self.cfg.nodes) - 1
     }
@@ -615,12 +623,9 @@ impl Model for SssModel {
         };
         let client = ClientSt {
             phase: Phase::Idle,
-            vc: Vc::new(n),
-            has_read: 0,
+            coord: Coord::Idle,
             next_read: 0,
             observed: Vec::new(),
-            propagated: Vec::new(),
-            exclude: Vec::new(),
             votes: 0,
             ext_acks: 0,
             commit_vc: None,
@@ -766,20 +771,17 @@ impl SssModel {
         }
     }
 
-    fn has_read_slice(&self, mask: u16) -> Vec<bool> {
-        (0..self.cfg.nodes).map(|n| mask & bit(n) != 0).collect()
-    }
-
-    /// Puts one copy of `message` in flight to every node of `mask`.
-    fn send(&self, s: &mut SssState, mask: u16, message: SssMessage) {
-        for n in self.nodes_in(mask) {
+    /// Puts one copy of `message` in flight to every node of `to`.
+    fn send(&self, s: &mut SssState, to: impl IntoIterator<Item = NodeId>, message: SssMessage) {
+        for n in to {
             let copy = Msg::Wire(message.clone());
-            s.msgs.push(Envelope::new(Dst::Node(n as u8), copy));
+            s.msgs.push(Envelope::new(Dst::Node(n.index() as u8), copy));
         }
     }
 
     fn start(&self, s: &mut SssState, t: usize) -> Result<(), String> {
-        let origin = self.cfg.txns[t].origin();
+        let spec = &self.cfg.txns[t];
+        let origin = spec.origin();
         let begin = s.cluster.begin_vc(NodeId(origin));
         // External consistency, start side: a transaction beginning after
         // another's external commit must observe a snapshot dominating it.
@@ -795,9 +797,19 @@ impl SssModel {
                 }
             }
         }
-        s.clients[t].vc = begin;
+        let id = self.tid(t);
+        s.clients[t].coord = match spec {
+            TxnSpec::Update { writes, .. } => {
+                let mut coord = UpdateCoordinator::begin(id, begin);
+                for &k in writes {
+                    coord.write(self.keys[k as usize].clone(), Value::empty());
+                }
+                Coord::Update(coord)
+            }
+            TxnSpec::ReadOnly { .. } => Coord::ReadOnly(ReadOnlyCoordinator::begin(id, begin)),
+        };
         s.clients[t].phase = Phase::Read;
-        if self.cfg.txns[t].reads().is_empty() {
+        if spec.reads().is_empty() {
             self.send_prepare(s, t);
         } else {
             self.send_read(s, t);
@@ -806,37 +818,25 @@ impl SssModel {
     }
 
     fn send_read(&self, s: &mut SssState, t: usize) {
-        let spec = &self.cfg.txns[t];
-        let c = &s.clients[t];
-        let key = spec.reads()[c.next_read];
-        let request = SssMessage::ReadRequest {
-            txn: self.tid(t),
-            key: self.keys[key as usize].clone(),
-            vc: c.vc.clone(),
-            has_read: self.has_read_slice(c.has_read),
-            exclude: c.exclude.clone(),
-            is_update: spec.is_update(),
-            reply: self.reads[t].0.clone(),
+        let c = &mut s.clients[t];
+        let key = &self.keys[self.cfg.txns[t].reads()[c.next_read] as usize];
+        let reply = self.reads[t].0.clone();
+        let request = match &mut c.coord {
+            Coord::Update(coord) => coord.read_request(key, reply),
+            Coord::ReadOnly(coord) => coord.read_request(key, reply),
+            Coord::Idle => unreachable!("t{t} reads before it starts"),
         };
-        self.send(s, bit(self.home(key)), request);
+        let replicas = s.cluster.replica_map().replicas(key);
+        self.send(s, replicas, request);
     }
 
     fn send_prepare(&self, s: &mut SssState, t: usize) {
         let c = &mut s.clients[t];
         c.phase = Phase::Vote;
-        let key = |k: u8| self.keys[k as usize].clone();
-        let observed = c.observed.iter();
-        let written = self.cfg.txns[t].writes().iter();
-        let prepare = SssMessage::Prepare {
-            txn: self.tid(t),
-            vc: c.vc.clone(),
-            read_set: observed
-                .map(|&(k, w)| (key(k), w.map(|w| self.tid(w as usize))))
-                .collect(),
-            write_set: written.map(|&k| (key(k), Value::empty())).collect(),
-            reply: self.votes.0.clone(),
-        };
-        self.send(s, self.participants(t), prepare);
+        let coord = c.coord.update();
+        let prepare = coord.prepare(self.votes.0.clone());
+        let participants = coord.participants(s.cluster.replica_map()).all;
+        self.send(s, participants, prepare);
     }
 
     fn deliver(&self, s: &mut SssState, env: &Arc<Envelope>) -> Result<(), String> {
@@ -910,7 +910,8 @@ impl SssModel {
                 && self.home(first) == i
                 && !s.cluster.awaits_bound(NodeId(i), self.tid(t));
             if bound_here {
-                let (key, sid) = (&self.keys[first as usize], s.clients[t].vc.get(i));
+                let sid = s.clients[t].coord.read_only().vc().get(i);
+                let key = &self.keys[first as usize];
                 s.shadow[t] = s.cluster.precommit_ceilings(NodeId(i), key, sid);
                 s.clients[t].awaiting_bound = false;
             }
@@ -999,17 +1000,17 @@ impl SssModel {
     }
 
     fn coalesce(&self, s: &mut SssState, n: usize) {
-        let all = self.all_nodes_mask();
+        let all = || (0..self.cfg.nodes).map(NodeId);
         match s.leaders[n].coal.next_round(CONFIRM_EPOCH, false) {
             RoundPlan::Exit | RoundPlan::Linger => {}
             RoundPlan::Flush { release, remove } => {
                 // Removes go first — they can unblock waiting external
                 // commits.
                 if !remove.is_empty() {
-                    self.send(s, all, SssMessage::Remove { txns: remove });
+                    self.send(s, all(), SssMessage::Remove { txns: remove });
                 }
                 if !release.is_empty() {
-                    self.send(s, all, SssMessage::ReleaseExternal { txns: release });
+                    self.send(s, all(), SssMessage::ReleaseExternal { txns: release });
                 }
             }
             RoundPlan::Round {
@@ -1029,17 +1030,17 @@ impl SssModel {
                     remove,
                     reply: self.confirm_acks.0.clone(),
                 };
-                self.send(s, all, confirm);
+                self.send(s, all(), confirm);
                 if self.cfg.mutation == Some(Mutation::PrematureRelease) {
                     // Seeded bug: the release rides out with the round
                     // instead of waiting for its acks.
-                    self.send(s, all, SssMessage::ReleaseExternal { txns: members });
+                    self.send(s, all(), SssMessage::ReleaseExternal { txns: members });
                 }
             }
         }
     }
 
-    // -- client side: what `Session` sends, scripted -------------------------
+    // -- client side: the production coordinator, one reply at a time ------
 
     fn client_read_ret(&self, s: &mut SssState, t: usize, ret: &ReadReturn) -> Result<(), String> {
         if s.clients[t].phase != Phase::Read {
@@ -1047,21 +1048,15 @@ impl SssModel {
         }
         let spec = &self.cfg.txns[t];
         let c = &mut s.clients[t];
-        c.vc.merge(&ret.vc);
-        c.observed
-            .push((spec.reads()[c.next_read], ret.writer.map(|w| ix(w) as u8)));
-        if spec.is_update() {
-            let entries = ret.propagated.iter();
-            c.propagated
-                .extend(entries.map(|p| (ix(p.txn) as u8, p.sid)));
-        } else {
-            c.has_read |= bit(ret.from.index());
-            for ceiling in &ret.excluded {
-                if !c.exclude.contains(ceiling) {
-                    c.exclude.push(Arc::clone(ceiling));
-                }
+        match &mut c.coord {
+            Coord::Update(coord) => {
+                let key = &self.keys[spec.reads()[c.next_read] as usize];
+                coord.read_returned(key.clone(), ret);
             }
+            Coord::ReadOnly(coord) => coord.read_returned(ret),
+            Coord::Idle => unreachable!("t{t} reads before it starts"),
         }
+        c.observed.push(ret.writer.map(|w| ix(w) as u8));
         c.next_read += 1;
         if c.next_read < spec.reads().len() {
             self.send_read(s, t);
@@ -1080,46 +1075,23 @@ impl SssModel {
             return;
         }
         c.votes |= bit(from);
-        let decide = |outcome, commit_vc, propagated| SssMessage::Decide {
-            txn: self.tid(t),
-            commit_vc,
-            outcome,
-            propagated,
-            ack_reply: self.ext_acks.0.clone(),
-        };
-        if !vote.ok {
-            c.phase = Phase::Aborted;
-            let abort = decide(false, Vc::new(self.cfg.nodes), Vec::new());
-            return self.send(s, self.participants(t), abort);
-        }
-        c.vc.merge(&vote.vc);
-        if c.votes != self.participants(t) {
+        let coord = c.coord.update();
+        let participants = coord.participants(s.cluster.replica_map());
+        let ok = coord.voted(vote);
+        if ok && c.votes != mask(&participants.all) {
             return;
         }
-        let writers = self.write_mask(t);
-        let mut cvc = c.vc.clone();
-        // xact-vn equalization over the write replicas.
-        let write_indices: Vec<usize> = self.nodes_in(writers).collect();
-        protocol::finalize_commit_vc(&mut cvc, &write_indices);
-        c.commit_vc = Some(Arc::new(cvc.clone()));
-        c.phase = Phase::ExtWait;
-        let mut readers: Vec<u8> = c.propagated.iter().map(|&(ro, _)| ro).collect();
-        let propagated = c.propagated.iter().map(|&(ro, sid)| PropagatedEntry {
-            txn: self.tid(ro as usize),
-            sid,
-        });
-        let commit = decide(true, cvc, propagated.collect());
-        self.send(s, self.participants(t), commit);
-        // Every read-only transaction whose entry rides this commit learns,
-        // at its origin, where its `Remove` must also go (§III-C).
-        readers.sort_unstable();
-        readers.dedup();
-        for ro in readers {
-            let forward = SssMessage::RegisterForward {
-                txn: self.tid(ro as usize),
-                targets: self.nodes_in(writers).map(NodeId).collect(),
-            };
-            self.send(s, bit(self.cfg.txns[ro as usize].origin()), forward);
+        let batches = coord.decide(&participants, ok, self.ext_acks.0.clone());
+        if ok {
+            c.commit_vc = Some(Arc::new(coord.vc().clone()));
+            c.phase = Phase::ExtWait;
+        } else {
+            c.phase = Phase::Aborted;
+        }
+        for (to, batch) in batches {
+            for message in batch {
+                self.send(s, [to], message);
+            }
         }
     }
 
@@ -1129,7 +1101,8 @@ impl SssModel {
             return;
         }
         c.ext_acks |= bit(from);
-        if c.ext_acks != self.write_mask(t) {
+        let participants = c.coord.update().participants(s.cluster.replica_map());
+        if c.ext_acks != mask(&participants.writers) {
             return;
         }
         c.phase = Phase::ConfirmWait;
@@ -1142,26 +1115,23 @@ impl SssModel {
     fn finish_ro(&self, s: &mut SssState, t: usize) -> Result<(), String> {
         // External consistency, completion side: a read-only transaction
         // never completes having observed an unconfirmed writer.
-        for &(_, w) in &s.clients[t].observed {
-            if let Some(w) = w {
-                if s.confirmed & bit(w as usize) == 0 {
-                    return Err(format!(
-                        "external consistency: read-only t{t} completed having \
-                         observed t{w}, whose confirmation round has not completed"
-                    ));
-                }
+        for &w in s.clients[t].observed.iter().flatten() {
+            if s.confirmed & bit(w as usize) == 0 {
+                return Err(format!(
+                    "external consistency: read-only t{t} completed having \
+                     observed t{w}, whose confirmation round has not completed"
+                ));
             }
         }
         s.clients[t].phase = Phase::Committed;
-        let spec = &self.cfg.txns[t];
-        let (origin, txn) = (spec.origin(), self.tid(t));
+        let (origin, txn) = (self.cfg.txns[t].origin(), self.tid(t));
         let forwarded = s.cluster.complete_read_only(NodeId(origin), txn);
         if s.leaders[origin].coal.queue_remove(txn) {
             return Ok(()); // rides the leader's next round, to every node
         }
-        let extra = forwarded.iter().fold(0, |mask, n| mask | bit(n.index()));
-        let remove = SssMessage::Remove { txns: vec![txn] };
-        self.send(s, self.homes(spec.reads()) | extra, remove);
+        let coord = s.clients[t].coord.read_only();
+        let targets = coord.remove_targets(s.cluster.replica_map(), forwarded);
+        self.send(s, targets, SssMessage::Remove { txns: vec![txn] });
         Ok(())
     }
 }
