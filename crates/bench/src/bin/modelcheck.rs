@@ -1,6 +1,6 @@
 //! Exhaustive model-check gate: verifies every clean protocol configuration
-//! completely and demands a minimal counterexample from every seeded
-//! mutation.
+//! completely, demands a minimal counterexample from every seeded mutation
+//! and keeps finding the known violations the protocol still admits.
 //!
 //! Usage: `cargo run -p sss-bench --release --bin modelcheck
 //!         [--max-states N] [--max-depth N] [--print-table]`
@@ -14,8 +14,11 @@
 //!
 //! Exits non-zero if a clean configuration has a violation, fails to
 //! exhaust its state space within the budgets or explores a different
-//! number of states than pinned, or if any mutation fails to produce a
-//! counterexample of at most 40 actions.
+//! number of states than pinned, if any mutation fails to produce a
+//! counterexample of at most 40 actions, or if a known violation is no
+//! longer found within its pinned trace length. A fix that closes a known
+//! violation makes its row verify, which fails the gate until the row moves
+//! to `clean_configs`.
 
 use std::time::Instant;
 
@@ -42,6 +45,18 @@ fn clean_configs() -> Vec<(&'static str, ModelConfig, usize)> {
         ("contended-2n3t", ModelConfig::contended_2n3t(), 19625),
         ("dup-budget-2n2t", dup_budget, 258),
     ]
+}
+
+/// Configurations with a violation the protocol is known to admit, the
+/// invariant it breaks and the longest trace it may take. ROADMAP item 0
+/// is the fix.
+fn known_violations() -> Vec<(&'static str, ModelConfig, &'static str, usize)> {
+    vec![(
+        "crossed-readers-2n4t",
+        ModelConfig::crossed_readers_2n4t(),
+        "serializability",
+        46,
+    )]
 }
 
 /// Explores `cfg` and prints its table row; `verdict` words the outcome and
@@ -117,6 +132,25 @@ fn main() {
         });
         failures += usize::from(!passed);
     }
+    for (name, config, invariant, cap) in known_violations() {
+        let name = format!("known:{name}");
+        let (report, passed) = run(&name, config, &budget, |report| match &report.violation {
+            Some(cx) if cx.invariant.contains(invariant) && cx.actions.len() <= cap => (
+                true,
+                format!("known violation ({} actions)", cx.actions.len()),
+            ),
+            Some(cx) => (
+                false,
+                format!("CHANGED ({} actions: {})", cx.actions.len(), cx.invariant),
+            ),
+            None if report.complete => (false, "VERIFIED (move it to the clean rows)".into()),
+            None => (false, "INCOMPLETE".into()),
+        });
+        failures += usize::from(!passed);
+        if let Some(cx) = report.violation {
+            print!("{}", cx.render());
+        }
+    }
 
     if print_table {
         println!("state counts to pin in `clean_configs`:");
@@ -128,5 +162,5 @@ fn main() {
         eprintln!("{failures} configuration(s) FAILED");
         std::process::exit(1);
     }
-    println!("all configurations verified; all mutations caught");
+    println!("all configurations verified; all mutations and known violations caught");
 }

@@ -1,4 +1,5 @@
-//! The pure decision core of the epoch-grouped confirmation coalescer.
+//! The pure decision core of the epoch-grouped confirmation coalescer, and
+//! the confirmation leader's step over it.
 //!
 //! [`CoalescerCore`] is the state machine the real coalescer
 //! (`node/confirm.rs`) drives under its mutex: membership pushes, the
@@ -11,6 +12,12 @@
 //! the leadership-handoff ("no lost wakeup") and
 //! release-never-overtakes-confirmation obligations are checked
 //! exhaustively rather than probabilistically.
+//!
+//! [`CoalescerCore::leader_step`] and [`ConfirmRound`] are the leader's
+//! step with its messages built: the plan, the round's `ConfirmExternal`,
+//! its acks counted by sender and its completion. The production leader
+//! thread drives them with blocking sends and waits; the stepped cluster
+//! behind `sss-model` drives the same calls one action at a time.
 //!
 //! Invariants encoded here (and asserted by the harness):
 //!
@@ -29,8 +36,12 @@
 
 use std::sync::Arc;
 
+use sss_net::ReplySender;
 use sss_storage::TxnId;
-use sss_vclock::VectorClock;
+use sss_vclock::{NodeId, VectorClock};
+
+use crate::config::CONFIRM_EPOCH;
+use crate::messages::{Ack, SssMessage};
 
 /// One update transaction waiting for a grouped confirmation round.
 /// `W` is the caller's completion handle (a reply channel in production,
@@ -170,7 +181,7 @@ impl<W> CoalescerCore<W> {
     /// passes — its members' releases ride the next plan (returns `None`);
     /// without it, the caller must broadcast the returned release list
     /// immediately. It is a parameter with one value in use only because
-    /// the repository benchmark pins this signature (ROADMAP item 6(c)).
+    /// the repository benchmark pins this signature (ROADMAP item 2).
     pub fn round_completed(&mut self, members: Vec<TxnId>, piggyback: bool) -> Option<Vec<TxnId>> {
         if piggyback {
             self.pending_release.extend(members);
@@ -217,10 +228,106 @@ impl<W> CoalescerCore<W> {
     }
 }
 
-/// The round identifier used by the handler-side ack dedup: the first
-/// member's transaction.
-pub fn round_id<W>(batch: &[PendingConfirm<W>]) -> Option<TxnId> {
-    batch.first().map(|p| p.txn)
+/// What the confirmation leader does next: a [`RoundPlan`] with its
+/// messages built.
+#[derive(Debug)]
+pub enum LeaderStep<W> {
+    /// Every queue drained: the leader returns.
+    Exit,
+    /// Wait for the window to fill, then step again.
+    Linger,
+    /// No round to run: broadcast each message to every node, in order —
+    /// the `Remove` first (it can unblock waiting external commits), then
+    /// the `ReleaseExternal`.
+    Flush(Vec<SssMessage>),
+    /// Broadcast the round's [`ConfirmRound::confirm`] and count its acks.
+    Round(ConfirmRound<W>),
+}
+
+impl<W> CoalescerCore<W> {
+    /// The leader's next step: [`CoalescerCore::next_round`] over a window
+    /// of [`CONFIRM_EPOCH`], with the messages the plan sends.
+    pub fn leader_step(&mut self, may_linger: bool) -> LeaderStep<W> {
+        match self.next_round(CONFIRM_EPOCH, may_linger) {
+            RoundPlan::Exit => LeaderStep::Exit,
+            RoundPlan::Linger => LeaderStep::Linger,
+            RoundPlan::Flush { release, remove } => {
+                let remove = (!remove.is_empty()).then_some(SssMessage::Remove { txns: remove });
+                let release =
+                    (!release.is_empty()).then_some(SssMessage::ReleaseExternal { txns: release });
+                LeaderStep::Flush(remove.into_iter().chain(release).collect())
+            }
+            RoundPlan::Round {
+                batch,
+                release,
+                remove,
+            } => LeaderStep::Round(ConfirmRound {
+                batch,
+                release,
+                remove,
+                acked: Vec::new(),
+            }),
+        }
+    }
+}
+
+/// One confirmation round, from its plan to its completion: the members,
+/// the piggybacked payloads until [`ConfirmRound::confirm`] takes them, and
+/// the nodes that acknowledged.
+#[derive(Debug, Clone)]
+pub struct ConfirmRound<W> {
+    batch: Vec<PendingConfirm<W>>,
+    release: Vec<TxnId>,
+    remove: Vec<TxnId>,
+    acked: Vec<NodeId>,
+}
+
+impl<W> ConfirmRound<W> {
+    /// The round id the handlers acknowledge: the first member.
+    pub fn id(&self) -> TxnId {
+        self.batch[0].txn
+    }
+
+    /// The members, in arrival order.
+    pub fn members(&self) -> impl Iterator<Item = TxnId> + '_ {
+        self.batch.iter().map(|p| p.txn)
+    }
+
+    /// The nodes that acknowledged, in arrival order.
+    pub fn acked(&self) -> &[NodeId] {
+        &self.acked
+    }
+
+    /// The round's one `ConfirmExternal`, acknowledged to `reply`. The
+    /// piggybacked release and remove lists move into it.
+    pub fn confirm(&mut self, reply: ReplySender<Ack>) -> SssMessage {
+        let entries = self.batch.iter().map(|p| (p.txn, Arc::clone(&p.commit_vc)));
+        SssMessage::ConfirmExternal {
+            entries: entries.collect(),
+            release: std::mem::take(&mut self.release),
+            remove: std::mem::take(&mut self.remove),
+            reply,
+        }
+    }
+
+    /// Counts `ack` if it is this round's and its sender's first; returns
+    /// whether it counted.
+    pub fn ack(&mut self, ack: &Ack) -> bool {
+        let counts = ack.txn == self.id() && !self.acked.contains(&ack.from);
+        if counts {
+            self.acked.push(ack.from);
+        }
+        counts
+    }
+
+    /// Completes the round, on success and failure alike (a timed-out round
+    /// must still release, or its readers would stay parked): the members'
+    /// releases ride `core`'s next plan, and their waiters come back in
+    /// arrival order for the caller to answer once it let go of `core`.
+    pub fn complete(self, core: &mut CoalescerCore<W>) -> Vec<W> {
+        core.round_completed(self.members().collect(), true);
+        self.batch.into_iter().map(|p| p.waiter).collect()
+    }
 }
 
 #[cfg(test)]

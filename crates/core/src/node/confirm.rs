@@ -43,6 +43,15 @@
 //! is covered by another round) or observes `in_flight == false` and leads
 //! itself — no lost wakeups.
 //!
+//! # One leader step, two drivers
+//!
+//! A leader step is [`CoalescerCore::leader_step`] and [`ConfirmRound`],
+//! sent and completed by `flush`, `send_round` and `complete_round` here.
+//! `run_confirm_rounds` adds only what blocks: the linger and the gather of
+//! a round's acks. The stepped cluster behind `sss-model` (`node/step.rs`)
+//! makes the same calls one action at a time on this node's own coalescer,
+//! so the exhaustive checker runs this leader.
+//!
 //! # Why grouping is safe
 //!
 //! Grouping only *delays client responses*; it never advances them. Each
@@ -61,42 +70,19 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sss_net::{reply_channel, ReplySender};
+use sss_net::{reply_channel, Gather, ReplySender};
 use sss_storage::TxnId;
 use sss_vclock::{NodeId, VectorClock};
 
-use crate::coalescer::{round_id, CoalescerCore, RoundPlan};
-use crate::config::{ACK_TIMEOUT, CONFIRM_EPOCH, CONFIRM_LINGER};
-use crate::messages::SssMessage;
-use crate::session::collect_acks;
+use crate::coalescer::{ConfirmRound, LeaderStep};
+use crate::config::{ACK_TIMEOUT, CONFIRM_LINGER};
+use crate::messages::{Ack, SssMessage};
 
+use super::step::SeededBug;
 use super::SssNode;
 
-/// Per-node grouped-confirmation state: the pure decision core
-/// ([`CoalescerCore`], shared with the `sss-model` interleaving harness)
-/// behind the node's coalescer mutex. The waiter payload is the reply
-/// channel on which the round leader reports the outcome (`true` iff every
-/// node acknowledged).
-#[derive(Default)]
-pub(crate) struct ConfirmCoalescer {
-    state: Mutex<CoalescerCore<ReplySender<bool>>>,
-}
-
-impl ConfirmCoalescer {
-    /// Crash-stop reset: drops every queued member (their waiters observe a
-    /// dropped channel → a failed round → `ExternalCommitTimeout`, the
-    /// degraded path committers already handle) and clears the leader flag
-    /// so the next committer after restart leads a fresh round. A leader
-    /// thread still looping against the old state simply drains to `Exit`;
-    /// its stale `round_completed` call lands in the fresh core's release
-    /// queue, which only re-releases transactions whose round already
-    /// collected acks or timed out — the same release a failed committer
-    /// sends itself.
-    pub(crate) fn reset(&self) {
-        *self.state.lock() = CoalescerCore::default();
-    }
-}
+/// A confirmation round of this node's leader, waiting on its acks.
+pub(super) type Round = ConfirmRound<ReplySender<bool>>;
 
 impl SssNode {
     /// Runs the external-commit confirmation of `txn` through the grouped
@@ -107,7 +93,6 @@ impl SssNode {
         let (waiter, receiver) = reply_channel(1);
         let lead = self
             .confirm
-            .state
             .lock()
             .enqueue(txn, Arc::new(commit_vc), waiter);
         if lead {
@@ -116,110 +101,86 @@ impl SssNode {
         receiver.recv_timeout(ACK_TIMEOUT).unwrap_or(false)
     }
 
-    /// Piggybacks the `Remove` of a completed read-only transaction on the
-    /// next confirmation round if one is already in flight (the broadcast is
-    /// a superset of the targeted multicast, and the leader is actively
-    /// looping, so the delay is bounded by that round). Returns `false` when
-    /// no round is in flight — the caller must send a targeted `Remove`
-    /// immediately, because parking the remove on an idle coalescer would
-    /// hold blocked writers toward their `PRECOMMIT_HOLD_MAX`.
-    pub(crate) fn queue_remove_on_next_round(&self, txn: TxnId) -> bool {
-        self.confirm.state.lock().queue_remove(txn)
-    }
-
     /// Leader loop: drives confirmation rounds until the queue (and the
     /// piggyback payloads) drain. Runs on the committing client's thread —
     /// never on a mailbox worker, which must not block on acks.
     fn run_confirm_rounds(&self) {
         let all_nodes = self.config().nodes;
-        // The leader lingers briefly between rounds of a burst, never before
-        // its first round: rounds complete much faster than transactions
-        // arrive, and without the pause every round would carry only the one
-        // or two commits that happened to land while the previous round was
-        // in flight. The pause lets a window's worth of committers accumulate
-        // — and gives completed members' piggybacked releases a carrier — at
-        // a bounded latency cost for the queued members. A lone leader pays
-        // it too, *after* its round: its own queued release makes the next
-        // plan `Linger`, so this thread sleeps once before the flush and the
-        // return to its client (see the module docs).
+        // Linger between the rounds of a burst, never before the first, and
+        // never twice in a row (see the module docs).
         let mut lingered = false;
         let mut first_round = true;
         loop {
-            // Exit, linger, flush, or round: decided by the pure core under
-            // the same lock as the membership pushes (see the `coalescer`
-            // module docs for why the exit can never strand a member).
+            // Decided by the pure core under the same lock as the membership
+            // pushes (see the `coalescer` module docs for why the exit can
+            // never strand a member).
             let may_linger = !first_round && !lingered;
-            let plan = self
-                .confirm
-                .state
-                .lock()
-                .next_round(CONFIRM_EPOCH, may_linger);
-            let (batch, release, remove) = match plan {
-                RoundPlan::Exit => return,
-                RoundPlan::Linger => {
+            let step = self.confirm.lock().leader_step(may_linger);
+            let mut round = match step {
+                LeaderStep::Exit => return,
+                LeaderStep::Linger => {
                     sss_vclock::runtime::sleep(CONFIRM_LINGER);
                     lingered = true;
                     continue;
                 }
-                RoundPlan::Flush { release, remove } => {
+                LeaderStep::Flush(messages) => {
                     // The confirm queue drained but piggyback payloads
                     // remain: no carrier is coming, flush them standalone.
-                    // Removes go first — they can unblock waiting external
-                    // commits.
                     first_round = false;
                     lingered = false;
-                    if !remove.is_empty() {
-                        let _ = self.multicast(
-                            (0..all_nodes).map(NodeId),
-                            SssMessage::Remove { txns: remove },
-                        );
-                    }
-                    if !release.is_empty() {
-                        let _ = self.multicast(
-                            (0..all_nodes).map(NodeId),
-                            SssMessage::ReleaseExternal { txns: release },
-                        );
-                    }
+                    self.flush(messages);
                     continue;
                 }
-                RoundPlan::Round {
-                    batch,
-                    release,
-                    remove,
-                } => (batch, release, remove),
+                LeaderStep::Round(round) => round,
             };
             first_round = false;
             lingered = false;
 
-            // The round id (used by the ack dedup on the handler side) is
-            // the first member's transaction.
-            let round = round_id(&batch).expect("a planned round has members");
-            let entries: Vec<(TxnId, Arc<VectorClock>)> = batch
-                .iter()
-                .map(|p| (p.txn, Arc::clone(&p.commit_vc)))
-                .collect();
             let (reply, receiver) = reply_channel(all_nodes);
-            let confirm = SssMessage::ConfirmExternal {
-                entries,
-                release,
-                remove,
-                reply,
-            };
-            let sent = self.multicast((0..all_nodes).map(NodeId), confirm).is_ok();
-            let ok = sent && collect_acks(&receiver, round, all_nodes);
+            let id = round.id();
+            let ok = self.send_round(&mut round, reply)
+                && receiver.gather(
+                    all_nodes,
+                    ACK_TIMEOUT,
+                    |ack| (ack.txn == id).then_some(ack.from),
+                    |ack| round.ack(&ack),
+                ) == Gather::Complete;
+            self.complete_round(round, ok);
+        }
+    }
 
-            // The round is complete and its members' clients are about to be
-            // answered: their parked readers may now be released. On success
-            // and failure alike (a timed-out confirmation must still release,
-            // or readers would stay parked forever — same as the base
-            // protocol's failure-path release). The release rides the
-            // leader's next plan: the next round's `release` list, or the
-            // standalone flush once the queue drained.
-            let members: Vec<TxnId> = batch.iter().map(|p| p.txn).collect();
-            self.confirm.state.lock().round_completed(members, true);
-            for member in batch {
-                member.waiter.send(ok);
-            }
+    /// Broadcasts a flush's messages, in order.
+    pub(super) fn flush(&self, messages: Vec<SssMessage>) {
+        for message in messages {
+            let _ = self.multicast((0..self.config().nodes).map(NodeId), message);
+        }
+    }
+
+    /// Broadcasts `round`'s `ConfirmExternal`, acks to `reply`. Returns
+    /// whether it went out.
+    pub(super) fn send_round(&self, round: &mut Round, reply: ReplySender<Ack>) -> bool {
+        let all_nodes = (0..self.config().nodes).map(NodeId);
+        let sent = self
+            .multicast(all_nodes.clone(), round.confirm(reply))
+            .is_ok();
+        if self.seeded == Some(SeededBug::PrematureRelease) {
+            let members = round.members().collect();
+            let _ = self.multicast(all_nodes, SssMessage::ReleaseExternal { txns: members });
+        }
+        sent
+    }
+
+    /// The round is complete and its members' clients are about to be
+    /// answered (`ok` iff every node acknowledged): their parked readers may
+    /// now be released, on success and failure alike (a timed-out
+    /// confirmation must still release, or readers would stay parked forever
+    /// — same as the base protocol's failure-path release). The release
+    /// rides the leader's next step: the next round's `release` list, or the
+    /// standalone flush once the queue drained.
+    pub(super) fn complete_round(&self, round: Round, ok: bool) {
+        let waiters = round.complete(&mut self.confirm.lock());
+        for waiter in waiters {
+            waiter.send(ok);
         }
     }
 }

@@ -25,12 +25,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sss_net::{
-    reply_channel, ChannelTransport, Envelope, NodeService, Priority, Transport, TransportError,
-    TransportExt,
+    reply_channel, ChannelTransport, Envelope, NodeService, Priority, ReplySender, Transport,
+    TransportError, TransportExt,
 };
 use sss_storage::{LockTable, MvStore, ReplicaMap, TxnId};
 use sss_vclock::{NodeId, VectorClock};
 
+use crate::coalescer::CoalescerCore;
 use crate::config::{SssConfig, NLOG_CAPACITY, RECOVERY_TIMEOUT};
 use crate::coordinator::ReadOnlyCoordinator;
 use crate::messages::SssMessage;
@@ -59,9 +60,11 @@ pub struct SssNode {
     locks: LockTable,
     counters: NodeCounters,
     next_txn_seq: AtomicU64,
-    /// Epoch-grouped external-commit confirmation state (see
-    /// [`confirm`] module docs).
-    confirm: confirm::ConfirmCoalescer,
+    /// Epoch-grouped external-commit confirmation (see the [`confirm`]
+    /// module docs): the coalescer's queues and leader flag. A member's
+    /// waiter is where the round leader reports the outcome (`true` iff
+    /// every node acknowledged).
+    confirm: Mutex<CoalescerCore<ReplySender<bool>>>,
     /// `false` while the node is inside a crash window or restarted but not
     /// yet recovered from its peers. Colocated clients consult this before
     /// starting work and degrade to
@@ -91,7 +94,7 @@ impl SssNode {
             locks: LockTable::new(),
             counters: NodeCounters::default(),
             next_txn_seq: AtomicU64::new(0),
-            confirm: confirm::ConfirmCoalescer::default(),
+            confirm: Mutex::default(),
             available: AtomicBool::new(true),
             seeded: None,
             config,
@@ -137,7 +140,14 @@ impl SssNode {
         state.ro_forward_targets.clear();
         state.confirmed_vc = VectorClock::new(self.config.nodes);
         drop(state);
-        self.confirm.reset();
+        // Queued members' waiters observe a dropped channel → a failed round
+        // → `ExternalCommitTimeout`, the degraded path committers already
+        // handle, and the next committer leads a fresh round. A leader still
+        // looping against the old state drains to `Exit`; its stale
+        // `round_completed` lands in the fresh release queue, which only
+        // re-releases transactions whose round already collected acks or
+        // timed out — the same release a failed committer sends itself.
+        *self.confirm.lock() = CoalescerCore::default();
     }
 
     /// Recovery round: re-learns the confirmed snapshot from peers via
@@ -286,30 +296,27 @@ impl SssNode {
     /// plus any registered forward targets, §III-C).
     pub(crate) fn finish_read_only(&self, coord: &ReadOnlyCoordinator) {
         let txn = coord.id();
-        let extra = self.complete_read_only(txn);
+        let extra: Vec<NodeId> = {
+            let mut state = self.state.lock();
+            state.completed_ro.insert(txn);
+            let targets = state.ro_forward_targets.remove(&txn);
+            targets
+                .map(|set| set.into_iter().collect())
+                .unwrap_or_default()
+        };
         // Piggyback (round-reduction optimisation): when a grouped
         // confirmation round is already in flight, the `Remove` rides its
         // broadcast — which covers every node, a superset of the targeted
         // multicast — instead of travelling as dedicated messages. Bounded
         // delay: the leader is actively looping, so the remove is sent at
-        // the next round boundary.
-        if self.queue_remove_on_next_round(txn) {
+        // the next round boundary. An idle coalescer refuses it: parked
+        // there, it would hold blocked writers toward `PRECOMMIT_HOLD_MAX`.
+        let piggybacked = self.confirm.lock().queue_remove(txn);
+        if piggybacked {
             return;
         }
         let targets = coord.remove_targets(&self.replicas, extra);
         let _ = self.multicast(targets, SssMessage::Remove { txns: vec![txn] });
-    }
-
-    /// The node-state half of [`SssNode::finish_read_only`]: marks `txn`
-    /// completed and takes the forward targets registered for it.
-    fn complete_read_only(&self, txn: TxnId) -> Vec<NodeId> {
-        let mut state = self.state.lock();
-        state.completed_ro.insert(txn);
-        state
-            .ro_forward_targets
-            .remove(&txn)
-            .map(|set| set.into_iter().collect())
-            .unwrap_or_default()
     }
 
     /// Human-readable dump of the transactions currently held in their

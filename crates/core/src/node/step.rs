@@ -1,13 +1,18 @@
-//! The stepping seam: the handlers that ship, run one message at a time.
+//! The stepping seam: the handlers and the confirmation leader that ship,
+//! run one message at a time.
 //!
 //! `sss-model` enumerates every interleaving of a small cluster. It does so
 //! over *these* nodes: a [`SteppedCluster`] is `N` [`SssNode`]s on a bare
 //! transport with no workers and no `NodeHost`. [`SteppedCluster::deliver`]
 //! runs one message through [`NodeService::handle`] and returns what the
 //! handler sent to other nodes; its replies land in whatever reply channels
-//! the caller put in the message. `Clone` copies a cluster so a search can
-//! branch, and [`SteppedCluster::encode`] writes every node's state in a
-//! form that depends on neither hash order, nor clocks, nor reply channels.
+//! the caller put in the message. Each node's own confirmation coalescer is
+//! stepped the same way: [`SteppedCluster::lead`] is one step of the leader
+//! loop production runs on a committing client's thread, and
+//! [`SteppedCluster::confirm_ack`] hands its round one ack. `Clone` copies a
+//! cluster so a search can branch, and [`SteppedCluster::encode`] writes
+//! every node's state in a form that depends on neither hash order, nor
+//! clocks, nor reply channels.
 //!
 //! A step runs under a scheduler whose clock the cluster holds still: a
 //! bounded wait nobody can end (the prepare's `LOCK_TIMEOUT`) times out at
@@ -21,27 +26,39 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sss_net::{ChannelTransport, Envelope, NodeService, TransportConfig};
+use sss_net::{ChannelTransport, Envelope, NodeService, ReplySender, TransportConfig};
 use sss_storage::{Key, ReplicaMap, TxnId};
 use sss_vclock::runtime::{self, SchedulerHandle, SimScheduler};
 use sss_vclock::{NodeId, VectorClock};
 
+use super::confirm::Round;
 use super::state::PendingRead;
 use super::SssNode;
+use crate::coalescer::LeaderStep;
 use crate::commit_queue::CommitStatus;
 use crate::config::SssConfig;
-use crate::messages::SssMessage;
+use crate::coordinator::ReadOnlyCoordinator;
+use crate::messages::{Ack, SssMessage};
 use crate::stats::NodeCounters;
 
-/// A fixed bug put back into the handlers: each variant makes one
-/// production line a no-op (see its use in `commit.rs` / `read.rs`).
+/// A fixed bug put back into the handlers or the confirmation leader: each
+/// variant reverts one production line (see its use in `commit.rs`,
+/// `read.rs` / `confirm.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeededBug {
-    /// `handle_prepare` processes a `Prepare` it has already seen.
+    /// Drop the `prepared_ever` dedup: a duplicated `Prepare` is processed
+    /// twice, wedging a second entry in the commit queue.
     DuplicatePrepare,
-    /// An abort `Decide` that finds no prepared record leaves no tombstone.
+    /// Drop the `aborted_early` tombstone: an abort `Decide` overtaking its
+    /// `Prepare` leaves the late prepare wedged with its locks.
     AbortOvertakesPrepare,
-    /// A read-only transaction's first read computes no exclusion ceilings.
+    /// The confirmation leader broadcasts `ReleaseExternal` when the round
+    /// is *sent* instead of when it has collected its acks.
+    PrematureRelease,
+    /// A read-only transaction's first read discards the freshly computed
+    /// exclusion ceilings (they are neither applied to `visible_max`, nor
+    /// accumulated, nor reported) — covering both the serve path and the
+    /// deferral/re-serve path, which reuse the bound established here.
     DroppedExclusionCeiling,
 }
 
@@ -100,6 +117,9 @@ impl SimScheduler for HeldClock {
 /// `N` production nodes stepped by hand. See the module docs.
 pub struct SteppedCluster {
     nodes: Vec<SssNode>,
+    /// Per node, the confirmation round its leader waits on: what the
+    /// leader thread holds on its stack in production.
+    rounds: Vec<Option<Round>>,
     clock: Arc<HeldClock>,
 }
 
@@ -117,22 +137,19 @@ impl SteppedCluster {
             base: Instant::now(),
             ahead_nanos: AtomicU64::new(0),
         });
-        SteppedCluster { nodes, clock }
+        SteppedCluster {
+            rounds: vec![None; config.nodes],
+            nodes,
+            clock,
+        }
     }
 
-    /// Hands `payload` to node `to`'s handler and returns the messages the
-    /// handler sent, with their destinations, in sending order per node.
-    pub fn deliver(&self, to: NodeId, payload: SssMessage) -> Vec<(NodeId, SssMessage)> {
+    /// Runs `step` with the clock held still and returns the messages it
+    /// sent, with their destinations, in sending order per node.
+    fn run(&self, step: impl FnOnce()) -> Vec<(NodeId, SssMessage)> {
         self.clock.ahead_nanos.store(0, Ordering::Relaxed);
         let scheduler: SchedulerHandle = self.clock.clone();
-        let envelope = Envelope {
-            from: to,
-            to,
-            priority: payload.priority(),
-            payload,
-            rel_seq: None,
-        };
-        runtime::enter(&scheduler, || self.nodes[to.index()].handle(envelope));
+        runtime::enter(&scheduler, step);
         let mut sent = Vec::new();
         for node in 0..self.nodes.len() {
             let mailbox = self.nodes[node].transport.mailbox(NodeId(node));
@@ -143,6 +160,88 @@ impl SteppedCluster {
         sent
     }
 
+    /// Hands `payload` to node `to`'s handler and returns the messages the
+    /// handler sent, with their destinations, in sending order per node.
+    pub fn deliver(&self, to: NodeId, payload: SssMessage) -> Vec<(NodeId, SssMessage)> {
+        let envelope = Envelope {
+            from: to,
+            to,
+            priority: payload.priority(),
+            payload,
+            rel_seq: None,
+        };
+        self.run(|| self.nodes[to.index()].handle(envelope))
+    }
+
+    /// The client call that queues committed `txn` for a confirmation round
+    /// at its origin `node`, the outcome to `waiter`. Returns `true` iff the
+    /// caller now leads there.
+    pub fn enqueue_confirm(
+        &self,
+        node: NodeId,
+        txn: TxnId,
+        commit_vc: Arc<VectorClock>,
+        waiter: ReplySender<bool>,
+    ) -> bool {
+        self.nodes[node.index()]
+            .confirm
+            .lock()
+            .enqueue(txn, commit_vc, waiter)
+    }
+
+    /// `true` while `node`'s leader is active and not waiting on a round:
+    /// its next step is [`SteppedCluster::lead`].
+    pub fn leads(&self, node: NodeId) -> bool {
+        let i = node.index();
+        self.rounds[i].is_none() && self.nodes[i].confirm.lock().in_flight()
+    }
+
+    /// One step of `node`'s confirmation leader, without its linger: exits,
+    /// flushes, or sends a round acknowledged to `reply` and waits on it.
+    /// Returns what it sent, like [`SteppedCluster::deliver`].
+    pub fn lead(&mut self, node: NodeId, reply: ReplySender<Ack>) -> Vec<(NodeId, SssMessage)> {
+        let at = &self.nodes[node.index()];
+        let mut round = None;
+        let step = at.confirm.lock().leader_step(false);
+        let sent = self.run(|| match step {
+            LeaderStep::Exit => {}
+            LeaderStep::Linger => unreachable!("a stepped leader never lingers"),
+            LeaderStep::Flush(messages) => at.flush(messages),
+            LeaderStep::Round(mut sending) => {
+                at.send_round(&mut sending, reply);
+                round = Some(sending);
+            }
+        });
+        self.rounds[node.index()] = round;
+        sent
+    }
+
+    /// Hands `ack` to the round `node`'s leader waits on. Once every node
+    /// acknowledged it, the round completes and its members' waiters hear
+    /// `true`.
+    pub fn confirm_ack(&mut self, node: NodeId, ack: Ack) {
+        let i = node.index();
+        let Some(round) = self.rounds[i].as_mut() else {
+            return;
+        };
+        if round.ack(&ack) && round.acked().len() == self.nodes.len() {
+            let round = self.rounds[i].take().expect("matched above");
+            self.nodes[i].complete_round(round, true);
+        }
+    }
+
+    /// The client call that ends read-only `coord` at its origin `node`:
+    /// marks it completed and sends its `Remove`, on the next round of an
+    /// active leader there or targeted. Returns what it sent, like
+    /// [`SteppedCluster::deliver`].
+    pub fn finish_read_only(
+        &self,
+        node: NodeId,
+        coord: &ReadOnlyCoordinator,
+    ) -> Vec<(NodeId, SssMessage)> {
+        self.run(|| self.nodes[node.index()].finish_read_only(coord))
+    }
+
     /// Where the cluster places keys.
     pub fn replica_map(&self) -> &ReplicaMap {
         self.nodes[0].replica_map()
@@ -151,12 +250,6 @@ impl SteppedCluster {
     /// The snapshot a transaction beginning on `node` starts from.
     pub fn begin_vc(&self, node: NodeId) -> VectorClock {
         self.nodes[node.index()].begin_vc()
-    }
-
-    /// The client call that ends read-only `txn` at its origin `node`:
-    /// marks it completed and returns its registered forward targets.
-    pub fn complete_read_only(&self, node: NodeId, txn: TxnId) -> Vec<NodeId> {
-        self.nodes[node.index()].complete_read_only(txn)
     }
 
     /// `true` while `node` holds a read of `txn` whose visibility bound it
@@ -181,7 +274,12 @@ impl SteppedCluster {
 
     /// What `node` still holds that a quiescent node would not, if anything.
     pub fn residue(&self, node: NodeId) -> Option<&'static str> {
+        let round = &self.rounds[node.index()];
         let node = &self.nodes[node.index()];
+        let core = node.confirm.lock();
+        let queued = core.pending_len() + core.pending_release_len() + core.pending_remove_len();
+        let leading = core.in_flight() || queued != 0;
+        drop(core);
         let state = node.state.lock();
         [
             (!state.commit_q.is_empty(), "commit queue not drained"),
@@ -203,16 +301,28 @@ impl SteppedCluster {
                 !state.ro_forward_targets.is_empty(),
                 "forward targets linger",
             ),
+            (leading || round.is_some(), "confirmation coalescer active"),
         ]
         .into_iter()
         .find_map(|(dirty, what)| dirty.then_some(what))
     }
 
-    /// Appends the canonical encoding of every node: protocol state, store
-    /// and lock table, hash maps sorted, no `Instant` and no reply handle.
+    /// Appends the canonical encoding of every node: protocol state, store,
+    /// lock table, confirmation coalescer and the round its leader waits on,
+    /// hash maps sorted, no `Instant` and no reply handle.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let h = &mut ByteSink(out);
-        for node in &self.nodes {
+        for (node, round) in self.nodes.iter().zip(&self.rounds) {
+            let core = node.confirm.lock();
+            let pending: Vec<TxnId> = core.pending_txns().collect();
+            let (release, remove) = (core.pending_release_txns(), core.pending_remove_txns());
+            (core.in_flight(), pending, release, remove).hash(h);
+            drop(core);
+            let round = round.as_ref().map(|round| {
+                let members: Vec<TxnId> = round.members().collect();
+                (round.id(), members, sorted(round.acked()))
+            });
+            round.hash(h);
             let st = node.state.lock();
             (&st.node_vc, &st.confirmed_vc, st.nlog.most_recent_vc()).hash(h);
             seq(h, st.nlog.iter().map(|e| (e.txn, &e.vc)));
@@ -273,10 +383,10 @@ impl SteppedCluster {
     }
 }
 
-/// A deep copy: every node's protocol state, store and lock table. The
-/// transport and the clock hold nothing between steps and are shared; what a
-/// stepped node never uses (counters, the id allocator, the node's own
-/// coalescer, availability) starts afresh.
+/// A deep copy: every node's protocol state, store, lock table, coalescer and
+/// waited-on round. The transport and the clock hold nothing between steps
+/// and are shared; what a stepped node never uses (counters, the id
+/// allocator, availability) starts afresh.
 impl Clone for SteppedCluster {
     fn clone(&self) -> Self {
         let nodes = self.nodes.iter().map(|node| SssNode {
@@ -289,12 +399,13 @@ impl Clone for SteppedCluster {
             locks: node.locks.clone(),
             counters: NodeCounters::default(),
             next_txn_seq: AtomicU64::new(0),
-            confirm: Default::default(),
+            confirm: Mutex::new(node.confirm.lock().clone()),
             available: AtomicBool::new(true),
             seeded: node.seeded,
         });
         SteppedCluster {
             nodes: nodes.collect(),
+            rounds: self.rounds.clone(),
             clock: Arc::clone(&self.clock),
         }
     }

@@ -17,7 +17,7 @@ use sss_storage::{Key, TxnId, Value};
 use crate::config::{ACK_TIMEOUT, READ_TIMEOUT, UNAVAILABLE_RETRY_MAX, VOTE_TIMEOUT};
 use crate::coordinator::{Participants, ReadOnlyCoordinator, UpdateCoordinator};
 use crate::error::{AbortReason, SssError};
-use crate::messages::{ReadReturn, SssMessage};
+use crate::messages::{Ack, ReadReturn, SssMessage};
 use crate::node::SssNode;
 
 /// Latency breakdown of a committed update transaction, mirroring the
@@ -124,17 +124,6 @@ fn remote_read(
     receiver
         .recv_timeout(READ_TIMEOUT)
         .ok_or_else(|| SssError::ReadTimeout { key: key.clone() })
-}
-
-/// Collects `Ack` replies for `txn` from `expected` distinct nodes, waiting
-/// at most [`ACK_TIMEOUT`]. Returns `false` on timeout or channel loss.
-pub(crate) fn collect_acks(
-    receiver: &sss_net::ReplyReceiver<crate::messages::Ack>,
-    txn: TxnId,
-    expected: usize,
-) -> bool {
-    let acked = |ack: &crate::messages::Ack| (ack.txn == txn).then_some(ack.from);
-    receiver.gather(expected, ACK_TIMEOUT, acked, |_| true) == Gather::Complete
 }
 
 /// An update transaction: reads observe the most recent committed versions,
@@ -266,24 +255,19 @@ impl UpdateTransaction {
         let internal_latency = sss_vclock::runtime::elapsed_since(self.started);
 
         // External commit: wait for every write replica's acknowledgement.
-        let timed_out = !collect_acks(&ack_receiver, id, writers.len());
+        let acked = |ack: &Ack| (ack.txn == id).then_some(ack.from);
+        let acks = ack_receiver.gather(writers.len(), ACK_TIMEOUT, acked, |_| true);
+        let timed_out = acks != Gather::Complete;
 
-        // Global external-commit confirmation round (completion-order
-        // barrier, see `serve_or_park_read_only` and `begin_vc`): every node
-        // acknowledges a `ConfirmExternal` carrying this transaction before
-        // the client is answered. This guarantees that any transaction
-        // starting *after* this client response — on any node — begins from
-        // a snapshot that covers this transaction, and that read-only
-        // transactions never return this transaction's versions before this
-        // response. The coalescer runs one round per coordinator epoch
-        // covering every transaction that pre-committed in that window, and
-        // handles the release phase itself (piggybacked on the next round or
-        // flushed standalone), on success and failure alike — for rounds it
-        // *finished*. The confirmation also runs on the ack-timeout path so
-        // that parked reads are eventually released even when this
-        // coordinator gave up waiting — by then the system has been wedged
-        // for the whole (very generous) ack timeout and consistency is
-        // best-effort anyway.
+        // Global external-commit confirmation round (the completion-order
+        // barrier, see `node/confirm.rs`): every node acknowledges a
+        // `ConfirmExternal` carrying this transaction before the client is
+        // answered, so a transaction starting after this response — on any
+        // node — begins from a snapshot covering it, and no read-only
+        // transaction returns its versions before then. It also runs on the
+        // ack-timeout path so that parked reads are eventually released; by
+        // then the system has been wedged for the whole (very generous) ack
+        // timeout and consistency is best-effort anyway.
         if let Some(trace) = trace.as_mut() {
             trace.enter(Phase::ConfirmWait);
         }

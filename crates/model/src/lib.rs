@@ -9,8 +9,8 @@
 //!   counterexample traces), and [`sss`] — the SSS protocol as a model whose
 //!   nodes are the *production* `SssNode`s, stepped one message at a time
 //!   through `sss_core::SteppedCluster`: what is verified is the handlers
-//!   that ship, driven by the production client coordinators, with only the
-//!   confirmation leader loop scripted.
+//!   and the confirmation leader that ship, driven by the production client
+//!   coordinators.
 //! * [`interleave`] — a **schedule-enumerating interleaving harness**: a
 //!   deterministic DFS over every interleaving of two or three step lists,
 //!   applied to the shared-state hot spots (sharded `MvStore` copy-on-write
@@ -35,9 +35,13 @@
 //! 6. **Deadlock freedom / quiescence** — in every terminal state all
 //!    transactions are decided and every queue, lock and parked read has
 //!    drained.
+//! 7. **Serializability** — in every terminal state the committed
+//!    transactions' serialization graph over the observed writers is
+//!    acyclic (no long fork). One configuration breaks it and is kept as a
+//!    known violation.
 //!
 //! Seeded mutations ([`sss::Mutation`]) re-introduce four historical bugs —
-//! three of them by reverting a line of the production handlers —
+//! each by reverting a line of the production handlers or leader —
 //! and the test-suite asserts the checker produces a (minimal, replayable)
 //! counterexample for each; the traces convert into chaos regression
 //! scenarios via [`chaos`].

@@ -1,12 +1,12 @@
-//! The SSS protocol as an explicit-state model: production nodes and
-//! production clients.
+//! The SSS protocol as an explicit-state model: production nodes, their own
+//! confirmation leaders, and production clients.
 //!
 //! The state is `N` production [`SssNode`](sss_core::SssNode)s — a
 //! [`SteppedCluster`]: no workers, no `NodeHost`, the clock held still —
 //! plus `T` transactions scripted as [`TxnSpec`]s and a multiset of in-flight
 //! messages. Keys are partially replicated, one replica each: key `k` lives
 //! on node `k % N`. The checker's actions are *start a client*, *deliver one
-//! message* and *run one coalescer round*, so BFS over the action space
+//! message* and *step one confirmation leader*, so BFS over the action space
 //! enumerates **every** interleaving of message deliveries and client steps,
 //! including the reorderings and overlaps the chaos harness can only sample.
 //!
@@ -21,37 +21,48 @@
 //! A client is the production coordinator of `sss_core::coordinator`, the
 //! one `Session` drives: it builds every `ReadRequest`, `Prepare`, `Decide`
 //! and `RegisterForward` and computes the commit clock, stepped one
-//! delivered reply at a time instead of behind a blocking call. Only the
-//! confirmation leader loop is still scripted: it drives the production
-//! [`CoalescerCore`] one plan per `Coalesce` action.
+//! delivered reply at a time instead of behind a blocking call. A committer
+//! joins its origin's own confirmation coalescer, and that node's leader is
+//! the production one, stepped through the cluster: one `Coalesce` action
+//! is one step of `run_confirm_rounds` (exit, flush, or send a round), one
+//! delivered `ConfirmAck` is one ack counted, and the round's outcome
+//! reaches the members through their waiters, as in production.
 //!
 //! Deliberate divergences (documented, not bugs):
 //!
 //! * Timers are held still rather than absent: a contended prepare's
-//!   `LOCK_TIMEOUT` is an immediate refusal, and the confirmation linger,
-//!   the Pre-Commit and `pending_global` hold bounds and the admission
-//!   back-off never fire. They are performance levers and liveness valves,
-//!   not what the invariants rest on.
+//!   `LOCK_TIMEOUT` is an immediate refusal, and the Pre-Commit and
+//!   `pending_global` hold bounds and the admission back-off never fire.
+//!   They are liveness valves, not what the invariants rest on.
+//! * The leader never lingers: the model passes `may_linger = false`, and
+//!   the held clock's `sleep` panics, so `CONFIRM_LINGER` (a performance
+//!   lever) adds no state.
 //! * A `Decide` and the `RegisterForward`s that ride its batch are separate
 //!   deliveries: a superset of the orders production allows.
 //! * Values are not modelled — every invariant is about *which* version is
 //!   observed, never its payload.
 //!
-//! [`Mutation`] seeds four historical bugs back in; three of them revert
-//! their fix in the production handlers themselves
-//! ([`SeededBug`], settable only through [`SteppedCluster::new`]) and
-//! `PrematureRelease` lives in the model's leader loop. The checker
-//! produces a minimal replayable counterexample for each (see the crate
-//! tests), and those traces seed the `mc-*` chaos regression scenarios in
-//! `sss-bench`.
+//! [`Mutation`] (`sss_core::SeededBug`, settable only through
+//! [`SteppedCluster::new`]) seeds four historical bugs back in, each
+//! reverting its fix in production code — three in the handlers,
+//! `PrematureRelease` in the confirmation leader. The checker produces a
+//! minimal replayable counterexample for each (see the crate tests), and
+//! those traces seed the `mc-*` chaos regression scenarios in `sss-bench`.
+//!
+//! Beyond the step-local invariants, a terminal state must be serializable
+//! over what the clients observed (`check_serializable`). It is not in
+//! [`ModelConfig::crossed_readers_2n4t`]: the protocol admits a long fork
+//! there, kept as a known violation until it is fixed.
 
 use std::hash::Hash;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use sss_core::coalescer::{CoalescerCore, RoundPlan};
-use sss_core::config::CONFIRM_EPOCH;
+use sss_consistency::{
+    check_external_consistency, ConsistencyError, History, TxnKind, TxnRecordBuilder,
+};
 use sss_core::coordinator::{ReadOnlyCoordinator, UpdateCoordinator};
-use sss_core::{Ack, ByteSink, ReadReturn, SeededBug, SssConfig, SssMessage, SteppedCluster, Vote};
+use sss_core::{Ack, ByteSink, ReadReturn, SssConfig, SssMessage, SteppedCluster, Vote};
 use sss_net::{reply_channel, ReplyReceiver, ReplySender};
 use sss_storage::{Key, ReplicaMap, TxnId, Value};
 use sss_vclock::{NodeId, VectorClock};
@@ -108,26 +119,10 @@ impl TxnSpec {
     }
 }
 
-/// A historical bug seeded back in — into the production handlers, except
-/// `PrematureRelease`, which is the scripted leader loop's. Each must yield a
-/// minimal counterexample from the checker (asserted by the tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutation {
-    /// Drop the `prepared_ever` dedup: a duplicated `Prepare` is processed
-    /// twice, wedging a second entry in the commit queue.
-    DuplicatePrepare,
-    /// Drop the `aborted_early` tombstone: an abort `Decide` overtaking its
-    /// `Prepare` leaves the late prepare wedged with its locks.
-    AbortOvertakesPrepare,
-    /// The confirmation leader broadcasts `ReleaseExternal` when the round
-    /// is *sent* instead of when it has collected its acks.
-    PrematureRelease,
-    /// A read-only transaction's first read discards the freshly computed
-    /// exclusion ceilings (they are neither applied to `visible_max`, nor
-    /// accumulated, nor reported) — covering both the serve path and the
-    /// deferral/re-serve path, which reuse the bound established here.
-    DroppedExclusionCeiling,
-}
+/// A historical bug seeded back in — into the production handlers or the
+/// confirmation leader. Each must yield a minimal counterexample from the
+/// checker (asserted by the tests).
+pub use sss_core::SeededBug as Mutation;
 
 /// A checkable configuration: the cluster size, the transaction mix, the
 /// network's duplication budget and the seeded bug.
@@ -261,6 +256,40 @@ impl ModelConfig {
         }
     }
 
+    /// 2 nodes, 4 transactions: two writers, each reading its key first, and
+    /// two read-only transactions reading both keys in crossed orders. A
+    /// known violation: each reader can pin its snapshot at its origin,
+    /// observe the local writer and miss the remote one, which passed
+    /// Pre-Commit but was not yet confirmed — a long fork, found in 46
+    /// actions after about 1.5 M states.
+    pub fn crossed_readers_2n4t() -> Self {
+        ModelConfig {
+            nodes: 2,
+            txns: vec![
+                TxnSpec::Update {
+                    origin: 0,
+                    reads: vec![0],
+                    writes: vec![0],
+                },
+                TxnSpec::Update {
+                    origin: 1,
+                    reads: vec![1],
+                    writes: vec![1],
+                },
+                TxnSpec::ReadOnly {
+                    origin: 0,
+                    reads: vec![0, 1],
+                },
+                TxnSpec::ReadOnly {
+                    origin: 1,
+                    reads: vec![1, 0],
+                },
+            ],
+            duplicate_prepare_budget: 0,
+            mutation: None,
+        }
+    }
+
     /// The smallest configuration that exposes `mutation` (checker-verified
     /// in the tests; the same configs verify clean when the mutation is
     /// off).
@@ -338,7 +367,7 @@ pub enum Action {
     Start(u8),
     /// Deliver in-flight message `i`.
     Deliver(u8),
-    /// The active confirmation leader at node `n` plans one round.
+    /// The active confirmation leader at node `n` takes one step.
     Coalesce(u8),
 }
 
@@ -350,8 +379,8 @@ enum Dst {
 }
 
 /// What is in flight: a wire message on its way to a node's handler, or a
-/// handler's reply on its way back to a client (a confirmation
-/// ack: to the leader loop of the round's origin node).
+/// handler's reply on its way back to a client (a confirmation ack: to the
+/// leader of the round's origin node).
 #[derive(Debug, Clone)]
 enum Msg {
     Wire(SssMessage),
@@ -425,22 +454,6 @@ impl Envelope {
     }
 }
 
-/// A confirmation round the leader at one node has in flight.
-#[derive(Debug, Clone, Hash)]
-struct Round {
-    id: TxnId,
-    members: Vec<TxnId>,
-    acks: u16,
-}
-
-/// The confirmation leader loop of one node, scripted: the production
-/// coalescer core and the round it is waiting on.
-#[derive(Debug, Clone)]
-struct Leader {
-    coal: CoalescerCore<()>,
-    round: Option<Round>,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Phase {
     Idle,
@@ -499,12 +512,8 @@ struct ClientSt {
 #[derive(Clone)]
 pub struct SssState {
     cluster: SteppedCluster,
-    leaders: Vec<Leader>,
     clients: Vec<ClientSt>,
     msgs: Vec<Arc<Envelope>>,
-    /// Globally-true confirmation bits (round completed), the reference for
-    /// the unconfirmed-read and release-overtake invariants.
-    confirmed: u16,
     dup_budget: u8,
     /// Spec-shadow exclusion ceilings per read-only transaction, read off
     /// the node's snapshot-queue when its bound is computed: recorded even
@@ -514,15 +523,34 @@ pub struct SssState {
 
 type Channel<T> = (ReplySender<T>, ReplyReceiver<T>);
 
+impl SssState {
+    /// `true` once update `t`'s confirmation round completed, which is what
+    /// commits it: the reference for the unconfirmed-read and
+    /// release-overtake invariants.
+    fn confirmed(&self, t: usize) -> bool {
+        self.clients[t].phase == Phase::Committed
+    }
+
+    /// Puts what a node's step sent in flight.
+    fn put_in_flight(&mut self, sent: Vec<(NodeId, SssMessage)>) {
+        for (to, message) in sent {
+            let dst = Dst::Node(to.index() as u8);
+            self.msgs.push(Envelope::new(dst, Msg::Wire(message)));
+        }
+    }
+}
+
 /// The SSS protocol as a [`Model`]. See the module docs.
 pub struct SssModel {
     cfg: ModelConfig,
     /// `keys[k]`: a name for key `k` whose one replica is node `k % nodes`.
     keys: Vec<Key>,
-    /// Where the handlers' replies land, shared by every state: a step
-    /// drains them, so they are empty between steps. `ReadReturn` does not
-    /// name its transaction, so reads have one channel each.
+    /// Where the handlers' and leaders' replies land, shared by every
+    /// state: a step drains them, so they are empty between steps. Neither
+    /// a `ReadReturn` nor a round's outcome names its transaction, so reads
+    /// and round outcomes have one channel per transaction.
     reads: Vec<Channel<ReadReturn>>,
+    outcomes: Vec<Channel<bool>>,
     votes: Channel<Vote>,
     ext_acks: Channel<Ack>,
     confirm_acks: Channel<Ack>,
@@ -577,6 +605,7 @@ impl SssModel {
         SssModel {
             keys: (0..key_count).map(named).collect(),
             reads: cfg.txns.iter().map(|_| reply_channel(64)).collect(),
+            outcomes: cfg.txns.iter().map(|_| reply_channel(1)).collect(),
             votes: reply_channel(64),
             ext_acks: reply_channel(64),
             confirm_acks: reply_channel(64),
@@ -598,10 +627,6 @@ impl SssModel {
     fn home(&self, key: u8) -> usize {
         key as usize % self.cfg.nodes
     }
-
-    fn all_nodes_mask(&self) -> u16 {
-        (1 << self.cfg.nodes) - 1
-    }
 }
 
 impl Model for SssModel {
@@ -610,17 +635,7 @@ impl Model for SssModel {
 
     fn init(&self) -> SssState {
         let n = self.cfg.nodes;
-        let seeded = self.cfg.mutation.and_then(|m| match m {
-            Mutation::DuplicatePrepare => Some(SeededBug::DuplicatePrepare),
-            Mutation::AbortOvertakesPrepare => Some(SeededBug::AbortOvertakesPrepare),
-            Mutation::DroppedExclusionCeiling => Some(SeededBug::DroppedExclusionCeiling),
-            Mutation::PrematureRelease => None,
-        });
         let config = SssConfig::new(n).replication(1);
-        let leader = Leader {
-            coal: CoalescerCore::new(),
-            round: None,
-        };
         let client = ClientSt {
             phase: Phase::Idle,
             coord: Coord::Idle,
@@ -632,11 +647,9 @@ impl Model for SssModel {
             awaiting_bound: false,
         };
         SssState {
-            cluster: SteppedCluster::new(config, seeded),
-            leaders: vec![leader; n],
+            cluster: SteppedCluster::new(config, self.cfg.mutation),
             clients: vec![client; self.cfg.txns.len()],
             msgs: Vec::new(),
-            confirmed: 0,
             dup_budget: self.cfg.duplicate_prepare_budget,
             shadow: vec![Vec::new(); self.cfg.txns.len()],
         }
@@ -653,9 +666,9 @@ impl Model for SssModel {
                 out.push(Action::Deliver(i as u8));
             }
         }
-        for (i, leader) in s.leaders.iter().enumerate() {
-            if leader.coal.in_flight() && leader.round.is_none() {
-                out.push(Action::Coalesce(i as u8));
+        for n in 0..self.cfg.nodes {
+            if s.cluster.leads(NodeId(n)) {
+                out.push(Action::Coalesce(n as u8));
             }
         }
     }
@@ -668,7 +681,12 @@ impl Model for SssModel {
                 let env = s.msgs.remove(i as usize);
                 self.deliver(&mut s, &env)?;
             }
-            Action::Coalesce(n) => self.coalesce(&mut s, n as usize),
+            Action::Coalesce(n) => {
+                let sent = s
+                    .cluster
+                    .lead(NodeId(n as usize), self.confirm_acks.0.clone());
+                s.put_in_flight(sent);
+            }
         }
         Ok(s)
     }
@@ -685,33 +703,22 @@ impl Model for SssModel {
                 ));
             }
         }
-        for (i, leader) in s.leaders.iter().enumerate() {
+        for i in 0..self.cfg.nodes {
             if let Some(what) = s.cluster.residue(NodeId(i)) {
                 return Err(format!("quiescence: {what} at n{i}"));
             }
-            let coal = &leader.coal;
-            let queued =
-                coal.pending_len() + coal.pending_release_len() + coal.pending_remove_len();
-            if coal.in_flight() || queued != 0 || leader.round.is_some() {
-                return Err(format!("quiescence: confirmation coalescer active at n{i}"));
-            }
         }
-        Ok(())
+        self.check_serializable(s)
     }
 
     fn encode(&self, s: &SssState, out: &mut Vec<u8>) {
         s.cluster.encode(out);
         let h = &mut ByteSink(out);
-        for Leader { coal, round } in &s.leaders {
-            let pending: Vec<TxnId> = coal.pending_txns().collect();
-            let (release, remove) = (coal.pending_release_txns(), coal.pending_remove_txns());
-            (coal.in_flight(), pending, release, remove, round).hash(h);
-        }
         // Message order is delivery bookkeeping, not semantics: encode the
         // multiset canonically.
         let mut in_flight: Vec<&Vec<u8>> = s.msgs.iter().map(|env| &env.code).collect();
         in_flight.sort_unstable();
-        (&s.clients, in_flight, s.confirmed, s.dup_budget, &s.shadow).hash(h);
+        (&s.clients, in_flight, s.dup_budget, &s.shadow).hash(h);
     }
 
     fn describe(&self, s: &SssState, action: Action) -> String {
@@ -860,7 +867,12 @@ impl SssModel {
                 Ok(())
             }
             (Msg::ConfirmAck(ack), Dst::Node(n)) => {
-                self.leader_confirm_ack(s, n as usize, *ack);
+                s.cluster.confirm_ack(NodeId(n as usize), *ack);
+                for (t, channel) in self.outcomes.iter().enumerate() {
+                    if drain(channel).next().is_some() {
+                        s.clients[t].phase = Phase::Committed;
+                    }
+                }
                 Ok(())
             }
             (msg, dst) => unreachable!("{msg:?} is never addressed to {dst:?}"),
@@ -878,7 +890,7 @@ impl SssModel {
             SssMessage::ConfirmExternal { release, .. } => release,
             _ => &[],
         };
-        if let Some(t) = released.iter().find(|t| s.confirmed & bit(ix(**t)) == 0) {
+        if let Some(t) = released.iter().find(|t| !s.confirmed(ix(**t))) {
             return Err(format!(
                 "release overtook confirmation: n{i} processed t{}'s \
                  ReleaseExternal before its confirmation round completed",
@@ -894,10 +906,8 @@ impl SssModel {
         {
             s.clients[ix(*txn)].awaiting_bound |= !has_read.contains(&true);
         }
-        for (to, sent) in s.cluster.deliver(NodeId(i), message) {
-            let dst = Dst::Node(to.index() as u8);
-            s.msgs.push(Envelope::new(dst, Msg::Wire(sent)));
-        }
+        let sent = s.cluster.deliver(NodeId(i), message);
+        s.put_in_flight(sent);
         // A first read's visibility bound is computed when the request is
         // served, parked or deferred on the commit queue — in this step or,
         // behind a lagging `NLog`, a later one at this node. The writers
@@ -963,7 +973,7 @@ impl SssModel {
                 "snapshot bound: n{i} served t{t} a version above its visibility bound"
             ));
         }
-        if s.confirmed & bit(w) == 0 {
+        if !s.confirmed(w) {
             return Err(format!(
                 "unconfirmed read: n{i} served t{t} a version of t{w} before \
                  t{w}'s confirmation round completed"
@@ -978,66 +988,58 @@ impl SssModel {
         Ok(())
     }
 
-    // -- the confirmation leader loop, scripted ------------------------------
-
-    fn leader_confirm_ack(&self, s: &mut SssState, i: usize, ack: Ack) {
-        let all = self.all_nodes_mask();
-        let leader = &mut s.leaders[i];
-        let Some(round) = leader.round.as_mut().filter(|r| r.id == ack.txn) else {
-            return;
+    /// Serializability of a terminal state, over the writers the clients
+    /// observed: the committed transactions' serialization graph must be
+    /// acyclic. Every record sits at one instant, so no real-time edge
+    /// enters; a read that found no version observed the initial one,
+    /// written by a transaction that precedes everything and so lies on no
+    /// cycle. This is what finds a long fork: two read-only transactions
+    /// that each observe one of two writers and miss the other.
+    fn check_serializable(&self, s: &SssState) -> Result<(), String> {
+        let initial = TxnId::new(NodeId(0), 0);
+        let before = Instant::now();
+        let at = before + Duration::from_micros(1);
+        let keys = || self.keys.iter().cloned();
+        let init = keys().fold(
+            TxnRecordBuilder::new(initial, TxnKind::Update),
+            |record, key| record.write(key, Value::empty()),
+        );
+        let mut history = History::new();
+        history.push(init.started(before).finished(before).build());
+        for (t, spec) in self.cfg.txns.iter().enumerate() {
+            let c = &s.clients[t];
+            if c.phase != Phase::Committed {
+                continue;
+            }
+            let kind = if spec.is_update() {
+                TxnKind::Update
+            } else {
+                TxnKind::ReadOnly
+            };
+            let mut record = TxnRecordBuilder::new(self.tid(t), kind)
+                .started(at)
+                .finished(at);
+            for (&k, writer) in spec.reads().iter().zip(&c.observed) {
+                let writer = writer.map_or(initial, |w| self.tid(w as usize));
+                record = record.read(self.keys[k as usize].clone(), None, Some(writer));
+            }
+            for &k in spec.writes() {
+                record = record.write(self.keys[k as usize].clone(), Value::empty());
+            }
+            history.push(record.build());
+        }
+        let Err(ConsistencyError::CycleDetected { cycle, kinds }) =
+            check_external_consistency(&history)
+        else {
+            return Ok(());
         };
-        round.acks |= bit(ack.from.index());
-        if round.acks != all {
-            return;
+        let mut path = format!("t{}", ix(cycle[0]));
+        for (t, kind) in cycle[1..].iter().zip(kinds) {
+            path += &format!(" -{kind}-> t{}", ix(*t));
         }
-        let members = leader.round.take().expect("checked above").members;
-        for &m in &members {
-            s.confirmed |= bit(ix(m));
-            s.clients[ix(m)].phase = Phase::Committed;
-        }
-        let leftover = leader.coal.round_completed(members, true);
-        debug_assert!(leftover.is_none(), "piggybacked completion returns nothing");
-    }
-
-    fn coalesce(&self, s: &mut SssState, n: usize) {
-        let all = || (0..self.cfg.nodes).map(NodeId);
-        match s.leaders[n].coal.next_round(CONFIRM_EPOCH, false) {
-            RoundPlan::Exit | RoundPlan::Linger => {}
-            RoundPlan::Flush { release, remove } => {
-                // Removes go first — they can unblock waiting external
-                // commits.
-                if !remove.is_empty() {
-                    self.send(s, all(), SssMessage::Remove { txns: remove });
-                }
-                if !release.is_empty() {
-                    self.send(s, all(), SssMessage::ReleaseExternal { txns: release });
-                }
-            }
-            RoundPlan::Round {
-                batch,
-                release,
-                remove,
-            } => {
-                let members: Vec<TxnId> = batch.iter().map(|p| p.txn).collect();
-                s.leaders[n].round = Some(Round {
-                    id: members[0],
-                    members: members.clone(),
-                    acks: 0,
-                });
-                let confirm = SssMessage::ConfirmExternal {
-                    entries: batch.into_iter().map(|p| (p.txn, p.commit_vc)).collect(),
-                    release,
-                    remove,
-                    reply: self.confirm_acks.0.clone(),
-                };
-                self.send(s, all(), confirm);
-                if self.cfg.mutation == Some(Mutation::PrematureRelease) {
-                    // Seeded bug: the release rides out with the round
-                    // instead of waiting for its acks.
-                    self.send(s, all(), SssMessage::ReleaseExternal { txns: members });
-                }
-            }
-        }
+        Err(format!(
+            "serializability: the committed transactions form a cycle {path}"
+        ))
     }
 
     // -- client side: the production coordinator, one reply at a time ------
@@ -1107,16 +1109,19 @@ impl SssModel {
         }
         c.phase = Phase::ConfirmWait;
         let cvc = c.commit_vc.clone().expect("decided commit clock");
-        let origin = self.cfg.txns[t].origin();
+        let (origin, waiter) = (
+            NodeId(self.cfg.txns[t].origin()),
+            self.outcomes[t].0.clone(),
+        );
         // Leading is observable as an enabled Coalesce action.
-        let _leads = s.leaders[origin].coal.enqueue(self.tid(t), cvc, ());
+        let _leads = s.cluster.enqueue_confirm(origin, self.tid(t), cvc, waiter);
     }
 
     fn finish_ro(&self, s: &mut SssState, t: usize) -> Result<(), String> {
         // External consistency, completion side: a read-only transaction
         // never completes having observed an unconfirmed writer.
         for &w in s.clients[t].observed.iter().flatten() {
-            if s.confirmed & bit(w as usize) == 0 {
+            if !s.confirmed(w as usize) {
                 return Err(format!(
                     "external consistency: read-only t{t} completed having \
                      observed t{w}, whose confirmation round has not completed"
@@ -1124,14 +1129,11 @@ impl SssModel {
             }
         }
         s.clients[t].phase = Phase::Committed;
-        let (origin, txn) = (self.cfg.txns[t].origin(), self.tid(t));
-        let forwarded = s.cluster.complete_read_only(NodeId(origin), txn);
-        if s.leaders[origin].coal.queue_remove(txn) {
-            return Ok(()); // rides the leader's next round, to every node
-        }
-        let coord = s.clients[t].coord.read_only();
-        let targets = coord.remove_targets(s.cluster.replica_map(), forwarded);
-        self.send(s, targets, SssMessage::Remove { txns: vec![txn] });
+        let origin = NodeId(self.cfg.txns[t].origin());
+        let sent = s
+            .cluster
+            .finish_read_only(origin, s.clients[t].coord.read_only());
+        s.put_in_flight(sent);
         Ok(())
     }
 }

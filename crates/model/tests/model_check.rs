@@ -198,3 +198,82 @@ fn mutation_premature_release_is_caught() {
 fn mutation_dropped_exclusion_ceiling_is_caught() {
     assert_mutation_caught(Mutation::DroppedExclusionCeiling, "exclusion stability");
 }
+
+/// The long fork `modelcheck` finds in `crossed-readers-2n4t` (a known
+/// violation), replayed by its action labels: each reader pins its snapshot
+/// at its origin, observes the local writer once it is confirmed, and misses
+/// the remote one, which has passed Pre-Commit but is not yet confirmed. The
+/// terminal check must name the cycle. Runs in debug too: a replay is 46
+/// steps, not a search.
+#[test]
+fn the_crossed_readers_long_fork_replays_and_is_caught() {
+    let mut trace = vec![
+        "start t0 (update)",
+        "start t1 (update)",
+        "start t2 (read-only)",
+        "start t3 (read-only)",
+        "deliver ReadReq t0 k0 -> n0",
+        "deliver ReadReq t1 k1 -> n1",
+        "deliver ReadRet n0 -> t0",
+        "deliver ReadRet n1 -> t1",
+        "deliver Prepare t0 -> n0",
+        "deliver Prepare t1 -> n1",
+        "deliver Vote+ t0 n0 -> t0",
+        "deliver Vote+ t1 n1 -> t1",
+        "deliver Decide-commit t0 -> n0",
+        "deliver ReadReq t2 k0 -> n0",
+        "deliver Decide-commit t1 -> n1",
+        "deliver ReadReq t3 k1 -> n1",
+        "deliver ExtAck t0 n0 -> t0",
+        "deliver ExtAck t1 n1 -> t1",
+    ];
+    // Writer `w`'s confirmation round at its origin and its release; then
+    // the read-only `r` there observes it, reads key `other` at the other
+    // node and finishes, its `Remove` riding the leader's flush.
+    let confirm_then_read = |w: usize, r: usize, other: usize| {
+        let (n, m) = (w, 1 - w);
+        [
+            format!("coalesce n{n}"),
+            format!("deliver Confirm [t{w}] -> n0"),
+            format!("deliver Confirm [t{w}] -> n1"),
+            format!("deliver ConfirmAck r{w} n0 -> n{n}"),
+            format!("deliver ConfirmAck r{w} n1 -> n{n}"),
+            format!("coalesce n{n}"),
+            format!("deliver Release [t{w}] -> n0"),
+            format!("deliver Release [t{w}] -> n1"),
+            format!("deliver ReadRet n{n} -> t{r}"),
+            format!("deliver ReadReq t{r} k{other} -> n{m}"),
+            format!("coalesce n{n}"),
+            format!("deliver ReadRet n{m} -> t{r}"),
+            format!("deliver Remove [t{r}] -> n0"),
+            format!("deliver Remove [t{r}] -> n1"),
+        ]
+    };
+    let tail = [confirm_then_read(0, 2, 1), confirm_then_read(1, 3, 0)];
+    trace.extend(tail.iter().flatten().map(String::as_str));
+    assert_eq!(trace.len(), 46);
+
+    let model = SssModel::new(ModelConfig::crossed_readers_2n4t());
+    let (mut state, mut enabled) = (model.init(), Vec::new());
+    for label in trace {
+        enabled.clear();
+        model.actions(&state, &mut enabled);
+        let action = enabled
+            .iter()
+            .copied()
+            .find(|&a| model.describe(&state, a) == label)
+            .unwrap_or_else(|| panic!("`{label}` is not enabled"));
+        state = model.step(&state, action).expect("no step-local violation");
+    }
+    enabled.clear();
+    model.actions(&state, &mut enabled);
+    assert!(enabled.is_empty(), "the trace ends in a terminal state");
+    let violation = model
+        .check(&state, true)
+        .expect_err("the long fork is caught");
+    // The cycle may be reported from any of its transactions.
+    assert!(violation.starts_with("serializability: "), "{violation}");
+    for hop in ["t0 -wr-> t2", "t2 -rw-> t1", "t1 -wr-> t3", "t3 -rw-> t0"] {
+        assert!(violation.contains(hop), "{hop} missing from: {violation}");
+    }
+}

@@ -1,14 +1,18 @@
 //! Integration tests of the chaos-scenario layer: determinism of faulted
-//! runs and of simulated message counts, and non-vacuousness of the post-run
-//! consistency checking.
+//! runs and of simulated message counts, non-vacuousness of the post-run
+//! consistency checking, and the known violations of the `hot_keys` gate's
+//! shape.
 
 use std::time::Duration;
 
-use sss_consistency::{check_all, History, TxnRecord};
-use sss_engine::MailboxStats;
-use sss_workload::scenario::{run_scenario, run_scenario_tuned, ChaosScenario};
+use sss_consistency::{check_all, Dependency, DsgChecker, Edge, History, TxnRecord};
+use sss_engine::{MailboxStats, NetProfile};
+use sss_storage::TxnId;
+use sss_workload::scenario::{
+    run_scenario, run_scenario_sim, run_scenario_tuned, ChaosScenario, ScenarioOutcome,
+};
 use sss_workload::{
-    EngineKind, FaultPlan, LinkFault, LinkSelector, WorkloadGenerator, WorkloadSpec,
+    EngineKind, FaultPlan, LinkFault, LinkSelector, NodeId, WorkloadGenerator, WorkloadSpec,
 };
 
 fn faulted_scenario(seed: u64) -> ChaosScenario {
@@ -150,4 +154,71 @@ fn checker_rejects_a_corrupted_scenario_history() {
         check_all(&corrupted).is_err(),
         "the checker accepted a history with a reversed real-time edge"
     );
+}
+
+/// The `hot_keys` correctness gate's shape under the simulator, with one
+/// replica per key: 4 nodes × 1 client, 8 keys, half the transactions
+/// read-only over 4 keys each, 150 transactions per client, no latency.
+/// Each seed runs twice and must replay bit-identically.
+fn hot_keys_gate_sim(seed: u64) -> ScenarioOutcome {
+    let spec = WorkloadSpec::new(4)
+        .clients_per_node(1)
+        .total_keys(8)
+        .read_only_percent(50)
+        .read_only_access_count(4)
+        .seed(seed);
+    let scenario = ChaosScenario::new("hot-keys-gate", spec)
+        .ops_per_client(150)
+        .replication(1)
+        .profile(NetProfile::Instant);
+    let run = || run_scenario_sim(EngineKind::Sss, &scenario, seed).expect("valid scenario");
+    let (first, second) = (run(), run());
+    assert_eq!(first.summary(), second.summary(), "seed {seed} must replay");
+    assert_eq!(
+        first.fingerprint(),
+        second.fingerprint(),
+        "seed {seed} must replay"
+    );
+    first
+}
+
+/// Known violation, pinned until the protocol closes it: a long fork. Two
+/// writers (T1.98, T3.107) and two read-only transactions that each observe
+/// one of them and miss the other, the anomaly Parallel Snapshot Isolation
+/// allows by design and external consistency forbids. The fix flips this
+/// test: the run must then pass the checker.
+#[test]
+fn hot_keys_gate_seed_14_long_fork_is_a_known_violation() {
+    let outcome = hot_keys_gate_sim(14);
+    assert!(
+        matches!(&outcome.consistency, Some(Err(cycle)) if cycle.contains("serialization cycle")),
+        "the long fork no longer reproduces: {:?}",
+        outcome.consistency
+    );
+    let t = |origin, seq| TxnId::new(NodeId(origin), seq);
+    let dsg = DsgChecker::build(&outcome.history);
+    for (from, to, dependency) in [
+        (t(4, 98), t(1, 98), Dependency::WriteRead),
+        (t(1, 98), t(2, 108), Dependency::ReadWrite),
+        (t(2, 108), t(3, 107), Dependency::WriteRead),
+        (t(3, 107), t(4, 98), Dependency::ReadWrite),
+    ] {
+        let edge = Edge {
+            from,
+            to,
+            dependency,
+        };
+        assert!(dsg.edges().contains(&edge), "missing {edge}");
+    }
+    assert_eq!(outcome.read_only_aborts, 0);
+}
+
+/// Known violation, pinned until the protocol closes it: one read-only
+/// transaction aborts, because a read waited out its `READ_TIMEOUT`. The
+/// fix flips this test: the run must then report no read-only abort.
+#[test]
+fn hot_keys_gate_seed_4_read_only_abort_is_a_known_violation() {
+    let outcome = hot_keys_gate_sim(4);
+    assert_eq!(outcome.read_only_aborts, 1, "{}", outcome.summary());
+    assert_eq!(outcome.consistency, Some(Ok(())));
 }
